@@ -13,20 +13,17 @@ from .core import (
     Outcome,
     OutcomeKind,
     Task,
-    cosine_distance,
     distance,
 )
 from .cost import (
     CostBreakdown,
-    FeasibilityReport,
-    check_feasibility,
     communication_cost,
     completion_cost,
     execution_cost,
     reuse_cost,
 )
 from .forwarding import EdgeNode
-from .lsh import LshIndex, LshParams, Signature
+from .lsh import LshIndex, LshParams
 from .reuse_store import (
     LookupKind,
     LookupResult,
@@ -63,7 +60,6 @@ __all__ = [
     "CostParams",
     "DimensionMismatch",
     "EdgeNode",
-    "FeasibilityReport",
     "FeatureVector",
     "LookupKind",
     "LookupResult",
@@ -79,17 +75,14 @@ __all__ = [
     "ReuseEntry",
     "ReuseGain",
     "ReuseStore",
-    "Signature",
     "SimConfig",
     "StoreSettings",
     "Task",
     "TaskRecord",
     "WorkloadFileError",
     "WorkloadSpec",
-    "check_feasibility",
     "communication_cost",
     "completion_cost",
-    "cosine_distance",
     "distance",
     "execution_cost",
     "generate",

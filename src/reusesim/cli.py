@@ -16,24 +16,17 @@ byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .core import CostParams
 from .lsh import LshIndex, LshParams
-from .sim import (
-    LshSettings,
-    MetricsReport,
-    Mode,
-    SimConfig,
-    StoreSettings,
-    reuse_gain,
-    run,
-)
+from .sim import MetricsReport, Mode, ReuseGain, SimConfig, reuse_gain, run
 from .workload import BASE_NORM, WorkloadSpec, ramp_rate
 
 SCENARIOS = ("completion", "computation", "waiting", "utilization", "load", "gain")
@@ -42,10 +35,24 @@ TASKS_HEADER = (
     "task_id,service,label,outcome,location,arrival_s,start_s,finish_s,"
     "waiting_s,computation_s,completion_s,correct"
 )
-SUMMARY_HEADER = (
-    "mode,n_tasks,redundancy,trial,mean_completion_s,p90_completion_s,"
-    "mean_computation_s,mean_waiting_s,utilization_pct,load_cloud,load_edge,"
-    "load_reuse,reuse_gain_delay,reuse_gain_resource,correctness"
+# (column, value of one run) for every metric column of summary.csv and the
+# sweep files; a gain is None, a blank cell, when the run has no baseline.
+_RunValue = Callable[[MetricsReport, Optional[ReuseGain]], Optional[float]]
+METRIC_COLUMNS: tuple[tuple[str, _RunValue], ...] = (
+    ("mean_completion_s", lambda r, g: r.mean_completion_s),
+    ("p90_completion_s", lambda r, g: r.p90_completion_s),
+    ("mean_computation_s", lambda r, g: r.mean_computation_s),
+    ("mean_waiting_s", lambda r, g: r.mean_waiting_s),
+    ("utilization_pct", lambda r, g: r.utilization_pct),
+    ("load_cloud", lambda r, g: r.load_cloud),
+    ("load_edge", lambda r, g: r.load_edge),
+    ("load_reuse", lambda r, g: r.load_reuse),
+    ("reuse_gain_delay", lambda r, g: None if g is None else g.delay_gain),
+    ("reuse_gain_resource", lambda r, g: None if g is None else g.resource_gain),
+    ("correctness", lambda r, g: r.correctness_rate),
+)
+SUMMARY_HEADER = ",".join(
+    ("mode", "n_tasks", "redundancy", "trial", *(name for name, _ in METRIC_COLUMNS))
 )
 
 
@@ -53,34 +60,18 @@ class ConfigError(ValueError):
     """A config file or override failed validation; message names the field."""
 
 
-def _parse_float(s: str) -> float:
-    return float(s)
+def _parse_finite(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError("must be a finite number")
+    return x
 
 
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
-def _parse_optional_float(s: str) -> Optional[float]:
-    s = s.strip()
-    return None if s in ("", "none") else float(s)
-
-
-def _parse_optional_int(s: str) -> Optional[int]:
-    s = s.strip()
-    return None if s in ("", "none") else int(s)
-
-
-def _parse_optional_str(s: str) -> Optional[str]:
-    s = s.strip()
-    return None if s in ("", "none") else s
-
-
-def _parse_range(s: str) -> tuple[float, float]:
+def _parse_pair(s: str) -> tuple[float, float]:
     parts = [p.strip() for p in s.split(",")]
     if len(parts) != 2:
         raise ValueError("expected 'lo,hi'")
-    return (float(parts[0]), float(parts[1]))
+    return (_parse_finite(parts[0]), _parse_finite(parts[1]))
 
 
 def _parse_mode(s: str) -> Mode:
@@ -91,41 +82,48 @@ def _parse_mode(s: str) -> Mode:
         raise ValueError(f"must be one of: {valid}") from None
 
 
-# field -> (parser, default); _REQUIRED fields have no default.
-_REQUIRED = object()
-CONFIG_SCHEMA: dict[str, tuple[Callable, object]] = {
-    "mode": (_parse_mode, _REQUIRED),
-    "seed": (_parse_int, 42),
-    "trials": (_parse_int, 10),
-    "edge_slots": (_parse_int, 15),
-    "max_queue_delay": (_parse_optional_float, None),
-    "features_file": (_parse_optional_str, None),
-    "cost.edge_bandwidth": (_parse_float, 100.0),
-    "cost.cloud_bandwidth": (_parse_float, 4.0),
-    "cost.edge_capacity_rate": (_parse_float, 100.0),
-    "cost.cloud_capacity_rate": (_parse_float, 1000.0),
-    "cost.lookup_cost": (_parse_float, 0.001),
-    "cost.edge_hops": (_parse_int, 1),
-    "cost.cloud_hops": (_parse_int, 6),
-    "cost.per_hop_latency": (_parse_float, 0.005),
-    "store.capacity": (_parse_optional_int, 500),
-    "store.tau_full": (_parse_float, 1.0),
-    "store.tau_partial": (_parse_float, 2.0),
-    "store.partial_fraction": (_parse_float, 0.5),
-    "store.decay_interval": (_parse_optional_float, None),
-    "lsh.num_tables": (_parse_int, 8),
-    "lsh.bits_per_table": (_parse_int, 8),
-    "lsh.max_candidates": (_parse_int, 16),
-    "workload.num_tasks": (_parse_int, 100),
-    "workload.redundancy_rate": (_parse_float, 0.8),
-    "workload.arrival_rate": (_parse_float, 6.0),
-    "workload.service": (str, "detect"),
-    "workload.dimension": (_parse_int, 32),
-    "workload.noise_sigma": (_parse_float, 0.05),
-    "workload.input_size_range": (_parse_range, (4.0, 8.0)),
-    "workload.output_size_range": (_parse_range, (0.1, 0.5)),
-    "workload.complexity_range": (_parse_range, (50.0, 150.0)),
+# Dict lookup compares by equality, which ``tuple[float, float]`` needs: each
+# evaluation of that annotation builds a new alias object.
+_PARSERS: dict[object, Callable[[str], object]] = {
+    int: int,
+    str: str,
+    float: _parse_finite,
+    tuple[float, float]: _parse_pair,
+    Mode: _parse_mode,
 }
+
+
+def _parser_for(hint) -> Callable[[str], object]:
+    if get_origin(hint) is Union:  # Optional[X]: "none" or empty means None
+        (inner,) = (a for a in get_args(hint) if a is not type(None))
+        parse = _parser_for(inner)
+        return lambda s: None if s.strip() in ("", "none") else parse(s.strip())
+    return _PARSERS[hint]
+
+
+# SimConfig fields that are dataclasses become dotted sections
+# (``cost.edge_bandwidth``); the others are top-level keys.
+_SECTIONS: dict[str, type] = {
+    name: hint for name, hint in get_type_hints(SimConfig).items() if is_dataclass(hint)
+}
+
+
+def _derive_schema() -> dict[str, tuple[Callable[[str], object], object]]:
+    """Config key -> (parser, default); a default of MISSING marks a required key.
+
+    A section field named like a top-level key (``workload.seed``) is not a
+    key of its own: it takes the top-level value.
+    """
+    schema: dict[str, tuple[Callable[[str], object], object]] = {}
+    for prefix, cls in (("", SimConfig), *((f"{n}.", c) for n, c in _SECTIONS.items())):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if not is_dataclass(hints[f.name]) and f.name not in schema:
+                schema[prefix + f.name] = (_parser_for(hints[f.name]), f.default)
+    return schema
+
+
+CONFIG_SCHEMA = _derive_schema()
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -148,60 +146,26 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def build_config(raw: dict[str, str]) -> SimConfig:
-    values: dict[str, object] = {}
+    kwargs: dict[str, dict[str, object]] = {"": {}, **{n: {} for n in _SECTIONS}}
     for key, (parser, default) in CONFIG_SCHEMA.items():
         if key in raw:
             try:
-                values[key] = parser(raw[key])
+                value = parser(raw[key])
             except ValueError as exc:
                 raise ConfigError(f"field {key!r}: {exc}") from None
-        elif default is _REQUIRED:
+        elif default is MISSING:
             raise ConfigError(f"missing required field: {key}")
         else:
-            values[key] = default
+            value = default
+        section, _, name = key.rpartition(".")
+        kwargs[section][name] = value
+    top = kwargs[""]
     try:
-        return SimConfig(
-            mode=values["mode"],
-            workload=WorkloadSpec(
-                num_tasks=values["workload.num_tasks"],
-                redundancy_rate=values["workload.redundancy_rate"],
-                arrival_rate=values["workload.arrival_rate"],
-                service=values["workload.service"],
-                input_size_range=values["workload.input_size_range"],
-                output_size_range=values["workload.output_size_range"],
-                complexity_range=values["workload.complexity_range"],
-                dimension=values["workload.dimension"],
-                noise_sigma=values["workload.noise_sigma"],
-                seed=values["seed"],
-            ),
-            cost=CostParams(
-                edge_bandwidth=values["cost.edge_bandwidth"],
-                cloud_bandwidth=values["cost.cloud_bandwidth"],
-                edge_capacity_rate=values["cost.edge_capacity_rate"],
-                cloud_capacity_rate=values["cost.cloud_capacity_rate"],
-                lookup_cost=values["cost.lookup_cost"],
-                edge_hops=values["cost.edge_hops"],
-                cloud_hops=values["cost.cloud_hops"],
-                per_hop_latency=values["cost.per_hop_latency"],
-            ),
-            edge_slots=values["edge_slots"],
-            store=StoreSettings(
-                capacity=values["store.capacity"],
-                tau_full=values["store.tau_full"],
-                tau_partial=values["store.tau_partial"],
-                partial_fraction=values["store.partial_fraction"],
-                decay_interval=values["store.decay_interval"],
-            ),
-            lsh=LshSettings(
-                num_tables=values["lsh.num_tables"],
-                bits_per_table=values["lsh.bits_per_table"],
-                max_candidates=values["lsh.max_candidates"],
-            ),
-            trials=values["trials"],
-            seed=values["seed"],
-            max_queue_delay=values["max_queue_delay"],
-            features_file=values["features_file"],
-        )
+        for name, cls in _SECTIONS.items():
+            # the top-level seed also seeds the workload
+            shared = {f.name: top[f.name] for f in fields(cls) if f.name in top}
+            top[name] = cls(**kwargs[name], **shared)
+        return SimConfig(**top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -251,34 +215,30 @@ def write_tasks_csv(path, report: MetricsReport) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _metrics(report: MetricsReport, gain: Optional[ReuseGain]) -> list[Optional[float]]:
+    return [value(report, gain) for _, value in METRIC_COLUMNS]
+
+
+def _row(mode: Mode, n_tasks: int, redundancy: float, trial, metrics) -> str:
+    return ",".join(
+        (
+            mode.value,
+            str(n_tasks),
+            _fmt(redundancy),
+            str(trial),
+            *("" if v is None else _fmt(v) for v in metrics),
+        )
+    )
+
+
 def summary_row(
     report: MetricsReport,
     n_tasks: int,
     redundancy: float,
     trial,
-    gains=None,
+    gain: Optional[ReuseGain] = None,
 ) -> str:
-    gain_delay = _fmt(gains[0]) if gains is not None else ""
-    gain_resource = _fmt(gains[1]) if gains is not None else ""
-    return ",".join(
-        (
-            report.mode.value,
-            str(n_tasks),
-            _fmt(redundancy),
-            str(trial),
-            _fmt(report.mean_completion_s),
-            _fmt(report.p90_completion_s),
-            _fmt(report.mean_computation_s),
-            _fmt(report.mean_waiting_s),
-            _fmt(report.utilization_pct),
-            _fmt(report.load_cloud),
-            _fmt(report.load_edge),
-            _fmt(report.load_reuse),
-            gain_delay,
-            gain_resource,
-            _fmt(report.correctness_rate),
-        )
-    )
+    return _row(report.mode, n_tasks, redundancy, trial, _metrics(report, gain))
 
 
 def cmd_run(config_path, overrides, outdir) -> int:
@@ -306,24 +266,19 @@ def cmd_run(config_path, overrides, outdir) -> int:
     return 0
 
 
-def _p90_row(mode: Mode, n: int, redundancy: float, rows: list[list[float]], gains) -> str:
-    cols = np.percentile(np.array(rows), 90, axis=0)
-    gain_cols = (
-        (_fmt(float(np.percentile([g[0] for g in gains], 90))),
-         _fmt(float(np.percentile([g[1] for g in gains], 90))))
-        if gains
-        else ("", "")
-    )
-    return ",".join(
-        (
-            mode.value,
-            str(n),
-            _fmt(redundancy),
-            "p90",
-            *(_fmt(float(c)) for c in cols[:8]),
-            *gain_cols,
-            _fmt(float(cols[8])),
-        )
+def _p90_row(
+    mode: Mode,
+    n: int,
+    redundancy: float,
+    runs: list[tuple[MetricsReport, Optional[ReuseGain]]],
+) -> str:
+    columns = zip(*(_metrics(report, gain) for report, gain in runs))
+    return _row(
+        mode,
+        n,
+        redundancy,
+        "p90",
+        (None if None in col else float(np.percentile(col, 90)) for col in columns),
     )
 
 
@@ -352,30 +307,15 @@ def cmd_sweep(scenario: str, outdir, seed: int = 42, trials: int = 10) -> int:
     for mode in modes:
         for n in ns:
             redundancy = ramp_rate(n)
-            trial_metrics: list[list[float]] = []
-            trial_gains = []
+            runs = []
             for trial in range(trials):
                 report = reports[(mode, n, trial)]
-                gains = None
+                gain = None
                 if mode is Mode.EDGE_WITH_REUSE:
-                    g = reuse_gain(report, reports[(Mode.EDGE_NO_REUSE, n, trial)])
-                    gains = (g.delay_gain, g.resource_gain)
-                    trial_gains.append(gains)
-                lines.append(summary_row(report, n, redundancy, trial, gains))
-                trial_metrics.append(
-                    [
-                        report.mean_completion_s,
-                        report.p90_completion_s,
-                        report.mean_computation_s,
-                        report.mean_waiting_s,
-                        report.utilization_pct,
-                        report.load_cloud,
-                        report.load_edge,
-                        report.load_reuse,
-                        report.correctness_rate,
-                    ]
-                )
-            lines.append(_p90_row(mode, n, redundancy, trial_metrics, trial_gains))
+                    gain = reuse_gain(report, reports[(Mode.EDGE_NO_REUSE, n, trial)])
+                runs.append((report, gain))
+                lines.append(summary_row(report, n, redundancy, trial, gain))
+            lines.append(_p90_row(mode, n, redundancy, runs))
     path = outdir / f"sweep_{scenario}.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path}")

@@ -42,30 +42,12 @@ class FeatureVector:
 
 
 def distance(a: FeatureVector, b: FeatureVector) -> float:
-    """Euclidean distance between two feature vectors.
-
-    Cosine distance (``cosine_distance``) is a drop-in alternative with the
-    same contract for workloads where direction matters more than magnitude.
-    """
+    """Euclidean distance between two feature vectors."""
     if a.dimension != b.dimension:
         raise DimensionMismatch(
             f"cannot compare vectors of dimension {a.dimension} and {b.dimension}"
         )
     return math.dist(a.values, b.values)
-
-
-def cosine_distance(a: FeatureVector, b: FeatureVector) -> float:
-    """1 - cosine similarity; raises on zero-norm inputs."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(
-            f"cannot compare vectors of dimension {a.dimension} and {b.dimension}"
-        )
-    na = math.hypot(*a.values)
-    nb = math.hypot(*b.values)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for zero vectors")
-    dot = sum(x * y for x, y in zip(a.values, b.values))
-    return 1.0 - dot / (na * nb)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ recovers the pure transfer-time model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 from .core import CostParams, Outcome, Task
 
 
@@ -88,34 +86,4 @@ def completion_cost(task: Task, outcome: Outcome, params: CostParams) -> CostBre
         at_edge=at_edge,
         full_reuse=outcome.is_full_reuse,
         reused=reused,
-    )
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    compute_ok: bool
-    bandwidth_ok: bool
-    compute_load: float
-    bandwidth_load: float
-
-
-def check_feasibility(
-    tasks: Sequence[Task], params: CostParams, window: float
-) -> FeasibilityReport:
-    """Check edge compute and bandwidth budgets for a batch of edge-assigned tasks.
-
-    Loads are ratios of demand to capacity over the window; a load of exactly
-    1.0 is still feasible (boundary inclusive).
-    """
-    if window <= 0:
-        raise ValueError("window must be > 0")
-    total_complexity = sum(t.complexity for t in tasks)
-    total_input = sum(t.input_size for t in tasks)
-    compute_load = total_complexity / (params.edge_capacity_rate * window)
-    bandwidth_load = total_input / (params.edge_bandwidth * window)
-    return FeasibilityReport(
-        compute_ok=compute_load <= 1.0,
-        bandwidth_ok=bandwidth_load <= 1.0,
-        compute_load=compute_load,
-        bandwidth_load=bandwidth_load,
     )

@@ -44,13 +44,6 @@ class LshParams:
             raise ValueError("dimension must be >= 1")
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Per-table bucket keys of one vector; key i addresses table i."""
-
-    per_table_keys: tuple[int, ...]
-
-
 class LshIndex:
     """In-memory LSH index mapping entry ids to feature vectors."""
 
@@ -86,19 +79,20 @@ class LshIndex:
             )
         return arr
 
-    def signature(self, v: VectorLike) -> Signature:
+    def signature(self, v: VectorLike) -> tuple[int, ...]:
+        """Per-table bucket keys of one vector; key i addresses table i."""
         arr = self._coerce(v)
         bits = (self._proj @ arr) >= 0.0
         keys = bits.reshape(
             self.params.num_tables, self.params.bits_per_table
         ).astype(np.int64) @ self._bit_weights
-        return Signature(tuple(int(k) for k in keys))
+        return tuple(int(k) for k in keys)
 
     def insert(self, entry_id: int, v: VectorLike) -> None:
         if entry_id in self._vectors:
             raise ValueError(f"entry id {entry_id} already present")
         arr = self._coerce(v)
-        for table, key in zip(self._tables, self.signature(arr).per_table_keys):
+        for table, key in zip(self._tables, self.signature(arr)):
             table.setdefault(key, set()).add(entry_id)
         self._vectors[entry_id] = arr
 
@@ -106,7 +100,7 @@ class LshIndex:
         if entry_id not in self._vectors:
             raise KeyError(f"unknown entry id {entry_id}")
         arr = self._vectors.pop(entry_id)
-        for table, key in zip(self._tables, self.signature(arr).per_table_keys):
+        for table, key in zip(self._tables, self.signature(arr)):
             bucket = table[key]
             bucket.discard(entry_id)
             if not bucket:
@@ -116,7 +110,7 @@ class LshIndex:
         """Union of the buckets addressed by the query's signature."""
         arr = self._coerce(q)
         ids: set[int] = set()
-        for table, key in zip(self._tables, self.signature(arr).per_table_keys):
+        for table, key in zip(self._tables, self.signature(arr)):
             ids |= table.get(key, set())
         return frozenset(ids)
 

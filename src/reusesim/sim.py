@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -204,6 +205,10 @@ def simulate(
     """Run one trial over a fixed task list and return its metrics."""
     if mode is Mode.EDGE_WITH_REUSE and store is None:
         raise ValueError("EDGE_WITH_REUSE needs a reuse store")
+    by_id = {t.id: t for t in tasks}
+    if len(by_id) != len(tasks):
+        repeated = next(i for i, c in Counter(t.id for t in tasks).items() if c > 1)
+        raise ValueError(f"task id {repeated} is repeated")
     digest = workload_digest(tasks)
     if mode is Mode.CLOUD_ONLY:
         records = [_cloud_record(t, t.arrival_time, 0.0, cost) for t in tasks]
@@ -214,7 +219,6 @@ def simulate(
         store=store if mode is Mode.EDGE_WITH_REUSE else None,
         compute_slots=edge_slots,
     )
-    by_id = {t.id: t for t in tasks}
     recv_time: dict[int, float] = {}
     state: dict[int, str] = {}
     queue: list[int] = []
@@ -385,15 +389,9 @@ def _aggregate(
 def build_store(config: SimConfig, seed: int) -> ReuseStore:
     return ReuseStore(
         dimension=config.workload.dimension,
-        capacity=config.store.capacity,
-        tau_full=config.store.tau_full,
-        tau_partial=config.store.tau_partial,
-        partial_fraction=config.store.partial_fraction,
-        num_tables=config.lsh.num_tables,
-        bits_per_table=config.lsh.bits_per_table,
-        max_candidates=config.lsh.max_candidates,
         seed=seed,
-        decay_interval=config.store.decay_interval,
+        **vars(config.store),
+        **vars(config.lsh),
     )
 
 

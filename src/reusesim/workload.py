@@ -87,6 +87,30 @@ class WorkloadSpec:
             raise ValueError("noise_sigma must be >= 0")
 
 
+def _draw_task(
+    spec: WorkloadSpec,
+    rng: np.random.Generator,
+    task_id: int,
+    label: str,
+    features: FeatureVector,
+    clock: float,
+) -> Task:
+    """One task arriving after ``clock``; draws sizes, complexity, inter-arrival."""
+    input_size = float(rng.uniform(*spec.input_size_range))
+    output_size = float(rng.uniform(*spec.output_size_range))
+    complexity = float(rng.uniform(*spec.complexity_range))
+    return Task(
+        id=task_id,
+        service=spec.service,
+        object_label=label,
+        features=features,
+        input_size=input_size,
+        output_size=output_size,
+        complexity=complexity,
+        arrival_time=clock + float(rng.exponential(1.0 / spec.arrival_rate)),
+    )
+
+
 def generate(spec: WorkloadSpec) -> list[Task]:
     """Generate the task list for a spec; deterministic given the seed."""
     rng = np.random.default_rng(spec.seed)
@@ -100,23 +124,9 @@ def generate(spec: WorkloadSpec) -> list[Task]:
             label = catalog.labels[int(rng.integers(0, len(catalog.labels)))]
         else:
             label = catalog.mint(rng)
-        features = catalog.observe(label, rng)
-        input_size = float(rng.uniform(*spec.input_size_range))
-        output_size = float(rng.uniform(*spec.output_size_range))
-        complexity = float(rng.uniform(*spec.complexity_range))
-        clock += float(rng.exponential(1.0 / spec.arrival_rate))
-        tasks.append(
-            Task(
-                id=i,
-                service=spec.service,
-                object_label=label,
-                features=features,
-                input_size=input_size,
-                output_size=output_size,
-                complexity=complexity,
-                arrival_time=clock,
-            )
-        )
+        task = _draw_task(spec, rng, i, label, catalog.observe(label, rng), clock)
+        tasks.append(task)
+        clock = task.arrival_time
     return tasks
 
 
@@ -173,20 +183,7 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
     tasks: list[Task] = []
     clock = 0.0
     for i, (label, values) in enumerate(records):
-        input_size = float(rng.uniform(*spec.input_size_range))
-        output_size = float(rng.uniform(*spec.output_size_range))
-        complexity = float(rng.uniform(*spec.complexity_range))
-        clock += float(rng.exponential(1.0 / spec.arrival_rate))
-        tasks.append(
-            Task(
-                id=i,
-                service=spec.service,
-                object_label=label,
-                features=FeatureVector(values),
-                input_size=input_size,
-                output_size=output_size,
-                complexity=complexity,
-                arrival_time=clock,
-            )
-        )
+        task = _draw_task(spec, rng, i, label, FeatureVector(values), clock)
+        tasks.append(task)
+        clock = task.arrival_time
     return tasks

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,25 @@ def test_config_bad_value(tmp_path):
                 write_config(tmp_path, "mode = cloud_only\ncost.edge_bandwidth = x\n")
             )
         )
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("workload.arrival_rate", "nan"),
+        ("cost.cloud_bandwidth", "inf"),
+        ("store.tau_full", "nan"),
+        ("workload.input_size_range", "1,inf"),
+        ("max_queue_delay", "nan"),
+    ],
+)
+def test_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path)
+    rc = main(["run", "-c", str(cfg), "--set", f"{key}={value}", "-d", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"field {key!r}: must be a finite number" in err
+    assert not (tmp_path / "tasks.csv").exists()
 
 
 def test_config_invalid_mode_lists_choices(tmp_path):
@@ -216,3 +237,62 @@ def test_schema_covers_all_fields():
     # every dotted section the README documents exists in the schema
     prefixes = {k.split(".")[0] for k in CONFIG_SCHEMA if "." in k}
     assert prefixes == {"cost", "store", "lsh", "workload"}
+
+
+def _readme_config_rows():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys, default = (cell.strip() for cell in line.strip("|").split("|")[:2])
+            yield from zip(keys.replace("`", "").split(" / "), default.split(" / "))
+
+
+def test_readme_config_table_matches_schema():
+    rows = dict(_readme_config_rows())
+    assert set(rows) == set(CONFIG_SCHEMA) - {"mode"}
+    defaults = build_config({"mode": "cloud_only"})
+    for key, text in rows.items():
+        expected = defaults
+        for part in key.split("."):
+            expected = getattr(expected, part)
+        assert CONFIG_SCHEMA[key][0](text) == expected, key
+
+
+GOLDEN_CONFIG = (
+    "mode = edge_with_reuse\n"
+    "seed = 5\n"
+    "trials = 2\n"
+    "max_queue_delay = 0.5\n"
+    "workload.num_tasks = 80\n"
+    "workload.arrival_rate = 60\n"
+    "workload.noise_sigma = 0.12\n"
+)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_run_csv_bytes_are_pinned(tmp_path):
+    # overloaded edge with reneges and noisy repeats: every outcome kind occurs
+    cfg, out = write_config(tmp_path, GOLDEN_CONFIG), tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-d", str(out)]) == 0
+    assert {row[3] for row in parse_csv(out / "tasks.csv")[1]} == {
+        "full_reuse", "partial_reuse", "edge_compute", "cloud_offload"
+    }
+    assert _sha256(out / "summary.csv") == (
+        "798488fb3130221f888a8c15ee055b92844f0dd47f9efe1bf2fb4678f4681b5a"
+    )
+    assert _sha256(out / "tasks.csv") == (
+        "cebe9824d60088ef89c742d1d4b7e3d84b7056dda5455ab34b5df39cc343599d"
+    )
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "completion", "-d", str(out), "--trials", "1"]) == 0
+    assert _sha256(out / "sweep_completion.csv") == (
+        "5b3f4be299743c872c8a16ddbfe1b04721c3b5e43fad408ca170eef110b7678c"
+    )

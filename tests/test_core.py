@@ -8,7 +8,6 @@ from reusesim import (
     FeatureVector,
     Outcome,
     OutcomeKind,
-    cosine_distance,
     distance,
 )
 from reusesim.reuse_store import ResultPayload, ReuseEntry
@@ -51,15 +50,6 @@ coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 def test_distance_triangle_inequality(triple):
     a, b, c = (FeatureVector(t) for t in triple)
     assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
-
-
-def test_cosine_distance():
-    a = FeatureVector((1.0, 0.0))
-    assert cosine_distance(a, FeatureVector((2.0, 0.0))) == pytest.approx(0.0)
-    assert cosine_distance(a, FeatureVector((0.0, 3.0))) == pytest.approx(1.0)
-    assert cosine_distance(a, FeatureVector((-1.0, 0.0))) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        cosine_distance(a, FeatureVector((0.0, 0.0)))
 
 
 @pytest.mark.parametrize("bad", [(), (float("nan"), 1.0), (float("inf"),)])

@@ -5,7 +5,6 @@ from reusesim import (
     CostParams,
     Outcome,
     OutcomeKind,
-    check_feasibility,
     communication_cost,
     completion_cost,
     execution_cost,
@@ -205,27 +204,3 @@ def test_full_reuse_dominates_edge_compute():
         reuse_total = completion_cost(t, FULL, p).total
         scratch_total = completion_cost(t, EDGE, p).total
         assert reuse_total < scratch_total
-
-
-def test_feasibility_empty(flat_cost):
-    rep = check_feasibility([], flat_cost, window=1.0)
-    assert rep.compute_ok and rep.bandwidth_ok
-    assert rep.compute_load == 0.0 and rep.bandwidth_load == 0.0
-
-
-def test_feasibility_overload(flat_cost):
-    rep = check_feasibility([make_task(complexity=100.0)], flat_cost, window=1.0)
-    assert not rep.compute_ok
-    assert rep.compute_load == pytest.approx(2.0, abs=1e-9)
-
-
-def test_feasibility_boundary_inclusive(flat_cost):
-    # edge bandwidth 10 Mb/s, window 1 s: inputs summing to exactly 10 fit
-    tasks = [make_task(task_id=i, input_size=5.0) for i in range(2)]
-    rep = check_feasibility(tasks, flat_cost, window=1.0)
-    assert rep.bandwidth_ok and rep.bandwidth_load == 1.0
-
-
-def test_feasibility_window_validation(flat_cost):
-    with pytest.raises(ValueError):
-        check_feasibility([], flat_cost, window=0.0)

@@ -22,8 +22,8 @@ def collision_rate(theta, bits, builds, tables, d=8, seed0=0):
         idx = LshIndex(
             LshParams(num_tables=tables, bits_per_table=bits, dimension=d, seed=seed0 + b)
         )
-        ku = idx.signature(u).per_table_keys
-        kw = idx.signature(w).per_table_keys
+        ku = idx.signature(u)
+        kw = idx.signature(w)
         hits += sum(a == b2 for a, b2 in zip(ku, kw))
     return hits / (builds * tables)
 
@@ -195,11 +195,11 @@ def test_candidate_set_is_exact_bucket_union():
         idx.insert(i, vectors[i])
     for qi in range(0, 500, 50):
         q = vectors[qi]
-        kq = idx.signature(q).per_table_keys
+        kq = idx.signature(q)
         expected = {
             i
             for i in range(500)
-            if any(a == b for a, b in zip(idx.signature(vectors[i]).per_table_keys, kq))
+            if any(a == b for a, b in zip(idx.signature(vectors[i]), kq))
         }
         assert idx.candidate_ids(q) == expected
 

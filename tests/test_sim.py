@@ -29,6 +29,14 @@ def test_single_task_edge_no_reuse_hand_trace(flat_cost):
     assert r.location == "edge" and r.outcome == "edge_compute"
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_simulate_rejects_repeated_task_ids(flat_cost, mode):
+    tasks = [make_task(task_id=0, label="a"), make_task(task_id=0, label="b", arrival=1.0)]
+    store = ReuseStore(dimension=2, seed=0)
+    with pytest.raises(ValueError, match="task id 0"):
+        simulate(tasks, mode, flat_cost, store=store)
+
+
 def test_repeat_task_full_reuse_hand_trace(flat_cost):
     t0 = make_task(task_id=0, arrival=0.0)
     t1 = make_task(task_id=1, arrival=10.0)
