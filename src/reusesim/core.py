@@ -19,6 +19,16 @@ class DimensionMismatch(ValueError):
     """Raised when two feature vectors live in incompatible feature spaces."""
 
 
+def require_finite(name: str, *values: Optional[float]) -> None:
+    """Raise ``ValueError`` naming ``name`` if a value is NaN or infinite.
+
+    ``None`` (an unset optional field) passes.
+    """
+    for value in values:
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     """Fixed-dimension real-valued feature vector (pre-extracted upstream)."""
@@ -69,6 +79,8 @@ class Task:
     arrival_time: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("input_size", "output_size", "complexity", "arrival_time"):
+            require_finite(name, getattr(self, name))
         if self.input_size < 0 or self.output_size < 0:
             raise ValueError("task data sizes must be >= 0")
         if self.complexity <= 0:
@@ -97,6 +109,8 @@ class CostParams:
     per_hop_latency: float = 0.005
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            require_finite(name, value)
         if min(self.edge_bandwidth, self.cloud_bandwidth) <= 0:
             raise ValueError("bandwidths must be > 0")
         if min(self.edge_capacity_rate, self.cloud_capacity_rate) <= 0:

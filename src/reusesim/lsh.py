@@ -27,6 +27,8 @@ from .core import DimensionMismatch, FeatureVector
 
 VectorLike = Union[FeatureVector, Sequence[float], np.ndarray]
 
+INITIAL_ROWS = 64
+
 
 @dataclass(frozen=True)
 class LshParams:
@@ -60,13 +62,18 @@ class LshIndex:
         self._tables: list[dict[int, set[int]]] = [
             {} for _ in range(params.num_tables)
         ]
-        self._vectors: dict[int, np.ndarray] = {}
+        # Stored vectors are rows of one matrix that doubles when full; rows
+        # freed by ``remove`` are reused.  Each id maps to its row and to the
+        # per-table keys computed at insert.
+        self._matrix = np.empty((INITIAL_ROWS, params.dimension))
+        self._free_rows: list[int] = []
+        self._rows: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._rows)
 
     def __contains__(self, entry_id: int) -> bool:
-        return entry_id in self._vectors
+        return entry_id in self._rows
 
     def _coerce(self, v: VectorLike) -> np.ndarray:
         arr = np.asarray(
@@ -89,18 +96,29 @@ class LshIndex:
         return tuple(int(k) for k in keys)
 
     def insert(self, entry_id: int, v: VectorLike) -> None:
-        if entry_id in self._vectors:
+        if entry_id in self._rows:
             raise ValueError(f"entry id {entry_id} already present")
         arr = self._coerce(v)
-        for table, key in zip(self._tables, self.signature(arr)):
+        keys = self.signature(arr)
+        for table, key in zip(self._tables, keys):
             table.setdefault(key, set()).add(entry_id)
-        self._vectors[entry_id] = arr
+        if self._free_rows:
+            row = self._free_rows.pop()
+        else:
+            row = len(self._rows)
+            if row == len(self._matrix):
+                grown = np.empty((2 * row, self.params.dimension))
+                grown[:row] = self._matrix
+                self._matrix = grown
+        self._matrix[row] = arr
+        self._rows[entry_id] = (row, keys)
 
     def remove(self, entry_id: int) -> None:
-        if entry_id not in self._vectors:
+        if entry_id not in self._rows:
             raise KeyError(f"unknown entry id {entry_id}")
-        arr = self._vectors.pop(entry_id)
-        for table, key in zip(self._tables, self.signature(arr)):
+        row, keys = self._rows.pop(entry_id)
+        self._free_rows.append(row)
+        for table, key in zip(self._tables, keys):
             bucket = table[key]
             bucket.discard(entry_id)
             if not bucket:
@@ -128,7 +146,7 @@ class LshIndex:
         ids = sorted(self.candidate_ids(arr))
         if not ids:
             return []
-        stacked = np.stack([self._vectors[i] for i in ids])
+        stacked = self._matrix[[self._rows[i][0] for i in ids]]
         dists = np.sqrt(((stacked - arr) ** 2).sum(axis=1))
         ranked = sorted(zip(ids, dists.tolist()), key=lambda p: (p[1], p[0]))
         return ranked[:max_candidates]

@@ -12,19 +12,28 @@ filters out unpopular inputs over time.  Frequencies count over the entry's
 whole lifetime by default; setting ``decay_interval`` halves all counts every
 interval to approximate windowed popularity.
 
+Eviction is exact and O(log n) amortized: each service that has evicted keeps
+a lazy min-heap of ``(frequency, last_used_at, id)`` keys.  Every change of an
+entry's key pushes the new key; ``evict_lfu`` pops until the top key is still
+the live key of a stored entry, which is the same victim a full scan picks,
+whatever the order of ``now`` values.  The heap is dropped and rebuilt from
+the table when stale keys outnumber live ones or when decay rewrites every
+key.  Frequencies and last-use times change only through the store.
+
 Single-writer, multi-reader: lookups mutate frequency counters, so they need
 the writer role; the structure itself is sendable between threads.
 """
 
 from __future__ import annotations
 
+import heapq
 import zlib
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .core import FeatureVector
+from .core import FeatureVector, require_finite
 from .lsh import LshIndex, LshParams
 
 
@@ -74,6 +83,11 @@ class ServiceStats:
     misses: int
 
 
+def _lfu_key(entry: ReuseEntry) -> tuple[int, float, int]:
+    """Eviction order: lowest frequency, then least recent use, then lowest id."""
+    return (entry.frequency, entry.last_used_at, entry.id)
+
+
 def _service_seed(base_seed: int, service: str) -> int:
     # crc32 keeps the derivation stable across runs and platforms (the
     # builtin hash() is salted per process).
@@ -98,6 +112,10 @@ class ReuseStore:
         seed: int = 0,
         decay_interval: Optional[float] = None,
     ):
+        require_finite("tau_full", tau_full)
+        require_finite("tau_partial", tau_partial)
+        require_finite("partial_fraction", partial_fraction)
+        require_finite("decay_interval", decay_interval)
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         if tau_full < 0 or tau_partial <= tau_full:
@@ -119,6 +137,8 @@ class ReuseStore:
         )
         self._entries: dict[str, dict[int, ReuseEntry]] = {}
         self._indexes: dict[str, LshIndex] = {}
+        # service -> lazy LFU heap, built at the service's first eviction
+        self._heaps: dict[str, list[tuple[int, float, int]]] = {}
         self._hits: Counter[str] = Counter()
         self._misses: Counter[str] = Counter()
         self._next_id = 0
@@ -136,13 +156,38 @@ class ReuseStore:
         return index
 
     def _maybe_decay(self, now: float) -> None:
+        """Halve every frequency once per whole interval since the last decay.
+
+        ``k`` halvings are applied as one shift, so the cost does not depend
+        on how much simulated time has passed.
+        """
         if self.decay_interval is None:
             return
-        while now - self._last_decay >= self.decay_interval:
-            for table in self._entries.values():
-                for entry in table.values():
-                    entry.frequency //= 2
-            self._last_decay += self.decay_interval
+        k = (now - self._last_decay) // self.decay_interval
+        if k < 1:
+            return
+        for table in self._entries.values():
+            for entry in table.values():
+                # halving past f.bit_length() leaves 0 (or -1) unchanged
+                entry.frequency >>= int(min(k, entry.frequency.bit_length()))
+        self._last_decay += k * self.decay_interval
+        self._heaps.clear()
+
+    def _push_key(self, service: str, entry: ReuseEntry) -> None:
+        """Record an entry's new LFU key in the service's heap, if it has one."""
+        heap = self._heaps.get(service)
+        if heap is None:
+            return
+        if len(heap) > 2 * len(self._entries[service]) + 16:
+            del self._heaps[service]  # mostly stale: rebuild at the next eviction
+        else:
+            heapq.heappush(heap, _lfu_key(entry))
+
+    def _build_heap(self, service: str, table: dict[int, ReuseEntry]) -> list:
+        heap = [_lfu_key(e) for e in table.values()]
+        heapq.heapify(heap)
+        self._heaps[service] = heap
+        return heap
 
     def lookup(self, service: str, q: FeatureVector, now: float) -> LookupResult:
         """Classify the nearest stored input for ``service`` against the thresholds.
@@ -153,6 +198,7 @@ class ReuseStore:
         """
         if not service:
             raise ValueError("service name must be non-empty")
+        require_finite("now", now)
         self._maybe_decay(now)
         table = self._entries.get(service)
         if not table:
@@ -169,6 +215,7 @@ class ReuseStore:
         entry = table[best_id]
         entry.frequency += 1
         entry.last_used_at = now
+        self._push_key(service, entry)
         self._hits[service] += 1
         if best_dist <= self.tau_full:
             return LookupResult(LookupKind.FULL, entry)
@@ -187,6 +234,7 @@ class ReuseStore:
 
         Returns the new entry's id.
         """
+        require_finite("now", now)
         self._maybe_decay(now)
         table = self._entries.setdefault(service, {})
         if self.capacity is not None and len(table) >= self.capacity:
@@ -203,17 +251,27 @@ class ReuseStore:
             last_used_at=now,
         )
         table[entry_id] = entry
+        self._push_key(service, entry)
         self._index_for(service).insert(entry_id, features)
         return entry_id
 
     def evict_lfu(self, service: str) -> int:
-        """Remove and return the id of the least-frequently-used entry."""
+        """Remove and return the id of the least-frequently-used entry.
+
+        The victim is ``min((frequency, last_used_at, id))`` over the
+        service's entries, found by popping stale keys off the lazy heap.
+        """
         table = self._entries.get(service)
         if not table:
             raise KeyError(f"no entries stored for service {service!r}")
-        victim = min(
-            table.values(), key=lambda e: (e.frequency, e.last_used_at, e.id)
-        )
+        heap = self._heaps.get(service)
+        while True:
+            if not heap:  # no heap yet, or only stale keys were left
+                heap = self._build_heap(service, table)
+            key = heapq.heappop(heap)
+            victim = table.get(key[2])
+            if victim is not None and _lfu_key(victim) == key:
+                break
         del table[victim.id]
         self._index_for(service).remove(victim.id)
         self.eviction_log.append((service, victim.id))
@@ -266,9 +324,13 @@ class ReuseStore:
         """Rebuild a store from a snapshot; keyword args mirror the constructor.
 
         The feature dimension is inferred from the file, so ``dimension``
-        must not be passed.
+        must not be passed.  A malformed row raises ``ValueError`` naming its
+        line.
         """
-        rows = []
+        if "dimension" in kwargs:
+            raise TypeError("dimension is inferred from the snapshot")
+        entries: list[ReuseEntry] = []
+        seen: set[tuple[str, int]] = set()
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -277,35 +339,40 @@ class ReuseStore:
                 parts = line.split(",")
                 if len(parts) < 7:
                     raise ValueError(f"line {lineno}: too few fields")
-                service, entry_id, freq, inserted, used, label = parts[:6]
-                values = tuple(float(v) for v in parts[6:])
-                rows.append(
-                    (
-                        service,
-                        int(entry_id),
-                        int(freq),
-                        float(inserted),
-                        float(used),
-                        label,
-                        values,
+                try:
+                    entry = _parse_entry(parts)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                if entries and entry.features.dimension != entries[0].features.dimension:
+                    raise ValueError(
+                        f"line {lineno}: expected {entries[0].features.dimension} "
+                        f"feature values, got {entry.features.dimension}"
                     )
-                )
-        if "dimension" in kwargs:
-            raise TypeError("dimension is inferred from the snapshot")
-        dim = len(rows[0][6]) if rows else 1
+                if (entry.service, entry.id) in seen:
+                    raise ValueError(f"line {lineno}: duplicate entry id {entry.id}")
+                seen.add((entry.service, entry.id))
+                entries.append(entry)
+        dim = entries[0].features.dimension if entries else 1
         store = cls(dimension=dim, **kwargs)
-        for service, entry_id, freq, inserted, used, label, values in rows:
-            features = FeatureVector(values)
-            entry = ReuseEntry(
-                id=entry_id,
-                service=service,
-                features=features,
-                output=ResultPayload(label=label),
-                frequency=freq,
-                inserted_at=inserted,
-                last_used_at=used,
-            )
-            store._entries.setdefault(service, {})[entry_id] = entry
-            store._index_for(service).insert(entry_id, features)
-            store._next_id = max(store._next_id, entry_id + 1)
+        for entry in entries:
+            store._entries.setdefault(entry.service, {})[entry.id] = entry
+            store._index_for(entry.service).insert(entry.id, entry.features)
+            store._next_id = max(store._next_id, entry.id + 1)
         return store
+
+
+def _parse_entry(parts: list[str]) -> ReuseEntry:
+    """One snapshot row, already split on commas, as an entry."""
+    service, entry_id, freq, inserted, used, label = parts[:6]
+    inserted_at, last_used_at = float(inserted), float(used)
+    require_finite("inserted_at", inserted_at)
+    require_finite("last_used_at", last_used_at)
+    return ReuseEntry(
+        id=int(entry_id),
+        service=service,
+        features=FeatureVector(tuple(float(v) for v in parts[6:])),
+        output=ResultPayload(label=label),
+        frequency=int(freq),
+        inserted_at=inserted_at,
+        last_used_at=last_used_at,
+    )

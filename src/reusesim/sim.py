@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CostParams, Outcome, OutcomeKind, Task
+from .core import CostParams, Outcome, OutcomeKind, Task, require_finite
 from .cost import execution_cost, reuse_cost
 from .forwarding import EdgeNode
 from .reuse_store import ResultPayload, ReuseStore
@@ -82,6 +82,7 @@ class SimConfig:
     features_file: Optional[str] = None
 
     def __post_init__(self) -> None:
+        require_finite("max_queue_delay", self.max_queue_delay)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.edge_slots < 1:

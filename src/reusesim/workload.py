@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureVector, Task
+from .core import FeatureVector, Task, require_finite
 
 BASE_NORM = 10.0
 
@@ -69,6 +69,10 @@ class WorkloadSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in ("redundancy_rate", "arrival_rate", "noise_sigma"):
+            require_finite(name, getattr(self, name))
+        for name in ("input_size_range", "output_size_range", "complexity_range"):
+            require_finite(name, *getattr(self, name))
         if self.num_tasks < 0:
             raise ValueError("num_tasks must be >= 0")
         if not 0.0 <= self.redundancy_rate <= 1.0:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,30 @@ def test_cost_params_validation():
         CostParams(edge_hops=3, cloud_hops=2)
     with pytest.raises(ValueError):
         CostParams(lookup_cost=-0.1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "valid,field",
+    [
+        (CostParams(), name)
+        for name in (
+            "edge_bandwidth",
+            "cloud_bandwidth",
+            "edge_capacity_rate",
+            "cloud_capacity_rate",
+            "lookup_cost",
+            "per_hop_latency",
+        )
+    ]
+    + [
+        (make_task(), name)
+        for name in ("input_size", "output_size", "complexity", "arrival_time")
+    ],
+)
+def test_constructors_reject_non_finite(valid, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        replace(valid, **{field: value})
 
 
 def _entry():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reusesim import DimensionMismatch, FeatureVector, LshIndex, LshParams
+from reusesim.lsh import INITIAL_ROWS
 
 
 def collision_rate(theta, bits, builds, tables, d=8, seed0=0):
@@ -229,3 +230,59 @@ def test_candidate_scan_scaling_reported():
     exponent = math.log(means[-1] / means[0]) / math.log(sizes[-1] / sizes[0])
     print(f"candidate-scan scaling exponent ~= {exponent:.3f} (means {means})")
     assert math.isfinite(exponent)
+
+
+def test_removed_rows_are_reused():
+    idx, vectors = _filled_index(n=10)
+    rows = idx._matrix.shape[0]
+    freed = {idx._rows[3][0], idx._rows[7][0]}
+    idx.remove(3)
+    idx.remove(7)
+    idx.insert(100, vectors[3])
+    idx.insert(101, vectors[7])
+    assert {idx._rows[100][0], idx._rows[101][0]} == freed
+    assert idx._matrix.shape[0] == rows
+    assert idx.query(vectors[3], 1) == [(100, 0.0)]
+    assert idx.query(vectors[7], 1) == [(101, 0.0)]
+
+
+def test_matrix_grows_past_initial_rows():
+    n = INITIAL_ROWS + 1
+    idx, vectors = _filled_index(n=n)
+    assert idx._matrix.shape[0] == 2 * INITIAL_ROWS
+    assert len(idx) == n
+    for i in (0, INITIAL_ROWS - 1, INITIAL_ROWS):
+        assert idx.query(vectors[i], 1) == [(i, 0.0)]
+
+
+def test_query_distances_match_stacked_brute_force():
+    idx, vectors = _filled_index(n=200, seed=8)
+    for i in range(0, 200, 2):
+        idx.remove(i)  # leave holes so rows and ids no longer line up
+    for i in range(0, 60, 2):
+        idx.insert(1000 + i, vectors[i] + 0.01)
+    stored = {i: vectors[i] for i in range(1, 200, 2)}
+    stored.update({1000 + i: vectors[i] + 0.01 for i in range(0, 60, 2)})
+    rng = np.random.default_rng(9)
+    for q in list(vectors[::7]) + list(rng.standard_normal((20, 16))):
+        ids = sorted(idx.candidate_ids(q))
+        stacked = np.stack([np.asarray(stored[i], dtype=np.float64) for i in ids])
+        dists = np.sqrt(((stacked - q) ** 2).sum(axis=1)).tolist()
+        expected = sorted(zip(ids, dists), key=lambda p: (p[1], p[0]))
+        assert idx.query(q, max_candidates=len(ids) + 1) == expected
+
+
+def test_remove_does_not_recompute_signature(monkeypatch):
+    idx, _ = _filled_index(n=20)
+    calls = []
+    signature = LshIndex.signature
+
+    def counting(self, v):
+        calls.append(1)
+        return signature(self, v)
+
+    monkeypatch.setattr(LshIndex, "signature", counting)
+    for i in range(20):
+        idx.remove(i)
+    assert calls == []
+    assert sum(idx.bucket_sizes()) == 0

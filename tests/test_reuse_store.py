@@ -1,6 +1,11 @@
+import os
 import random
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reusesim import FeatureVector, LookupKind, ReuseStore
 from reusesim.reuse_store import ResultPayload
@@ -259,3 +264,206 @@ def test_constructor_validation():
         ReuseStore(dimension=4, partial_fraction=1.0)
     with pytest.raises(ValueError):
         ReuseStore(dimension=4, capacity=0)
+
+
+@pytest.mark.parametrize(
+    "field", ["tau_full", "tau_partial", "partial_fraction", "decay_interval"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_constructor_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ReuseStore(dimension=4, **{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_operations_reject_non_finite_now(value):
+    store = small_store()
+    with pytest.raises(ValueError, match="^now must be finite"):
+        store.place("svc", axis_vector(0), ResultPayload("a"), now=value)
+    with pytest.raises(ValueError, match="^now must be finite"):
+        store.lookup("svc", axis_vector(0), now=value)
+
+
+def test_decay_cost_is_independent_of_elapsed_time():
+    store = small_store(capacity=None, decay_interval=1.0)
+    for i in range(200):
+        store.place("svc", axis_vector(i), ResultPayload(f"o{i}"), now=0.0)
+    for k in range(3):
+        store.lookup("svc", axis_vector(0), now=0.5)
+    start = time.perf_counter()
+    res = store.lookup("svc", axis_vector(0), now=1e12)
+    assert time.perf_counter() - start < 1.0
+    # 10**12 halvings zero every count; the hit then bumps its entry to 1
+    assert res.entry.frequency == 1
+    assert sum(e.frequency for e in store.entries("svc")) == 1
+
+
+@pytest.mark.parametrize("intervals", [0, 1, 2, 3, 7, 64, 65, 200])
+def test_decay_shift_equals_repeated_halving(tmp_path, intervals):
+    freqs = [0, 1, 2, 5, 1000, 2**63 - 1, 2**70 + 3, -1, -5]
+    path = tmp_path / "store.snapshot"
+    path.write_text(
+        "".join(f"svc,{i},{f},0.0,0.0,o{i},{10.0 * (i + 1)!r},0.0\n" for i, f in enumerate(freqs)),
+        encoding="utf-8",
+    )
+    store = ReuseStore.load(path, decay_interval=2.0, seed=3)
+    # a miss far from every entry: decay runs, no frequency is bumped
+    res = store.lookup("svc", FeatureVector((-500.0, 0.0)), now=2.0 * intervals + 1.0)
+    assert res.kind is LookupKind.MISS
+    expected = []
+    for f in freqs:
+        for _ in range(intervals):
+            f //= 2
+        expected.append(f)
+    assert [e.frequency for e in sorted(store.entries("svc"), key=lambda e: e.id)] == expected
+
+
+_times = st.integers(0, 24).map(lambda t: t / 2.0)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("place"), _times),
+        # the vector placed this many placements ago: mostly hits
+        st.tuples(st.just("lookup"), _times, st.integers(1, 8)),
+        st.tuples(st.just("evict"), _times),
+        st.tuples(st.just("reload"), _times),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.one_of(st.none(), st.integers(1, 5)),
+    decay_interval=st.one_of(st.none(), st.sampled_from([1.0, 2.5, 4.0])),
+    operations=_operations,
+)
+def test_heap_eviction_matches_full_scan_oracle(capacity, decay_interval, operations):
+    """Replays random operations against a model that evicts by full scan.
+
+    Times repeat and run backwards; lookups of a stored vector are exact full
+    hits and every other pair of vectors is far apart, so the model knows
+    which lookups hit without asking the store.
+    """
+    kwargs = dict(capacity=capacity, num_tables=2, bits_per_table=4, seed=5)
+    store = ReuseStore(dimension=4, decay_interval=decay_interval, **kwargs)
+    model = {}  # entry id -> [frequency, last_used_at, id]
+    live_vector = {}  # vector index -> entry id
+    last_decay = 0.0
+    log = []  # the store's evictions, kept across reloads
+    expected = []
+    placed = 0
+
+    def model_decay(now):
+        nonlocal last_decay
+        if decay_interval is None:
+            return
+        k = (now - last_decay) // decay_interval
+        if k < 1:
+            return
+        for key in model.values():
+            for _ in range(min(int(k), 64)):
+                key[0] //= 2
+        last_decay += k * decay_interval
+
+    def model_evict():
+        victim = min(model.values(), key=tuple)
+        del model[victim[2]]
+        del live_vector[next(v for v, i in live_vector.items() if i == victim[2])]
+        expected.append(victim[2])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for op, now, *arg in operations:
+            if op == "place":
+                model_decay(now)
+                if capacity is not None and len(model) >= capacity:
+                    model_evict()
+                entry_id = store.place("svc", axis_vector(placed), ResultPayload("x"), now)
+                model[entry_id] = [0, now, entry_id]
+                live_vector[placed] = entry_id
+                placed += 1
+            elif op == "lookup":
+                model_decay(now)
+                target = placed - arg[0]
+                res = store.lookup("svc", axis_vector(target), now)
+                hit_id = live_vector.get(target)
+                assert (res.entry.id if res.is_hit else None) == hit_id
+                if hit_id is not None:
+                    model[hit_id][0] += 1
+                    model[hit_id][1] = now
+            elif op == "evict":
+                if not model:
+                    with pytest.raises(KeyError):
+                        store.evict_lfu("svc")
+                    continue
+                model_evict()
+                store.evict_lfu("svc")
+            elif model:  # an empty snapshot does not record the dimension
+                path = os.path.join(tmp, "store.snapshot")
+                store.save(path)
+                log += [eid for _, eid in store.eviction_log]
+                store = ReuseStore.load(path, decay_interval=decay_interval, **kwargs)
+                last_decay = 0.0  # the decay clock is not part of a snapshot
+            assert log + [eid for _, eid in store.eviction_log] == expected
+            assert {e.id: e.frequency for e in store.entries("svc")} == {
+                i: key[0] for i, key in model.items()
+            }
+
+
+def test_lfu_heap_stays_bounded_under_many_hits():
+    store = small_store(capacity=3)
+    for i in range(4):  # the fourth place evicts and builds the heap
+        store.place("svc", axis_vector(i), ResultPayload("x"), now=float(i))
+    for step in range(1000):
+        store.lookup("svc", axis_vector(1 + step % 3), now=10.0 + step)
+        assert len(store._heaps.get("svc", ())) <= 2 * 3 + 17
+    live = store.entries("svc")
+    victim = min(live, key=lambda e: (e.frequency, e.last_used_at, e.id))
+    assert store.evict_lfu("svc") == victim.id
+
+
+def test_decay_reorders_lfu_victims():
+    store = small_store(capacity=None, decay_interval=100.0)
+    id_a = store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
+    id_b = store.place("svc", axis_vector(1), ResultPayload("b"), now=0.0)
+    for k in range(4):
+        store.lookup("svc", axis_vector(0), now=1.0 + k)
+    for k in range(2):
+        store.lookup("svc", axis_vector(1), now=5.0 + k)
+    id_c = store.place("svc", axis_vector(2), ResultPayload("c"), now=7.0)
+    assert store.evict_lfu("svc") == id_c  # builds the LFU heap
+    # decay halves a 4 -> 2 and b 2 -> 1 before this hit bumps a to 3
+    store.lookup("svc", axis_vector(0), now=150.0)
+    assert store.evict_lfu("svc") == id_b
+    assert store.evict_lfu("svc") == id_a
+
+
+def _write_snapshot(tmp_path, lines):
+    path = tmp_path / "bad.snapshot"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_snapshot_row_of_wrong_dimension_names_line(tmp_path):
+    path = _write_snapshot(
+        tmp_path, ["svc,0,0,0.0,0.0,a,1.0,2.0,3.0", "", "svc,1,0,0.0,0.0,b,1.0,2.0"]
+    )
+    with pytest.raises(ValueError, match="^line 3: expected 3 feature values, got 2$"):
+        ReuseStore.load(path)
+
+
+@pytest.mark.parametrize(
+    "row,lineno,detail",
+    [
+        ("svc,x,0,0.0,0.0,b,1.0", 2, "invalid literal for int"),
+        ("svc,1,1.5,0.0,0.0,b,1.0", 2, "invalid literal for int"),
+        ("svc,1,0,soon,0.0,b,1.0", 2, "could not convert"),
+        ("svc,1,0,0.0,0.0,b,one", 2, "could not convert"),
+        ("svc,1,0,0.0,nan,b,1.0", 2, "last_used_at must be finite"),
+        ("svc,1,0,0.0,0.0,b,inf", 2, "feature vector values must be finite"),
+        ("svc,0,0,0.0,0.0,b,1.0", 2, "duplicate entry id 0"),
+    ],
+)
+def test_snapshot_parse_errors_name_line(tmp_path, row, lineno, detail):
+    path = _write_snapshot(tmp_path, ["svc,0,0,0.0,0.0,a,1.0", row])
+    with pytest.raises(ValueError, match=f"^line {lineno}: {detail}"):
+        ReuseStore.load(path)

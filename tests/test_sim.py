@@ -238,6 +238,20 @@ def test_config_validation():
         SimConfig(mode=Mode.CLOUD_ONLY, max_queue_delay=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="^max_queue_delay must be finite"):
+        SimConfig(mode=Mode.EDGE_WITH_REUSE, max_queue_delay=value)
+    # a non-finite workload field fails before any run starts
+    with pytest.raises(ValueError, match="^arrival_rate must be finite"):
+        run(
+            SimConfig(
+                mode=Mode.EDGE_NO_REUSE,
+                workload=WorkloadSpec(num_tasks=5, arrival_rate=value),
+            )
+        )
+
+
 def test_store_settings_flow_through_run():
     spec = WorkloadSpec(num_tasks=60, redundancy_rate=0.9, seed=43)
     rep = run(

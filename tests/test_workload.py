@@ -116,6 +116,23 @@ def test_spec_validation():
         WorkloadSpec(complexity_range=(0.0, 10.0))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("redundancy_rate", float("nan")),
+        ("arrival_rate", float("nan")),
+        ("arrival_rate", float("inf")),
+        ("noise_sigma", float("inf")),
+        ("input_size_range", (float("nan"), 8.0)),
+        ("output_size_range", (0.1, float("inf"))),
+        ("complexity_range", (50.0, float("inf"))),
+    ],
+)
+def test_spec_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        WorkloadSpec(**{field: value})
+
+
 def _dump(tmp_path, lines):
     path = tmp_path / "features.csv"
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
