@@ -29,6 +29,13 @@ def require_finite(name: str, *values: Optional[float]) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_finite_fields(fields: dict[str, float]) -> None:
+    """``require_finite`` on each field, in one C-level pass when all are finite."""
+    if not all(map(math.isfinite, fields.values())):
+        for name, value in fields.items():
+            require_finite(name, value)
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     """Fixed-dimension real-valued feature vector (pre-extracted upstream)."""
@@ -36,10 +43,10 @@ class FeatureVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if len(vals) < 1:
             raise ValueError("feature vector needs dimension >= 1")
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("feature vector values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -79,8 +86,14 @@ class Task:
     arrival_time: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("input_size", "output_size", "complexity", "arrival_time"):
-            require_finite(name, getattr(self, name))
+        _require_finite_fields(
+            {
+                "input_size": self.input_size,
+                "output_size": self.output_size,
+                "complexity": self.complexity,
+                "arrival_time": self.arrival_time,
+            }
+        )
         if self.input_size < 0 or self.output_size < 0:
             raise ValueError("task data sizes must be >= 0")
         if self.complexity <= 0:
@@ -109,8 +122,7 @@ class CostParams:
     per_hop_latency: float = 0.005
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            require_finite(name, value)
+        _require_finite_fields(vars(self))
         if min(self.edge_bandwidth, self.cloud_bandwidth) <= 0:
             raise ValueError("bandwidths must be > 0")
         if min(self.edge_capacity_rate, self.cloud_capacity_rate) <= 0:

@@ -19,6 +19,7 @@ Reads (``signature``, ``query``, ``candidate_ids``) may run concurrently;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -28,6 +29,10 @@ from .core import DimensionMismatch, FeatureVector
 VectorLike = Union[FeatureVector, Sequence[float], np.ndarray]
 
 INITIAL_ROWS = 64
+
+_FLOAT64 = np.dtype(np.float64)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_EMPTY: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,8 @@ class LshIndex:
         planes /= np.linalg.norm(planes, axis=2, keepdims=True)
         self.params = params
         self.hyperplanes = planes
+        self._shape = (params.dimension,)
+        self._key_shape = (params.num_tables, params.bits_per_table)
         self._proj = planes.reshape(-1, params.dimension)
         self._bit_weights = 1 << np.arange(params.bits_per_table, dtype=np.int64)
         self._tables: list[dict[int, set[int]]] = [
@@ -67,19 +74,27 @@ class LshIndex:
         # per-table keys computed at insert.
         self._matrix = np.empty((INITIAL_ROWS, params.dimension))
         self._free_rows: list[int] = []
-        self._rows: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._row_of: dict[int, int] = {}
+        self._keys_of: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._row_of)
 
     def __contains__(self, entry_id: int) -> bool:
-        return entry_id in self._rows
+        return entry_id in self._row_of
 
     def _coerce(self, v: VectorLike) -> np.ndarray:
+        """``v`` as a float64 array of shape ``(dimension,)``.
+
+        Such an array is returned as is, so a method that coerces once can
+        pass its array down without converting or checking it again.
+        """
+        if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == self._shape:
+            return v
         arr = np.asarray(
             v.values if isinstance(v, FeatureVector) else v, dtype=np.float64
         )
-        if arr.shape != (self.params.dimension,):
+        if arr.shape != self._shape:
             raise DimensionMismatch(
                 f"expected a vector of dimension {self.params.dimension}, "
                 f"got shape {arr.shape}"
@@ -88,16 +103,14 @@ class LshIndex:
 
     def signature(self, v: VectorLike) -> tuple[int, ...]:
         """Per-table bucket keys of one vector; key i addresses table i."""
-        arr = self._coerce(v)
-        bits = (self._proj @ arr) >= 0.0
-        keys = bits.reshape(
-            self.params.num_tables, self.params.bits_per_table
-        ).astype(np.int64) @ self._bit_weights
-        return tuple(int(k) for k in keys)
+        bits = (self._proj @ self._coerce(v)) >= 0.0
+        return tuple((bits.reshape(self._key_shape) @ self._bit_weights).tolist())
 
     def insert(self, entry_id: int, v: VectorLike) -> None:
-        if entry_id in self._rows:
+        if entry_id in self._row_of:
             raise ValueError(f"entry id {entry_id} already present")
+        if not _INT64_MIN <= entry_id <= _INT64_MAX:  # query ranks ids as int64
+            raise ValueError(f"entry id {entry_id} is outside the int64 range")
         arr = self._coerce(v)
         keys = self.signature(arr)
         for table, key in zip(self._tables, keys):
@@ -105,20 +118,20 @@ class LshIndex:
         if self._free_rows:
             row = self._free_rows.pop()
         else:
-            row = len(self._rows)
+            row = len(self._row_of)
             if row == len(self._matrix):
                 grown = np.empty((2 * row, self.params.dimension))
                 grown[:row] = self._matrix
                 self._matrix = grown
         self._matrix[row] = arr
-        self._rows[entry_id] = (row, keys)
+        self._row_of[entry_id] = row
+        self._keys_of[entry_id] = keys
 
     def remove(self, entry_id: int) -> None:
-        if entry_id not in self._rows:
+        if entry_id not in self._row_of:
             raise KeyError(f"unknown entry id {entry_id}")
-        row, keys = self._rows.pop(entry_id)
-        self._free_rows.append(row)
-        for table, key in zip(self._tables, keys):
+        self._free_rows.append(self._row_of.pop(entry_id))
+        for table, key in zip(self._tables, self._keys_of.pop(entry_id)):
             bucket = table[key]
             bucket.discard(entry_id)
             if not bucket:
@@ -126,11 +139,8 @@ class LshIndex:
 
     def candidate_ids(self, q: VectorLike) -> frozenset[int]:
         """Union of the buckets addressed by the query's signature."""
-        arr = self._coerce(q)
-        ids: set[int] = set()
-        for table, key in zip(self._tables, self.signature(arr)):
-            ids |= table.get(key, set())
-        return frozenset(ids)
+        keys = self.signature(self._coerce(q))
+        return _EMPTY.union(*map(dict.get, self._tables, keys, repeat(_EMPTY)))
 
     def query(
         self, q: VectorLike, max_candidates: int = 16
@@ -143,13 +153,21 @@ class LshIndex:
         if max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
         arr = self._coerce(q)
-        ids = sorted(self.candidate_ids(arr))
-        if not ids:
+        cands = self.candidate_ids(arr)
+        n = len(cands)
+        if not n:
             return []
-        stacked = self._matrix[[self._rows[i][0] for i in ids]]
-        dists = np.sqrt(((stacked - arr) ** 2).sum(axis=1))
-        ranked = sorted(zip(ids, dists.tolist()), key=lambda p: (p[1], p[0]))
-        return ranked[:max_candidates]
+        ids = np.fromiter(cands, np.int64, n)
+        rows = np.fromiter(map(self._row_of.__getitem__, cands), np.intp, n)
+        # in place, but the same elementwise steps (hence the same floats) as
+        # sqrt(((stacked - arr) ** 2).sum(axis=1))
+        diff = self._matrix.take(rows, axis=0)
+        diff -= arr
+        diff *= diff
+        dists = diff.sum(axis=1)
+        np.sqrt(dists, out=dists)
+        order = np.lexsort((ids, dists))[:max_candidates]
+        return list(zip(ids[order].tolist(), dists[order].tolist()))
 
     def bucket_sizes(self) -> Iterable[int]:
         for table in self._tables:

@@ -75,6 +75,8 @@ class LookupResult:
 
 MISS = LookupResult(LookupKind.MISS)
 
+_SNAPSHOT_MAGIC = "#reusesim-snapshot"
+
 
 @dataclass(frozen=True)
 class ServiceStats:
@@ -296,12 +298,16 @@ class ReuseStore:
 
     # -- snapshot/restore -------------------------------------------------
     #
-    # Flat text format, one entry per line:
+    # Flat text format: a header line
+    #   #reusesim-snapshot dimension=<d> next_id=<n>
+    # then one entry per line:
     #   service,id,frequency,inserted_at,last_used_at,label,v1,...,vd
     # Hit/miss counters are not part of the snapshot.
 
     def save(self, path) -> None:
-        lines = []
+        lines = [
+            f"{_SNAPSHOT_MAGIC} dimension={self.dimension} next_id={self._next_id}"
+        ]
         for service in sorted(self._entries):
             if "," in service:
                 raise ValueError("service names must not contain commas")
@@ -315,25 +321,31 @@ class ReuseStore:
                     f"{e.last_used_at!r},{e.output.label},{values}"
                 )
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
-            if lines:
-                fh.write("\n")
+            fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path, **kwargs) -> "ReuseStore":
         """Rebuild a store from a snapshot; keyword args mirror the constructor.
 
-        The feature dimension is inferred from the file, so ``dimension``
-        must not be passed.  A malformed row raises ``ValueError`` naming its
-        line.
+        The feature dimension and the next id to hand out come from the
+        header.  A file without one (as written before the header existed)
+        takes the dimension from its first row (1 when it has none) and
+        continues ids after the largest stored one, so it cannot know about
+        ids evicted before it was saved.  ``dimension`` must not be passed.
+        A malformed header or row raises ``ValueError`` naming its line.
         """
         if "dimension" in kwargs:
             raise TypeError("dimension is inferred from the snapshot")
+        dim: Optional[int] = None
+        next_id: Optional[int] = None
         entries: list[ReuseEntry] = []
         seen: set[tuple[str, int]] = set()
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
+                if lineno == 1 and line.startswith(_SNAPSHOT_MAGIC):
+                    dim, next_id = _parse_header(line)
+                    continue
                 if not line:
                     continue
                 parts = line.split(",")
@@ -343,22 +355,42 @@ class ReuseStore:
                     entry = _parse_entry(parts)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
-                if entries and entry.features.dimension != entries[0].features.dimension:
+                if dim is None:
+                    dim = entry.features.dimension
+                elif entry.features.dimension != dim:
                     raise ValueError(
-                        f"line {lineno}: expected {entries[0].features.dimension} "
+                        f"line {lineno}: expected {dim} "
                         f"feature values, got {entry.features.dimension}"
                     )
                 if (entry.service, entry.id) in seen:
                     raise ValueError(f"line {lineno}: duplicate entry id {entry.id}")
+                if next_id is not None and entry.id >= next_id:
+                    raise ValueError(
+                        f"line {lineno}: entry id {entry.id} is not below "
+                        f"the header's next_id {next_id}"
+                    )
                 seen.add((entry.service, entry.id))
                 entries.append(entry)
-        dim = entries[0].features.dimension if entries else 1
-        store = cls(dimension=dim, **kwargs)
+        store = cls(dimension=1 if dim is None else dim, **kwargs)
         for entry in entries:
             store._entries.setdefault(entry.service, {})[entry.id] = entry
             store._index_for(entry.service).insert(entry.id, entry.features)
             store._next_id = max(store._next_id, entry.id + 1)
+        if next_id is not None:
+            store._next_id = next_id
         return store
+
+
+def _parse_header(line: str) -> tuple[int, int]:
+    """``(dimension, next_id)`` from a snapshot's header line (line 1)."""
+    fields = dict(field.partition("=")[::2] for field in line.split()[1:])
+    try:
+        dim, next_id = int(fields["dimension"]), int(fields["next_id"])
+    except (KeyError, ValueError):
+        dim = next_id = -1
+    if dim < 1 or next_id < 0:
+        raise ValueError(f"line 1: malformed snapshot header {line!r}")
+    return dim, next_id
 
 
 def _parse_entry(parts: list[str]) -> ReuseEntry:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reusesim import DimensionMismatch, FeatureVector, LshIndex, LshParams
 from reusesim.lsh import INITIAL_ROWS
@@ -235,12 +237,12 @@ def test_candidate_scan_scaling_reported():
 def test_removed_rows_are_reused():
     idx, vectors = _filled_index(n=10)
     rows = idx._matrix.shape[0]
-    freed = {idx._rows[3][0], idx._rows[7][0]}
+    freed = {idx._row_of[3], idx._row_of[7]}
     idx.remove(3)
     idx.remove(7)
     idx.insert(100, vectors[3])
     idx.insert(101, vectors[7])
-    assert {idx._rows[100][0], idx._rows[101][0]} == freed
+    assert {idx._row_of[100], idx._row_of[101]} == freed
     assert idx._matrix.shape[0] == rows
     assert idx.query(vectors[3], 1) == [(100, 0.0)]
     assert idx.query(vectors[7], 1) == [(101, 0.0)]
@@ -272,8 +274,9 @@ def test_query_distances_match_stacked_brute_force():
         assert idx.query(q, max_candidates=len(ids) + 1) == expected
 
 
-def test_remove_does_not_recompute_signature(monkeypatch):
-    idx, _ = _filled_index(n=20)
+@pytest.fixture
+def signature_calls(monkeypatch):
+    """Records one item per call of ``LshIndex.signature``."""
     calls = []
     signature = LshIndex.signature
 
@@ -282,7 +285,140 @@ def test_remove_does_not_recompute_signature(monkeypatch):
         return signature(self, v)
 
     monkeypatch.setattr(LshIndex, "signature", counting)
+    return calls
+
+
+def test_remove_does_not_recompute_signature(signature_calls):
+    idx, _ = _filled_index(n=20)
+    signature_calls.clear()
     for i in range(20):
         idx.remove(i)
-    assert calls == []
+    assert signature_calls == []
     assert sum(idx.bucket_sizes()) == 0
+
+
+@pytest.mark.parametrize(
+    "make", [list, np.array, FeatureVector], ids=["list", "ndarray", "FeatureVector"]
+)
+def test_insert_and_query_hash_once(signature_calls, make):
+    idx = LshIndex(LshParams(num_tables=4, bits_per_table=6, dimension=3, seed=5))
+    v = make([1.0, 2.0, 3.0])
+    idx.insert(0, v)
+    assert len(signature_calls) == 1
+    assert idx.query(v) == [(0, 0.0)]
+    assert len(signature_calls) == 2
+
+
+@pytest.mark.parametrize("entry_id", [2**63, -(2**63) - 1])
+def test_insert_rejects_id_outside_int64(entry_id):
+    idx = LshIndex(LshParams(dimension=2))
+    with pytest.raises(ValueError, match=f"entry id {entry_id} is outside"):
+        idx.insert(entry_id, [1.0, 0.0])
+    assert len(idx) == 0 and sum(idx.bucket_sizes()) == 0
+    idx.insert(2**63 - 1, [1.0, 0.0])
+    assert idx.query([1.0, 0.0]) == [(2**63 - 1, 0.0)]
+
+
+class ReferenceLsh:
+    """The read path written with Python sets and sorts, as the reference.
+
+    It shares the hyperplanes of the index under test, hashes through a
+    reshape and an int64 cast, unions per-table sets, stacks the candidates
+    in ascending id order and sorts the pairs by (distance, id).
+    """
+
+    def __init__(self, index: LshIndex):
+        self.params = index.params
+        self.planes = index.hyperplanes.reshape(-1, index.params.dimension)
+        self.weights = 1 << np.arange(index.params.bits_per_table, dtype=np.int64)
+        self.tables = [{} for _ in range(index.params.num_tables)]
+        self.vectors = {}
+
+    def signature(self, v):
+        bits = (self.planes @ np.asarray(v, dtype=np.float64)) >= 0.0
+        keys = bits.reshape(
+            self.params.num_tables, self.params.bits_per_table
+        ).astype(np.int64) @ self.weights
+        return tuple(int(k) for k in keys)
+
+    def insert(self, entry_id, v):
+        self.vectors[entry_id] = np.asarray(v, dtype=np.float64)
+        for table, key in zip(self.tables, self.signature(v)):
+            table.setdefault(key, set()).add(entry_id)
+
+    def remove(self, entry_id):
+        v = self.vectors.pop(entry_id)
+        for table, key in zip(self.tables, self.signature(v)):
+            table[key].discard(entry_id)
+
+    def candidate_ids(self, q):
+        ids = set()
+        for table, key in zip(self.tables, self.signature(q)):
+            ids |= table.get(key, set())
+        return frozenset(ids)
+
+    def query(self, q, max_candidates):
+        ids = sorted(self.candidate_ids(q))
+        if not ids:
+            return []
+        stacked = np.stack([self.vectors[i] for i in ids])
+        dists = np.sqrt(((stacked - np.asarray(q, dtype=np.float64)) ** 2).sum(axis=1))
+        ranked = sorted(zip(ids, dists.tolist()), key=lambda p: (p[1], p[0]))
+        return ranked[:max_candidates]
+
+
+@st.composite
+def lsh_scenarios(draw):
+    dimension = draw(st.sampled_from([1, 2, 3, 16]))
+    params = LshParams(
+        num_tables=draw(st.integers(1, 4)),
+        bits_per_table=draw(st.sampled_from([1, 8, 62])),
+        dimension=dimension,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.standard_normal((draw(st.integers(1, 6)), dimension))
+    # rows rounded to halves give exact ties between different vectors (and
+    # repeated rows between equal ones); the others make the summation
+    # order show in the last bit of a distance
+    halves = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    pool[halves] = np.round(2 * pool[halves]) / 2
+    pool = [tuple(row) for row in pool.tolist()]
+    vector = st.integers(0, len(pool) - 1)
+    # ids whose set iteration order is not ascending, so ties must be ranked
+    entry_id = st.sampled_from([-3, 0, 1, 8, 9, 16, 33, 2**62 + 3])
+    operations = st.one_of(
+        st.tuples(st.just("insert"), entry_id, vector),
+        st.tuples(st.just("remove"), entry_id),
+        st.tuples(st.just("query"), vector, st.integers(1, 10)),
+    )
+    return params, pool, draw(st.lists(operations, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=lsh_scenarios())
+def test_read_path_matches_reference(scenario):
+    params, pool, operations = scenario
+    idx = LshIndex(params)
+    ref = ReferenceLsh(idx)
+    for op, *args in operations:
+        if op == "insert":
+            entry_id, v = args[0], pool[args[1]]
+            if entry_id in ref.vectors:
+                with pytest.raises(ValueError):
+                    idx.insert(entry_id, v)
+            else:
+                idx.insert(entry_id, v)
+                ref.insert(entry_id, v)
+        elif op == "remove":
+            if args[0] in ref.vectors:
+                idx.remove(args[0])
+                ref.remove(args[0])
+            else:
+                with pytest.raises(KeyError):
+                    idx.remove(args[0])
+        else:
+            q, max_candidates = pool[args[0]], args[1]
+            assert idx.signature(q) == ref.signature(q)
+            assert idx.candidate_ids(q) == ref.candidate_ids(q)
+            assert idx.query(q, max_candidates) == ref.query(q, max_candidates)

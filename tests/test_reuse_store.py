@@ -397,7 +397,7 @@ def test_heap_eviction_matches_full_scan_oracle(capacity, decay_interval, operat
                     continue
                 model_evict()
                 store.evict_lfu("svc")
-            elif model:  # an empty snapshot does not record the dimension
+            else:
                 path = os.path.join(tmp, "store.snapshot")
                 store.save(path)
                 log += [eid for _, eid in store.eviction_log]
@@ -441,6 +441,48 @@ def _write_snapshot(tmp_path, lines):
     path = tmp_path / "bad.snapshot"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def test_snapshot_keeps_ids_evicted_before_save(tmp_path):
+    store = small_store(capacity=3)
+    for i in range(3):
+        store.place("svc", axis_vector(i), ResultPayload("x"), now=0.0)
+    store.lookup("svc", axis_vector(0), now=1.0)
+    store.lookup("svc", axis_vector(1), now=1.0)
+    assert store.evict_lfu("svc") == 2
+    path = tmp_path / "store.snapshot"
+    store.save(path)
+    loaded = ReuseStore.load(path, capacity=3, num_tables=2, bits_per_table=4)
+    assert loaded.place("svc", axis_vector(2), ResultPayload("x"), now=2.0) == 3
+
+
+def test_empty_snapshot_keeps_dimension(tmp_path):
+    path = tmp_path / "store.snapshot"
+    ReuseStore(dimension=2).save(path)
+    loaded = ReuseStore.load(path)
+    assert loaded.dimension == 2
+    assert loaded.place("svc", FeatureVector((1.0, 2.0)), ResultPayload("x"), 0.0) == 0
+
+
+@pytest.mark.parametrize(
+    "lines,detail",
+    [
+        (["#reusesim-snapshot dimension=2"], "line 1: malformed snapshot header"),
+        (["#reusesim-snapshot dimension=0 next_id=1"], "line 1: malformed snapshot header"),
+        (["#reusesim-snapshot dimension=x next_id=1"], "line 1: malformed snapshot header"),
+        (
+            ["#reusesim-snapshot dimension=2 next_id=1", "svc,0,0,0.0,0.0,a,1.0"],
+            "line 2: expected 2 feature values, got 1",
+        ),
+        (
+            ["#reusesim-snapshot dimension=1 next_id=1", "svc,1,0,0.0,0.0,a,1.0"],
+            "line 2: entry id 1 is not below the header's next_id 1",
+        ),
+    ],
+)
+def test_snapshot_header_errors_name_line(tmp_path, lines, detail):
+    with pytest.raises(ValueError, match=f"^{detail}"):
+        ReuseStore.load(_write_snapshot(tmp_path, lines))
 
 
 def test_snapshot_row_of_wrong_dimension_names_line(tmp_path):
