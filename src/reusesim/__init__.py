@@ -23,21 +23,20 @@ from .cost import (
     reuse_cost,
 )
 from .forwarding import EdgeNode
-from .lsh import LshIndex, LshParams
+from .lsh import LshIndex, LshSettings
 from .reuse_store import (
     LookupKind,
     LookupResult,
     ResultPayload,
     ReuseEntry,
     ReuseStore,
+    StoreSettings,
 )
 from .sim import (
-    LshSettings,
     MetricsReport,
     Mode,
     ReuseGain,
     SimConfig,
-    StoreSettings,
     TaskRecord,
     reuse_gain,
     run,
@@ -64,7 +63,6 @@ __all__ = [
     "LookupKind",
     "LookupResult",
     "LshIndex",
-    "LshParams",
     "LshSettings",
     "MetricsReport",
     "Mode",

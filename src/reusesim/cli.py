@@ -3,7 +3,6 @@
 Subcommands:
   run         one configuration -> tasks.csv + summary.csv
   sweep       preset grid (3 modes x task counts 10..100 x trials) -> sweep CSV
-  bench-lsh   measure similarity-index query latency / candidate counts
   calibrate   sample distance distributions to suggest store thresholds
 
 Config files are flat ``key = value`` text with dotted section prefixes
@@ -18,14 +17,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .lsh import LshIndex, LshParams
 from .sim import MetricsReport, Mode, ReuseGain, SimConfig, reuse_gain, run
 from .workload import BASE_NORM, WorkloadSpec, ramp_rate
 
@@ -322,66 +319,6 @@ def cmd_sweep(scenario: str, outdir, seed: int = 42, trials: int = 10) -> int:
     return 0
 
 
-def cmd_bench_lsh(
-    n_values: list[int],
-    outdir,
-    num_tables: int = 8,
-    bits_per_table: int = 16,
-    dimension: int = 32,
-    seed: int = 42,
-    queries: int = 200,
-    cluster_size: int = 10,
-) -> int:
-    """Measure query latency and candidate counts on clustered data.
-
-    Data has ``n // cluster_size`` clusters of noisy observations, matching
-    the shape of a redundant workload; useful for calibrating the configured
-    lookup cost against real hash-table behaviour.  The default key width is
-    wider than the store's (16 bits vs 8) because bucket occupancy should
-    track the cluster size even at the largest n; pass --bits to override.
-    """
-    if not n_values:
-        raise ConfigError("need at least one value of n")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    lines = ["n,queries,mean_query_ms,mean_candidates"]
-    for n in sorted(n_values):
-        params = LshParams(
-            num_tables=num_tables,
-            bits_per_table=bits_per_table,
-            dimension=dimension,
-            seed=seed,
-        )
-        index = LshIndex(params)
-        n_clusters = max(1, n // cluster_size)
-        g = rng.standard_normal((n_clusters, dimension))
-        bases = BASE_NORM * g / np.linalg.norm(g, axis=1, keepdims=True)
-        members = rng.integers(0, n_clusters, size=n)
-        points = bases[members] + 0.05 * rng.standard_normal((n, dimension))
-        for i in range(n):
-            index.insert(i, points[i])
-        probe_clusters = rng.integers(0, n_clusters, size=queries)
-        probes = bases[probe_clusters] + 0.05 * rng.standard_normal(
-            (queries, dimension)
-        )
-        total_candidates = 0
-        t0 = time.perf_counter()
-        for q in probes:
-            index.query(q, max_candidates=16)
-        elapsed = time.perf_counter() - t0
-        for q in probes:
-            total_candidates += len(index.candidate_ids(q))
-        lines.append(
-            f"{n},{queries},{_fmt(1000.0 * elapsed / queries)},"
-            f"{_fmt(total_candidates / queries)}"
-        )
-    path = outdir / "bench_lsh.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
-    return 0
-
-
 def cmd_calibrate(
     dimension: int = 32, sigma: float = 0.05, samples: int = 2000, seed: int = 42
 ) -> int:
@@ -426,17 +363,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--seed", type=int, default=42)
     p_sweep.add_argument("--trials", type=int, default=10)
 
-    p_bench = sub.add_parser("bench-lsh", help="benchmark index queries")
-    p_bench.add_argument(
-        "-n", "--n-values", default="", help="comma-separated entry counts"
-    )
-    p_bench.add_argument("-d", "--outdir", default=".", help="output directory")
-    p_bench.add_argument("--tables", type=int, default=8)
-    p_bench.add_argument("--bits", type=int, default=16)
-    p_bench.add_argument("--dim", type=int, default=32)
-    p_bench.add_argument("--seed", type=int, default=42)
-    p_bench.add_argument("--queries", type=int, default=200)
-
     p_cal = sub.add_parser("calibrate", help="suggest similarity thresholds")
     p_cal.add_argument("--dim", type=int, default=32)
     p_cal.add_argument("--sigma", type=float, default=0.05)
@@ -449,17 +375,6 @@ def main(argv=None) -> int:
             return cmd_run(args.config, args.set, args.outdir)
         if args.command == "sweep":
             return cmd_sweep(args.scenario, args.outdir, args.seed, args.trials)
-        if args.command == "bench-lsh":
-            n_values = [int(v) for v in args.n_values.split(",") if v.strip()]
-            return cmd_bench_lsh(
-                n_values,
-                args.outdir,
-                num_tables=args.tables,
-                bits_per_table=args.bits,
-                dimension=args.dim,
-                seed=args.seed,
-                queries=args.queries,
-            )
         if args.command == "calibrate":
             return cmd_calibrate(args.dim, args.sigma, args.samples, args.seed)
         raise AssertionError(f"unhandled command {args.command}")

@@ -24,7 +24,7 @@ from .reuse_store import LookupKind, ResultPayload, ReuseStore
 
 @dataclass
 class EdgeNode:
-    """An edge server: its offloaded services, reuse store, and slot count.
+    """An edge server: its offloaded services and reuse store.
 
     ``store`` may be None to model an edge without reuse; every lookup then
     degrades to a from-scratch computation.
@@ -32,12 +32,9 @@ class EdgeNode:
 
     offloaded_services: frozenset[str]
     store: Optional[ReuseStore] = None
-    compute_slots: int = 15
 
     def __post_init__(self) -> None:
         self.offloaded_services = frozenset(self.offloaded_services)
-        if self.compute_slots < 1:
-            raise ValueError("compute_slots must be >= 1")
 
     def decide(self, task: Task, now: float) -> Outcome:
         if task.service not in self.offloaded_services:

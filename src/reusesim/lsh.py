@@ -9,8 +9,8 @@ k-bit key with probability (1 - theta/pi)^k.  Multiple tables raise the
 chance that near neighbours share at least one bucket.
 
 Hyperplanes come from ``numpy.random.default_rng(seed)`` (PCG64), whose
-stream is stable across platforms, so a given (params, seed) pair always
-builds the same index.
+stream is stable across platforms, so given settings, dimension and seed
+always build the same index.
 
 Reads (``signature``, ``query``, ``candidate_ids``) may run concurrently;
 ``insert``/``remove`` need exclusive access.
@@ -36,43 +36,44 @@ _EMPTY: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
-class LshParams:
+class LshSettings:
+    """Index shape (the ``lsh.`` config section) and the lookup's candidate cap."""
+
     num_tables: int = 8
     bits_per_table: int = 8
-    dimension: int = 32
-    seed: int = 0
+    max_candidates: int = 16
 
     def __post_init__(self) -> None:
         if self.num_tables < 1:
             raise ValueError("num_tables must be >= 1")
         if not 1 <= self.bits_per_table <= 62:
             raise ValueError("bits_per_table must be in [1, 62]")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        if self.max_candidates < 1:
+            raise ValueError("max_candidates must be >= 1")
 
 
 class LshIndex:
     """In-memory LSH index mapping entry ids to feature vectors."""
 
-    def __init__(self, params: LshParams):
-        rng = np.random.default_rng(params.seed)
-        planes = rng.standard_normal(
-            (params.num_tables, params.bits_per_table, params.dimension)
-        )
+    def __init__(self, settings: LshSettings, dimension: int, seed: int):
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
+        tables, bits = settings.num_tables, settings.bits_per_table
+        rng = np.random.default_rng(seed)
+        planes = rng.standard_normal((tables, bits, dimension))
         planes /= np.linalg.norm(planes, axis=2, keepdims=True)
-        self.params = params
+        self.settings = settings
+        self.dimension = dimension
         self.hyperplanes = planes
-        self._shape = (params.dimension,)
-        self._key_shape = (params.num_tables, params.bits_per_table)
-        self._proj = planes.reshape(-1, params.dimension)
-        self._bit_weights = 1 << np.arange(params.bits_per_table, dtype=np.int64)
-        self._tables: list[dict[int, set[int]]] = [
-            {} for _ in range(params.num_tables)
-        ]
+        self._shape = (dimension,)
+        self._key_shape = (tables, bits)
+        self._proj = planes.reshape(-1, dimension)
+        self._bit_weights = 1 << np.arange(bits, dtype=np.int64)
+        self._tables: list[dict[int, set[int]]] = [{} for _ in range(tables)]
         # Stored vectors are rows of one matrix that doubles when full; rows
         # freed by ``remove`` are reused.  Each id maps to its row and to the
         # per-table keys computed at insert.
-        self._matrix = np.empty((INITIAL_ROWS, params.dimension))
+        self._matrix = np.empty((INITIAL_ROWS, dimension))
         self._free_rows: list[int] = []
         self._row_of: dict[int, int] = {}
         self._keys_of: dict[int, tuple[int, ...]] = {}
@@ -96,7 +97,7 @@ class LshIndex:
         )
         if arr.shape != self._shape:
             raise DimensionMismatch(
-                f"expected a vector of dimension {self.params.dimension}, "
+                f"expected a vector of dimension {self.dimension}, "
                 f"got shape {arr.shape}"
             )
         return arr
@@ -120,7 +121,7 @@ class LshIndex:
         else:
             row = len(self._row_of)
             if row == len(self._matrix):
-                grown = np.empty((2 * row, self.params.dimension))
+                grown = np.empty((2 * row, self.dimension))
                 grown[:row] = self._matrix
                 self._matrix = grown
         self._matrix[row] = arr
@@ -142,9 +143,7 @@ class LshIndex:
         keys = self.signature(self._coerce(q))
         return _EMPTY.union(*map(dict.get, self._tables, keys, repeat(_EMPTY)))
 
-    def query(
-        self, q: VectorLike, max_candidates: int = 16
-    ) -> list[tuple[int, float]]:
+    def query(self, q: VectorLike, max_candidates: int) -> list[tuple[int, float]]:
         """Nearest candidates from the addressed buckets.
 
         Returns (entry_id, euclidean distance) pairs sorted ascending by

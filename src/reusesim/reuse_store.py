@@ -34,7 +34,32 @@ from enum import Enum
 from typing import Optional
 
 from .core import FeatureVector, require_finite
-from .lsh import LshIndex, LshParams
+from .lsh import LshIndex, LshSettings
+
+
+@dataclass(frozen=True)
+class StoreSettings:
+    """Capacity, similarity thresholds and decay (the ``store.`` config section)."""
+
+    capacity: Optional[int] = 500
+    tau_full: float = 1.0
+    tau_partial: float = 2.0
+    partial_fraction: float = 0.5
+    decay_interval: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        require_finite("tau_full", self.tau_full)
+        require_finite("tau_partial", self.tau_partial)
+        require_finite("partial_fraction", self.partial_fraction)
+        require_finite("decay_interval", self.decay_interval)
+        if self.capacity is not None and self.capacity < 1:
+            raise ValueError("capacity must be >= 1 (or None for unbounded)")
+        if self.tau_full < 0 or self.tau_partial <= self.tau_full:
+            raise ValueError("need 0 <= tau_full < tau_partial")
+        if not 0.0 < self.partial_fraction < 1.0:
+            raise ValueError("partial_fraction must lie in (0, 1)")
+        if self.decay_interval is not None and self.decay_interval <= 0:
+            raise ValueError("decay_interval must be > 0 when set")
 
 
 @dataclass
@@ -104,39 +129,14 @@ class ReuseStore:
     def __init__(
         self,
         dimension: int,
-        capacity: Optional[int] = 500,
-        tau_full: float = 1.0,
-        tau_partial: float = 2.0,
-        partial_fraction: float = 0.5,
-        num_tables: int = 8,
-        bits_per_table: int = 8,
-        max_candidates: int = 16,
+        settings: StoreSettings = StoreSettings(),
+        lsh: LshSettings = LshSettings(),
         seed: int = 0,
-        decay_interval: Optional[float] = None,
     ):
-        require_finite("tau_full", tau_full)
-        require_finite("tau_partial", tau_partial)
-        require_finite("partial_fraction", partial_fraction)
-        require_finite("decay_interval", decay_interval)
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
-        if tau_full < 0 or tau_partial <= tau_full:
-            raise ValueError("need 0 <= tau_full < tau_partial")
-        if not 0.0 < partial_fraction < 1.0:
-            raise ValueError("partial_fraction must lie in (0, 1)")
-        if decay_interval is not None and decay_interval <= 0:
-            raise ValueError("decay_interval must be > 0 when set")
         self.dimension = dimension
-        self.capacity = capacity
-        self.tau_full = tau_full
-        self.tau_partial = tau_partial
-        self.partial_fraction = partial_fraction
-        self.max_candidates = max_candidates
+        self.settings = settings
+        self.lsh = lsh
         self.seed = seed
-        self.decay_interval = decay_interval
-        self._lsh_template = dict(
-            num_tables=num_tables, bits_per_table=bits_per_table, dimension=dimension
-        )
         self._entries: dict[str, dict[int, ReuseEntry]] = {}
         self._indexes: dict[str, LshIndex] = {}
         # service -> lazy LFU heap, built at the service's first eviction
@@ -147,13 +147,16 @@ class ReuseStore:
         self._last_decay = 0.0
         self.eviction_log: list[tuple[str, int]] = []
 
+    @property
+    def capacity(self) -> Optional[int]:
+        return self.settings.capacity
+
     def _index_for(self, service: str) -> LshIndex:
         index = self._indexes.get(service)
         if index is None:
-            params = LshParams(
-                seed=_service_seed(self.seed, service), **self._lsh_template
+            index = LshIndex(
+                self.lsh, self.dimension, _service_seed(self.seed, service)
             )
-            index = LshIndex(params)
             self._indexes[service] = index
         return index
 
@@ -163,16 +166,17 @@ class ReuseStore:
         ``k`` halvings are applied as one shift, so the cost does not depend
         on how much simulated time has passed.
         """
-        if self.decay_interval is None:
+        interval = self.settings.decay_interval
+        if interval is None:
             return
-        k = (now - self._last_decay) // self.decay_interval
+        k = (now - self._last_decay) // interval
         if k < 1:
             return
         for table in self._entries.values():
             for entry in table.values():
                 # halving past f.bit_length() leaves 0 (or -1) unchanged
                 entry.frequency >>= int(min(k, entry.frequency.bit_length()))
-        self._last_decay += k * self.decay_interval
+        self._last_decay += k * interval
         self._heaps.clear()
 
     def _push_key(self, service: str, entry: ReuseEntry) -> None:
@@ -206,12 +210,12 @@ class ReuseStore:
         if not table:
             self._misses[service] += 1
             return MISS
-        ranked = self._index_for(service).query(q, self.max_candidates)
+        ranked = self._index_for(service).query(q, self.lsh.max_candidates)
         if not ranked:
             self._misses[service] += 1
             return MISS
         best_id, best_dist = ranked[0]
-        if best_dist > self.tau_partial:
+        if best_dist > self.settings.tau_partial:
             self._misses[service] += 1
             return MISS
         entry = table[best_id]
@@ -219,10 +223,12 @@ class ReuseStore:
         entry.last_used_at = now
         self._push_key(service, entry)
         self._hits[service] += 1
-        if best_dist <= self.tau_full:
+        if best_dist <= self.settings.tau_full:
             return LookupResult(LookupKind.FULL, entry)
         return LookupResult(
-            LookupKind.PARTIAL, entry, remaining_fraction=1.0 - self.partial_fraction
+            LookupKind.PARTIAL,
+            entry,
+            remaining_fraction=1.0 - self.settings.partial_fraction,
         )
 
     def place(
@@ -239,7 +245,8 @@ class ReuseStore:
         require_finite("now", now)
         self._maybe_decay(now)
         table = self._entries.setdefault(service, {})
-        if self.capacity is not None and len(table) >= self.capacity:
+        capacity = self.settings.capacity
+        if capacity is not None and len(table) >= capacity:
             self.evict_lfu(service)
         entry_id = self._next_id
         self._next_id += 1
@@ -299,14 +306,18 @@ class ReuseStore:
     # -- snapshot/restore -------------------------------------------------
     #
     # Flat text format: a header line
-    #   #reusesim-snapshot dimension=<d> next_id=<n>
+    #   #reusesim-snapshot dimension=<d> next_id=<n> last_decay=<t>
     # then one entry per line:
-    #   service,id,frequency,inserted_at,last_used_at,label,v1,...,vd
-    # Hit/miss counters are not part of the snapshot.
+    #   service,id,frequency,inserted_at,last_used_at,label,output_size,v1,...,vd
+    # Hit/miss counters are not part of the snapshot.  Files without
+    # ``last_decay=`` in the header, or without a header, predate the
+    # ``output_size`` column: their rows load with an output size of 0 and a
+    # decay clock of 0.
 
     def save(self, path) -> None:
         lines = [
-            f"{_SNAPSHOT_MAGIC} dimension={self.dimension} next_id={self._next_id}"
+            f"{_SNAPSHOT_MAGIC} dimension={self.dimension} next_id={self._next_id} "
+            f"last_decay={self._last_decay!r}"
         ]
         for service in sorted(self._entries):
             if "," in service:
@@ -318,41 +329,44 @@ class ReuseStore:
                 values = ",".join(repr(v) for v in e.features.values)
                 lines.append(
                     f"{service},{e.id},{e.frequency},{e.inserted_at!r},"
-                    f"{e.last_used_at!r},{e.output.label},{values}"
+                    f"{e.last_used_at!r},{e.output.label},{e.output.output_size!r},"
+                    f"{values}"
                 )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
-    def load(cls, path, **kwargs) -> "ReuseStore":
-        """Rebuild a store from a snapshot; keyword args mirror the constructor.
+    def load(
+        cls,
+        path,
+        settings: StoreSettings = StoreSettings(),
+        lsh: LshSettings = LshSettings(),
+        seed: int = 0,
+    ) -> "ReuseStore":
+        """Rebuild a store from a snapshot under the given settings and seed.
 
-        The feature dimension and the next id to hand out come from the
-        header.  A file without one (as written before the header existed)
-        takes the dimension from its first row (1 when it has none) and
-        continues ids after the largest stored one, so it cannot know about
-        ids evicted before it was saved.  ``dimension`` must not be passed.
-        A malformed header or row raises ``ValueError`` naming its line.
+        The feature dimension, the next id to hand out and the decay clock
+        come from the header.  A file without one (as written before the
+        header existed) takes the dimension from its first row (1 when it has
+        none) and continues ids after the largest stored one, so it cannot
+        know about ids evicted before it was saved.  A malformed header or
+        row raises ``ValueError`` naming its line.
         """
-        if "dimension" in kwargs:
-            raise TypeError("dimension is inferred from the snapshot")
         dim: Optional[int] = None
         next_id: Optional[int] = None
+        last_decay: Optional[float] = None
         entries: list[ReuseEntry] = []
         seen: set[tuple[str, int]] = set()
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if lineno == 1 and line.startswith(_SNAPSHOT_MAGIC):
-                    dim, next_id = _parse_header(line)
+                    dim, next_id, last_decay = _parse_header(line)
                     continue
                 if not line:
                     continue
-                parts = line.split(",")
-                if len(parts) < 7:
-                    raise ValueError(f"line {lineno}: too few fields")
                 try:
-                    entry = _parse_entry(parts)
+                    entry = _parse_entry(line.split(","), sized=last_decay is not None)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
                 if dim is None:
@@ -371,39 +385,55 @@ class ReuseStore:
                     )
                 seen.add((entry.service, entry.id))
                 entries.append(entry)
-        store = cls(dimension=1 if dim is None else dim, **kwargs)
+        store = cls(1 if dim is None else dim, settings, lsh, seed)
         for entry in entries:
             store._entries.setdefault(entry.service, {})[entry.id] = entry
             store._index_for(entry.service).insert(entry.id, entry.features)
             store._next_id = max(store._next_id, entry.id + 1)
         if next_id is not None:
             store._next_id = next_id
+        if last_decay is not None:
+            store._last_decay = last_decay
         return store
 
 
-def _parse_header(line: str) -> tuple[int, int]:
-    """``(dimension, next_id)`` from a snapshot's header line (line 1)."""
+def _parse_header(line: str) -> tuple[int, int, Optional[float]]:
+    """``(dimension, next_id, last_decay)`` from a snapshot's header (line 1).
+
+    ``last_decay`` is None for a header written before it was recorded.
+    """
     fields = dict(field.partition("=")[::2] for field in line.split()[1:])
     try:
         dim, next_id = int(fields["dimension"]), int(fields["next_id"])
+        raw_decay = fields.get("last_decay")
+        last_decay = None if raw_decay is None else float(raw_decay)
+        require_finite("last_decay", last_decay)
     except (KeyError, ValueError):
         dim = next_id = -1
     if dim < 1 or next_id < 0:
         raise ValueError(f"line 1: malformed snapshot header {line!r}")
-    return dim, next_id
+    return dim, next_id, last_decay
 
 
-def _parse_entry(parts: list[str]) -> ReuseEntry:
-    """One snapshot row, already split on commas, as an entry."""
+def _parse_entry(parts: list[str], sized: bool) -> ReuseEntry:
+    """One snapshot row, already split on commas, as an entry.
+
+    ``sized`` rows carry the output size after the label.
+    """
+    first_value = 7 if sized else 6
+    if len(parts) <= first_value:
+        raise ValueError("too few fields")
     service, entry_id, freq, inserted, used, label = parts[:6]
     inserted_at, last_used_at = float(inserted), float(used)
+    output_size = float(parts[6]) if sized else 0.0
     require_finite("inserted_at", inserted_at)
     require_finite("last_used_at", last_used_at)
+    require_finite("output_size", output_size)
     return ReuseEntry(
         id=int(entry_id),
         service=service,
-        features=FeatureVector(tuple(float(v) for v in parts[6:])),
-        output=ResultPayload(label=label),
+        features=FeatureVector(tuple(float(v) for v in parts[first_value:])),
+        output=ResultPayload(label=label, output_size=output_size),
         frequency=int(freq),
         inserted_at=inserted_at,
         last_used_at=last_used_at,

@@ -42,7 +42,8 @@ import numpy as np
 from .core import CostParams, Outcome, OutcomeKind, Task, require_finite
 from .cost import execution_cost, reuse_cost
 from .forwarding import EdgeNode
-from .reuse_store import ResultPayload, ReuseStore
+from .lsh import LshSettings
+from .reuse_store import ResultPayload, ReuseStore, StoreSettings
 from .workload import WorkloadSpec, generate, ingest
 
 
@@ -50,22 +51,6 @@ class Mode(Enum):
     CLOUD_ONLY = "cloud_only"
     EDGE_NO_REUSE = "edge_no_reuse"
     EDGE_WITH_REUSE = "edge_with_reuse"
-
-
-@dataclass(frozen=True)
-class StoreSettings:
-    capacity: Optional[int] = 500
-    tau_full: float = 1.0
-    tau_partial: float = 2.0
-    partial_fraction: float = 0.5
-    decay_interval: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class LshSettings:
-    num_tables: int = 8
-    bits_per_table: int = 8
-    max_candidates: int = 16
 
 
 @dataclass
@@ -204,6 +189,8 @@ def simulate(
     max_queue_delay: Optional[float] = None,
 ) -> MetricsReport:
     """Run one trial over a fixed task list and return its metrics."""
+    if edge_slots < 1:
+        raise ValueError("edge_slots must be >= 1")
     if mode is Mode.EDGE_WITH_REUSE and store is None:
         raise ValueError("EDGE_WITH_REUSE needs a reuse store")
     by_id = {t.id: t for t in tasks}
@@ -218,7 +205,6 @@ def simulate(
     node = EdgeNode(
         offloaded_services=frozenset(t.service for t in tasks),
         store=store if mode is Mode.EDGE_WITH_REUSE else None,
-        compute_slots=edge_slots,
     )
     recv_time: dict[int, float] = {}
     state: dict[int, str] = {}
@@ -356,9 +342,7 @@ def _aggregate(
     n_cloud = counts[OutcomeKind.CLOUD_OFFLOAD]
     n_edge = counts[OutcomeKind.EDGE_COMPUTE]
     n_reuse = counts[OutcomeKind.FULL_REUSE] + counts[OutcomeKind.PARTIAL_REUSE]
-    utilization = (
-        100.0 * busy / (edge_slots * makespan) if makespan > 0 and edge_slots else 0.0
-    )
+    utilization = 100.0 * busy / (edge_slots * makespan) if makespan > 0 else 0.0
     return MetricsReport(
         mode=mode,
         records=tuple(records),
@@ -388,12 +372,7 @@ def _aggregate(
 
 
 def build_store(config: SimConfig, seed: int) -> ReuseStore:
-    return ReuseStore(
-        dimension=config.workload.dimension,
-        seed=seed,
-        **vars(config.store),
-        **vars(config.lsh),
-    )
+    return ReuseStore(config.workload.dimension, config.store, config.lsh, seed)
 
 
 def run(config: SimConfig, trial: int = 0) -> MetricsReport:

@@ -15,6 +15,7 @@ import pytest
 from reusesim import (
     CostParams,
     FeatureVector,
+    LshSettings,
     Mode,
     Outcome,
     OutcomeKind,
@@ -150,9 +151,8 @@ def test_criterion_03_lfu_oracle_equivalence():
         capacity = rng.randint(2, 5)
         store = ReuseStore(
             dimension=4,
-            capacity=capacity,
-            num_tables=2,
-            bits_per_table=4,
+            settings=StoreSettings(capacity=capacity),
+            lsh=LshSettings(num_tables=2, bits_per_table=4),
             seed=seq_seed,
         )
         model = {}

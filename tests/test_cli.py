@@ -90,6 +90,31 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     assert not (tmp_path / "tasks.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key,value,field",
+    [
+        ("store.tau_full", "3", "tau_full"),
+        ("store.capacity", "0", "capacity"),
+        ("store.decay_interval", "-1", "decay_interval"),
+        ("store.partial_fraction", "1.5", "partial_fraction"),
+        ("lsh.max_candidates", "0", "max_candidates"),
+        ("lsh.num_tables", "0", "num_tables"),
+        ("lsh.bits_per_table", "70", "bits_per_table"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["edge_no_reuse", "edge_with_reuse"])
+def test_config_rejects_out_of_range_store_settings(
+    tmp_path, capsys, mode, key, value, field
+):
+    # checked at config time, also in a mode that never builds a store
+    cfg = write_config(tmp_path, f"mode = {mode}\nworkload.num_tasks = 40\n")
+    rc = main(["run", "-c", str(cfg), "--set", f"{key}={value}", "-d", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+    assert not (tmp_path / "tasks.csv").exists()
+
+
 def test_config_invalid_mode_lists_choices(tmp_path):
     with pytest.raises(ConfigError, match="edge_with_reuse"):
         build_config(parse_config_file(write_config(tmp_path, "mode = turbo\n")))
@@ -207,24 +232,6 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert main(["sweep", "gain", "-d", str(out1), "--trials", "2"]) == 0
     assert main(["sweep", "gain", "-d", str(out2), "--trials", "2"]) == 0
     assert (out1 / "sweep_gain.csv").read_bytes() == (out2 / "sweep_gain.csv").read_bytes()
-
-
-def test_bench_lsh_rows_and_sublinear_growth(tmp_path):
-    out = tmp_path / "bench"
-    rc = main(
-        ["bench-lsh", "-n", "1000,10000,100000", "-d", str(out), "--queries", "100"]
-    )
-    assert rc == 0
-    header, rows = parse_csv(out / "bench_lsh.csv")
-    assert header == ["n", "queries", "mean_query_ms", "mean_candidates"]
-    assert [int(r[0]) for r in rows] == [1000, 10000, 100000]
-    t_small = float(rows[0][2])
-    t_large = float(rows[2][2])
-    assert t_large / t_small < 100.0  # clustered data: clearly sublinear scan
-
-
-def test_bench_lsh_empty_n(tmp_path, capsys):
-    assert main(["bench-lsh", "-n", "", "-d", str(tmp_path)]) == 1
 
 
 def test_calibrate_prints_thresholds(capsys):

@@ -4,14 +4,23 @@ import random
 import numpy as np
 import pytest
 
-from reusesim import EdgeNode, FeatureVector, OutcomeKind, ReuseStore, Task
+from reusesim import (
+    EdgeNode,
+    FeatureVector,
+    OutcomeKind,
+    ReuseStore,
+    StoreSettings,
+    Task,
+)
 from reusesim.reuse_store import ResultPayload
 
 from conftest import make_task
 
 
 def fresh_node(capacity=None, seed=0, **store_kwargs):
-    store = ReuseStore(dimension=4, capacity=capacity, seed=seed, **store_kwargs)
+    store = ReuseStore(
+        dimension=4, settings=StoreSettings(capacity=capacity, **store_kwargs), seed=seed
+    )
     return EdgeNode(offloaded_services=frozenset({"svc"}), store=store)
 
 
@@ -71,7 +80,9 @@ def test_partial_reuse_places_residual_result():
     node = EdgeNode(
         offloaded_services=frozenset({"svc"}),
         store=ReuseStore(
-            dimension=2, tau_full=1.0, tau_partial=5.0, partial_fraction=0.5, seed=1
+            dimension=2,
+            settings=StoreSettings(tau_full=1.0, tau_partial=5.0, partial_fraction=0.5),
+            seed=1,
         ),
     )
     t0 = make_task(task_id=0, service="svc", values=(10.0, 0.0))
@@ -141,7 +152,9 @@ def test_decide_exhaustive_over_kinds():
     node = EdgeNode(
         offloaded_services=frozenset({"svc"}),
         store=ReuseStore(
-            dimension=4, tau_full=1.0, tau_partial=6.0, partial_fraction=0.5, seed=3
+            dimension=4,
+            settings=StoreSettings(tau_full=1.0, tau_partial=6.0, partial_fraction=0.5),
+            seed=3,
         ),
     )
     for i, t in enumerate(tasks):
@@ -230,10 +243,9 @@ def trace_pair(seed, n=40, dimension=32):
     offloaded = frozenset({"svc-a", "svc-b"})
     store = ReuseStore(
         dimension=dimension,
-        capacity=capacity,
-        tau_full=1.0,
-        tau_partial=6.0,
-        partial_fraction=0.5,
+        settings=StoreSettings(
+            capacity=capacity, tau_full=1.0, tau_partial=6.0, partial_fraction=0.5
+        ),
         seed=seed,
     )
     node = EdgeNode(offloaded_services=offloaded, store=store)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reusesim import DimensionMismatch, FeatureVector, LshIndex, LshParams
+from reusesim import DimensionMismatch, FeatureVector, LshIndex, LshSettings
 from reusesim.lsh import INITIAL_ROWS
 
 
@@ -22,9 +22,7 @@ def collision_rate(theta, bits, builds, tables, d=8, seed0=0):
     w[1] = math.sin(theta)
     hits = 0
     for b in range(builds):
-        idx = LshIndex(
-            LshParams(num_tables=tables, bits_per_table=bits, dimension=d, seed=seed0 + b)
-        )
+        idx = LshIndex(LshSettings(num_tables=tables, bits_per_table=bits), d, seed0 + b)
         ku = idx.signature(u)
         kw = idx.signature(w)
         hits += sum(a == b2 for a, b2 in zip(ku, kw))
@@ -32,34 +30,36 @@ def collision_rate(theta, bits, builds, tables, d=8, seed0=0):
 
 
 def test_build_deterministic():
-    p = LshParams(num_tables=4, bits_per_table=6, dimension=16, seed=99)
-    a, b = LshIndex(p), LshIndex(p)
+    p = LshSettings(num_tables=4, bits_per_table=6)
+    a, b = LshIndex(p, 16, 99), LshIndex(p, 16, 99)
     assert np.array_equal(a.hyperplanes, b.hyperplanes)
 
 
 def test_build_seed_sensitivity():
-    a = LshIndex(LshParams(num_tables=4, bits_per_table=6, dimension=16, seed=1))
-    b = LshIndex(LshParams(num_tables=4, bits_per_table=6, dimension=16, seed=2))
+    a = LshIndex(LshSettings(num_tables=4, bits_per_table=6), 16, 1)
+    b = LshIndex(LshSettings(num_tables=4, bits_per_table=6), 16, 2)
     assert not np.array_equal(a.hyperplanes, b.hyperplanes)
 
 
 def test_build_minimal_shape():
-    idx = LshIndex(LshParams(num_tables=1, bits_per_table=1, dimension=2, seed=0))
+    idx = LshIndex(LshSettings(num_tables=1, bits_per_table=1), 2, 0)
     assert idx.hyperplanes.shape == (1, 1, 2)
     assert np.linalg.norm(idx.hyperplanes[0, 0]) == pytest.approx(1.0)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        LshParams(num_tables=0)
+        LshSettings(num_tables=0)
     with pytest.raises(ValueError):
-        LshParams(bits_per_table=63)
-    with pytest.raises(ValueError):
-        LshParams(dimension=0)
+        LshSettings(bits_per_table=63)
+    with pytest.raises(ValueError, match="^max_candidates must be >= 1"):
+        LshSettings(max_candidates=0)
+    with pytest.raises(ValueError, match="^dimension must be >= 1"):
+        LshIndex(LshSettings(), 0, 0)
 
 
 def test_signature_deterministic():
-    idx = LshIndex(LshParams(num_tables=3, bits_per_table=5, dimension=8, seed=7))
+    idx = LshIndex(LshSettings(num_tables=3, bits_per_table=5), 8, 7)
     rng = np.random.default_rng(0)
     for _ in range(20):
         v = rng.standard_normal(8)
@@ -67,7 +67,7 @@ def test_signature_deterministic():
 
 
 def test_signature_sign_symmetry():
-    idx = LshIndex(LshParams(num_tables=1, bits_per_table=1, dimension=4, seed=3))
+    idx = LshIndex(LshSettings(num_tables=1, bits_per_table=1), 4, 3)
     h = idx.hyperplanes[0, 0]
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -78,7 +78,7 @@ def test_signature_sign_symmetry():
 
 
 def test_signature_dimension_mismatch():
-    idx = LshIndex(LshParams(dimension=8))
+    idx = LshIndex(LshSettings(), 8, 0)
     with pytest.raises(DimensionMismatch):
         idx.signature(FeatureVector((1.0, 2.0)))
 
@@ -96,7 +96,7 @@ def test_collision_rate_monotone_in_angle():
 
 
 def _filled_index(n=50, d=16, seed=5):
-    idx = LshIndex(LshParams(num_tables=4, bits_per_table=6, dimension=d, seed=seed))
+    idx = LshIndex(LshSettings(num_tables=4, bits_per_table=6), d, seed)
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((n, d))
     for i in range(n):
@@ -118,7 +118,7 @@ def test_insert_counts_bucket_references():
 
 
 def test_identical_vectors_share_buckets():
-    idx = LshIndex(LshParams(num_tables=6, bits_per_table=8, dimension=8, seed=11))
+    idx = LshIndex(LshSettings(num_tables=6, bits_per_table=8), 8, 11)
     v = np.arange(8, dtype=float)
     idx.insert(1, v)
     idx.insert(2, v.copy())
@@ -126,15 +126,15 @@ def test_identical_vectors_share_buckets():
 
 
 def test_insert_duplicate_id_rejected():
-    idx = LshIndex(LshParams(dimension=4))
+    idx = LshIndex(LshSettings(), 4, 0)
     idx.insert(0, [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         idx.insert(0, [0.0, 1.0, 0.0, 0.0])
 
 
 def test_query_empty_index():
-    idx = LshIndex(LshParams(dimension=4))
-    assert idx.query([1.0, 0.0, 0.0, 0.0]) == []
+    idx = LshIndex(LshSettings(), 4, 0)
+    assert idx.query([1.0, 0.0, 0.0, 0.0], 16) == []
 
 
 def test_query_near_duplicates_rank_first():
@@ -142,7 +142,7 @@ def test_query_near_duplicates_rank_first():
     # scan is the oracle for the expected front of the ranking.
     d, sigma = 32, 0.01
     rng = np.random.default_rng(123)
-    idx = LshIndex(LshParams(num_tables=8, bits_per_table=8, dimension=d, seed=321))
+    idx = LshIndex(LshSettings(num_tables=8, bits_per_table=8), d, 321)
     g = rng.standard_normal((1000, d))
     randoms = 10.0 * g / np.linalg.norm(g, axis=1, keepdims=True)
     q = 10.0 * rng.standard_normal(d)
@@ -162,7 +162,7 @@ def test_query_near_duplicates_rank_first():
 
 
 def test_query_orders_by_distance_then_id():
-    idx = LshIndex(LshParams(num_tables=2, bits_per_table=2, dimension=2, seed=9))
+    idx = LshIndex(LshSettings(num_tables=2, bits_per_table=2), 2, 9)
     idx.insert(5, [1.0, 1.0])
     idx.insert(3, [1.0, 1.0])
     results = idx.query([1.0, 1.0], max_candidates=10)
@@ -182,7 +182,7 @@ def test_remove():
 
 
 def test_remove_unknown_id():
-    idx = LshIndex(LshParams(dimension=4))
+    idx = LshIndex(LshSettings(), 4, 0)
     with pytest.raises(KeyError):
         idx.remove(12)
 
@@ -191,7 +191,7 @@ def test_candidate_set_is_exact_bucket_union():
     # exhaustive recall oracle on <= 500 entries: every entry sharing at
     # least one per-table key with the query is a candidate, nothing else.
     d = 12
-    idx = LshIndex(LshParams(num_tables=5, bits_per_table=4, dimension=d, seed=77))
+    idx = LshIndex(LshSettings(num_tables=5, bits_per_table=4), d, 77)
     rng = np.random.default_rng(77)
     vectors = rng.standard_normal((500, d))
     for i in range(500):
@@ -215,9 +215,7 @@ def test_candidate_scan_scaling_reported():
     sizes = [500, 2000, 8000]
     means = []
     for n in sizes:
-        idx = LshIndex(
-            LshParams(num_tables=8, bits_per_table=12, dimension=d, seed=2024)
-        )
+        idx = LshIndex(LshSettings(num_tables=8, bits_per_table=12), d, 2024)
         n_clusters = n // 10
         g = rng.standard_normal((n_clusters, d))
         bases = 10.0 * g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -301,22 +299,22 @@ def test_remove_does_not_recompute_signature(signature_calls):
     "make", [list, np.array, FeatureVector], ids=["list", "ndarray", "FeatureVector"]
 )
 def test_insert_and_query_hash_once(signature_calls, make):
-    idx = LshIndex(LshParams(num_tables=4, bits_per_table=6, dimension=3, seed=5))
+    idx = LshIndex(LshSettings(num_tables=4, bits_per_table=6), 3, 5)
     v = make([1.0, 2.0, 3.0])
     idx.insert(0, v)
     assert len(signature_calls) == 1
-    assert idx.query(v) == [(0, 0.0)]
+    assert idx.query(v, 16) == [(0, 0.0)]
     assert len(signature_calls) == 2
 
 
 @pytest.mark.parametrize("entry_id", [2**63, -(2**63) - 1])
 def test_insert_rejects_id_outside_int64(entry_id):
-    idx = LshIndex(LshParams(dimension=2))
+    idx = LshIndex(LshSettings(), 2, 0)
     with pytest.raises(ValueError, match=f"entry id {entry_id} is outside"):
         idx.insert(entry_id, [1.0, 0.0])
     assert len(idx) == 0 and sum(idx.bucket_sizes()) == 0
     idx.insert(2**63 - 1, [1.0, 0.0])
-    assert idx.query([1.0, 0.0]) == [(2**63 - 1, 0.0)]
+    assert idx.query([1.0, 0.0], 16) == [(2**63 - 1, 0.0)]
 
 
 class ReferenceLsh:
@@ -328,16 +326,16 @@ class ReferenceLsh:
     """
 
     def __init__(self, index: LshIndex):
-        self.params = index.params
-        self.planes = index.hyperplanes.reshape(-1, index.params.dimension)
-        self.weights = 1 << np.arange(index.params.bits_per_table, dtype=np.int64)
-        self.tables = [{} for _ in range(index.params.num_tables)]
+        self.settings = index.settings
+        self.planes = index.hyperplanes.reshape(-1, index.dimension)
+        self.weights = 1 << np.arange(index.settings.bits_per_table, dtype=np.int64)
+        self.tables = [{} for _ in range(index.settings.num_tables)]
         self.vectors = {}
 
     def signature(self, v):
         bits = (self.planes @ np.asarray(v, dtype=np.float64)) >= 0.0
         keys = bits.reshape(
-            self.params.num_tables, self.params.bits_per_table
+            self.settings.num_tables, self.settings.bits_per_table
         ).astype(np.int64) @ self.weights
         return tuple(int(k) for k in keys)
 
@@ -370,12 +368,11 @@ class ReferenceLsh:
 @st.composite
 def lsh_scenarios(draw):
     dimension = draw(st.sampled_from([1, 2, 3, 16]))
-    params = LshParams(
+    lsh = LshSettings(
         num_tables=draw(st.integers(1, 4)),
         bits_per_table=draw(st.sampled_from([1, 8, 62])),
-        dimension=dimension,
-        seed=draw(st.integers(0, 2**32 - 1)),
     )
+    seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = rng.standard_normal((draw(st.integers(1, 6)), dimension))
     # rows rounded to halves give exact ties between different vectors (and
@@ -392,14 +389,14 @@ def lsh_scenarios(draw):
         st.tuples(st.just("remove"), entry_id),
         st.tuples(st.just("query"), vector, st.integers(1, 10)),
     )
-    return params, pool, draw(st.lists(operations, max_size=40))
+    return (lsh, dimension, seed), pool, draw(st.lists(operations, max_size=40))
 
 
 @settings(max_examples=300, deadline=None)
 @given(scenario=lsh_scenarios())
 def test_read_path_matches_reference(scenario):
-    params, pool, operations = scenario
-    idx = LshIndex(params)
+    index_args, pool, operations = scenario
+    idx = LshIndex(*index_args)
     ref = ReferenceLsh(idx)
     for op, *args in operations:
         if op == "insert":

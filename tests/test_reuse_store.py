@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reusesim import FeatureVector, LookupKind, ReuseStore
+from reusesim import FeatureVector, LookupKind, LshSettings, ReuseStore, StoreSettings
 from reusesim.reuse_store import ResultPayload
 
 
@@ -19,15 +19,11 @@ def axis_vector(i, d=4, spacing=10.0):
     return FeatureVector(v)
 
 
+SMALL_LSH = LshSettings(num_tables=2, bits_per_table=4)
+
+
 def small_store(capacity=3, seed=0, **kwargs):
-    return ReuseStore(
-        dimension=4,
-        capacity=capacity,
-        num_tables=2,
-        bits_per_table=4,
-        seed=seed,
-        **kwargs,
-    )
+    return ReuseStore(4, StoreSettings(capacity=capacity, **kwargs), SMALL_LSH, seed)
 
 
 def test_lookup_on_empty_store_is_miss():
@@ -48,7 +44,9 @@ def test_exact_match_is_full_and_bumps_frequency():
 
 def test_mid_distance_is_partial_with_remaining_fraction():
     store = ReuseStore(
-        dimension=2, tau_full=1.0, tau_partial=5.0, partial_fraction=0.25, seed=1
+        dimension=2,
+        settings=StoreSettings(tau_full=1.0, tau_partial=5.0, partial_fraction=0.25),
+        seed=1,
     )
     store.place("svc", FeatureVector((10.0, 0.0)), ResultPayload("a"), now=0.0)
     res = store.lookup("svc", FeatureVector((13.0, 0.0)), now=1.0)  # distance 3
@@ -235,7 +233,7 @@ def test_snapshot_roundtrip(tmp_path):
     path = tmp_path / "store.snapshot"
     store.save(path)
 
-    loaded = ReuseStore.load(path, capacity=10, num_tables=2, bits_per_table=4, seed=4)
+    loaded = ReuseStore.load(path, StoreSettings(capacity=10), SMALL_LSH, seed=4)
     assert loaded.dimension == 4
     assert loaded.entry_count("svc") == 2
     assert loaded.entry_count("other") == 1
@@ -259,11 +257,11 @@ def test_snapshot_empty_store(tmp_path):
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        ReuseStore(dimension=4, tau_full=2.0, tau_partial=1.0)
+        StoreSettings(tau_full=2.0, tau_partial=1.0)
     with pytest.raises(ValueError):
-        ReuseStore(dimension=4, partial_fraction=1.0)
+        StoreSettings(partial_fraction=1.0)
     with pytest.raises(ValueError):
-        ReuseStore(dimension=4, capacity=0)
+        StoreSettings(capacity=0)
 
 
 @pytest.mark.parametrize(
@@ -272,7 +270,7 @@ def test_constructor_validation():
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_constructor_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
-        ReuseStore(dimension=4, **{field: value})
+        StoreSettings(**{field: value})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -306,7 +304,7 @@ def test_decay_shift_equals_repeated_halving(tmp_path, intervals):
         "".join(f"svc,{i},{f},0.0,0.0,o{i},{10.0 * (i + 1)!r},0.0\n" for i, f in enumerate(freqs)),
         encoding="utf-8",
     )
-    store = ReuseStore.load(path, decay_interval=2.0, seed=3)
+    store = ReuseStore.load(path, StoreSettings(decay_interval=2.0), seed=3)
     # a miss far from every entry: decay runs, no frequency is bumped
     res = store.lookup("svc", FeatureVector((-500.0, 0.0)), now=2.0 * intervals + 1.0)
     assert res.kind is LookupKind.MISS
@@ -344,8 +342,8 @@ def test_heap_eviction_matches_full_scan_oracle(capacity, decay_interval, operat
     hits and every other pair of vectors is far apart, so the model knows
     which lookups hit without asking the store.
     """
-    kwargs = dict(capacity=capacity, num_tables=2, bits_per_table=4, seed=5)
-    store = ReuseStore(dimension=4, decay_interval=decay_interval, **kwargs)
+    store_settings = StoreSettings(capacity=capacity, decay_interval=decay_interval)
+    store = ReuseStore(4, store_settings, SMALL_LSH, 5)
     model = {}  # entry id -> [frequency, last_used_at, id]
     live_vector = {}  # vector index -> entry id
     last_decay = 0.0
@@ -401,8 +399,7 @@ def test_heap_eviction_matches_full_scan_oracle(capacity, decay_interval, operat
                 path = os.path.join(tmp, "store.snapshot")
                 store.save(path)
                 log += [eid for _, eid in store.eviction_log]
-                store = ReuseStore.load(path, decay_interval=decay_interval, **kwargs)
-                last_decay = 0.0  # the decay clock is not part of a snapshot
+                store = ReuseStore.load(path, store_settings, SMALL_LSH, 5)
             assert log + [eid for _, eid in store.eviction_log] == expected
             assert {e.id: e.frequency for e in store.entries("svc")} == {
                 i: key[0] for i, key in model.items()
@@ -452,8 +449,37 @@ def test_snapshot_keeps_ids_evicted_before_save(tmp_path):
     assert store.evict_lfu("svc") == 2
     path = tmp_path / "store.snapshot"
     store.save(path)
-    loaded = ReuseStore.load(path, capacity=3, num_tables=2, bits_per_table=4)
+    loaded = ReuseStore.load(path, StoreSettings(capacity=3), SMALL_LSH)
     assert loaded.place("svc", axis_vector(2), ResultPayload("x"), now=2.0) == 3
+
+
+def test_snapshot_keeps_output_size_and_decay_clock(tmp_path):
+    settings = StoreSettings(capacity=10, decay_interval=10.0)
+    store = ReuseStore(4, settings, SMALL_LSH)
+    store.place("svc", axis_vector(0), ResultPayload("a", output_size=3.5), now=25.0)
+    for now in (26.0, 27.0):
+        store.lookup("svc", axis_vector(0), now)
+    path = tmp_path / "store.snapshot"
+    store.save(path)
+    loaded = ReuseStore.load(path, settings, SMALL_LSH)
+    assert [e.output for e in loaded.entries("svc")] == [ResultPayload("a", 3.5)]
+    assert loaded._last_decay == store._last_decay == 20.0
+    # the next decay is due at 30 in both, so a hit at 29 only bumps the count
+    for s in (store, loaded):
+        assert s.lookup("svc", axis_vector(0), now=29.0).entry.frequency == 3
+
+
+def test_snapshot_without_last_decay_loads_as_before(tmp_path):
+    path = _write_snapshot(
+        tmp_path, ["#reusesim-snapshot dimension=2 next_id=3", "svc,1,4,0.5,2.5,a,1.0,2.0"]
+    )
+    loaded = ReuseStore.load(path)
+    (entry,) = loaded.entries("svc")
+    assert entry.output == ResultPayload("a", 0.0)
+    assert entry.features.values == (1.0, 2.0)
+    assert (entry.frequency, entry.inserted_at, entry.last_used_at) == (4, 0.5, 2.5)
+    assert loaded._last_decay == 0.0
+    assert loaded.place("svc", FeatureVector((5.0, 5.0)), ResultPayload("b"), 3.0) == 3
 
 
 def test_empty_snapshot_keeps_dimension(tmp_path):
@@ -477,6 +503,17 @@ def test_empty_snapshot_keeps_dimension(tmp_path):
         (
             ["#reusesim-snapshot dimension=1 next_id=1", "svc,1,0,0.0,0.0,a,1.0"],
             "line 2: entry id 1 is not below the header's next_id 1",
+        ),
+        (
+            ["#reusesim-snapshot dimension=1 next_id=1 last_decay=nan"],
+            "line 1: malformed snapshot header",
+        ),
+        (
+            [
+                "#reusesim-snapshot dimension=1 next_id=1 last_decay=0.0",
+                "svc,0,0,0.0,0.0,a,inf,1.0",
+            ],
+            "line 2: output_size must be finite",
         ),
     ],
 )

@@ -144,7 +144,9 @@ def test_reuse_collision_marks_incorrect(flat_cost):
     # full-reuses the first object's result, which is the wrong label
     t0 = make_task(task_id=0, label="cat", values=(5.0, 0.0), arrival=0.0)
     t1 = make_task(task_id=1, label="dog", values=(5.0, 1e-6), arrival=10.0)
-    store = ReuseStore(dimension=2, tau_full=1.0, tau_partial=2.0, seed=0)
+    store = ReuseStore(
+        dimension=2, settings=StoreSettings(tau_full=1.0, tau_partial=2.0), seed=0
+    )
     rep = simulate([t0, t1], Mode.EDGE_WITH_REUSE, flat_cost, edge_slots=1, store=store)
     by_id = {r.task_id: r for r in rep.records}
     assert by_id[1].outcome == "full_reuse"
@@ -158,7 +160,9 @@ def test_partial_reuse_timing(flat_cost):
     t0 = make_task(task_id=0, values=(10.0, 0.0), arrival=0.0)
     t1 = make_task(task_id=1, values=(13.0, 0.0), arrival=10.0, complexity=100.0)
     store = ReuseStore(
-        dimension=2, tau_full=1.0, tau_partial=5.0, partial_fraction=0.5, seed=0
+        dimension=2,
+        settings=StoreSettings(tau_full=1.0, tau_partial=5.0, partial_fraction=0.5),
+        seed=0,
     )
     rep = simulate([t0, t1], Mode.EDGE_WITH_REUSE, flat_cost, edge_slots=1, store=store)
     second = [r for r in rep.records if r.task_id == 1][0]
@@ -217,6 +221,13 @@ def test_reuse_gain_halved_mean():
     if rr.mean_completion_s * 2 == rp.mean_completion_s:
         assert g.delay_gain == pytest.approx(0.5)
     assert g.delay_gain > 0.5  # high redundancy comfortably halves the mean
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_simulate_rejects_zero_edge_slots(flat_cost, mode):
+    store = ReuseStore(dimension=2, seed=0)
+    with pytest.raises(ValueError, match="^edge_slots must be >= 1"):
+        simulate([make_task()], mode, flat_cost, edge_slots=0, store=store)
 
 
 def test_simulate_rejects_missing_store(flat_cost):
