@@ -157,11 +157,14 @@ def build_config(raw: dict[str, str]) -> SimConfig:
         section, _, name = key.rpartition(".")
         kwargs[section][name] = value
     top = kwargs[""]
-    try:
-        for name, cls in _SECTIONS.items():
-            # the top-level seed also seeds the workload
-            shared = {f.name: top[f.name] for f in fields(cls) if f.name in top}
+    for name, cls in _SECTIONS.items():
+        # the top-level seed also seeds the workload
+        shared = {f.name: top[f.name] for f in fields(cls) if f.name in top}
+        try:
             top[name] = cls(**kwargs[name], **shared)
+        except ValueError as exc:
+            raise ConfigError(f"section {name!r}: {exc}") from None
+    try:
         return SimConfig(**top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

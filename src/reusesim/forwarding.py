@@ -21,6 +21,12 @@ from typing import Optional
 from .core import Outcome, OutcomeKind, Task
 from .reuse_store import LookupKind, ResultPayload, ReuseStore
 
+_OUTCOME_OF = {
+    LookupKind.FULL: OutcomeKind.FULL_REUSE,
+    LookupKind.PARTIAL: OutcomeKind.PARTIAL_REUSE,
+    LookupKind.MISS: OutcomeKind.EDGE_COMPUTE,
+}
+
 
 @dataclass
 class EdgeNode:
@@ -42,17 +48,7 @@ class EdgeNode:
         if self.store is None:
             return Outcome(OutcomeKind.EDGE_COMPUTE)
         result = self.store.lookup(task.service, task.features, now)
-        if result.kind is LookupKind.FULL:
-            return Outcome(
-                OutcomeKind.FULL_REUSE, reused_fraction=1.0, matched_entry=result.entry
-            )
-        if result.kind is LookupKind.PARTIAL:
-            return Outcome(
-                OutcomeKind.PARTIAL_REUSE,
-                reused_fraction=1.0 - result.remaining_fraction,
-                matched_entry=result.entry,
-            )
-        return Outcome(OutcomeKind.EDGE_COMPUTE)
+        return Outcome(_OUTCOME_OF[result.kind], result.reused_fraction, result.entry)
 
     def complete(
         self, task: Task, outcome: Outcome, result: ResultPayload, now: float

@@ -37,19 +37,16 @@ _EMPTY: frozenset[int] = frozenset()
 
 @dataclass(frozen=True)
 class LshSettings:
-    """Index shape (the ``lsh.`` config section) and the lookup's candidate cap."""
+    """Index shape (the ``lsh.`` config section)."""
 
     num_tables: int = 8
     bits_per_table: int = 8
-    max_candidates: int = 16
 
     def __post_init__(self) -> None:
         if self.num_tables < 1:
             raise ValueError("num_tables must be >= 1")
         if not 1 <= self.bits_per_table <= 62:
             raise ValueError("bits_per_table must be in [1, 62]")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
 
 
 class LshIndex:
@@ -143,14 +140,13 @@ class LshIndex:
         keys = self.signature(self._coerce(q))
         return _EMPTY.union(*map(dict.get, self._tables, keys, repeat(_EMPTY)))
 
-    def query(self, q: VectorLike, max_candidates: int) -> list[tuple[int, float]]:
-        """Nearest candidates from the addressed buckets.
+    def query(self, q: VectorLike) -> list[tuple[int, float]]:
+        """The nearest candidate from the addressed buckets.
 
-        Returns (entry_id, euclidean distance) pairs sorted ascending by
-        distance (ties by ascending id), truncated to ``max_candidates``.
+        Returns ``[(entry_id, euclidean distance)]`` for the candidate at the
+        smallest distance (ties go to the smallest id), or ``[]`` when no
+        addressed bucket holds a candidate.
         """
-        if max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
         arr = self._coerce(q)
         cands = self.candidate_ids(arr)
         n = len(cands)
@@ -165,8 +161,10 @@ class LshIndex:
         diff *= diff
         dists = diff.sum(axis=1)
         np.sqrt(dists, out=dists)
-        order = np.lexsort((ids, dists))[:max_candidates]
-        return list(zip(ids[order].tolist(), dists[order].tolist()))
+        best = dists.argmin()
+        tied = dists == dists[best]
+        best_id = ids[tied].min() if np.count_nonzero(tied) > 1 else ids[best]
+        return [(int(best_id), float(dists[best]))]
 
     def bucket_sizes(self) -> Iterable[int]:
         for table in self._tables:

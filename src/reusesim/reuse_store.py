@@ -89,13 +89,15 @@ class LookupKind(Enum):
 
 @dataclass(frozen=True)
 class LookupResult:
+    """The lookup's class, the matched entry and the share of the task it covers.
+
+    ``reused_fraction`` is 1 for a full hit, the store's ``partial_fraction``
+    for a partial hit and 0 for a miss.
+    """
+
     kind: LookupKind
     entry: Optional[ReuseEntry] = None
-    remaining_fraction: float = 0.0
-
-    @property
-    def is_hit(self) -> bool:
-        return self.kind is not LookupKind.MISS
+    reused_fraction: float = 0.0
 
 
 MISS = LookupResult(LookupKind.MISS)
@@ -210,11 +212,11 @@ class ReuseStore:
         if not table:
             self._misses[service] += 1
             return MISS
-        ranked = self._index_for(service).query(q, self.lsh.max_candidates)
-        if not ranked:
+        nearest = self._index_for(service).query(q)
+        if not nearest:
             self._misses[service] += 1
             return MISS
-        best_id, best_dist = ranked[0]
+        ((best_id, best_dist),) = nearest
         if best_dist > self.settings.tau_partial:
             self._misses[service] += 1
             return MISS
@@ -224,12 +226,8 @@ class ReuseStore:
         self._push_key(service, entry)
         self._hits[service] += 1
         if best_dist <= self.settings.tau_full:
-            return LookupResult(LookupKind.FULL, entry)
-        return LookupResult(
-            LookupKind.PARTIAL,
-            entry,
-            remaining_fraction=1.0 - self.settings.partial_fraction,
-        )
+            return LookupResult(LookupKind.FULL, entry, 1.0)
+        return LookupResult(LookupKind.PARTIAL, entry, self.settings.partial_fraction)
 
     def place(
         self,
@@ -350,7 +348,8 @@ class ReuseStore:
         header existed) takes the dimension from its first row (1 when it has
         none) and continues ids after the largest stored one, so it cannot
         know about ids evicted before it was saved.  A malformed header or
-        row raises ``ValueError`` naming its line.
+        row raises ``ValueError`` naming its line, and a service with more
+        entries than ``settings.capacity`` raises one naming the service.
         """
         dim: Optional[int] = None
         next_id: Optional[int] = None
@@ -385,6 +384,13 @@ class ReuseStore:
                     )
                 seen.add((entry.service, entry.id))
                 entries.append(entry)
+        if settings.capacity is not None:
+            for service, count in Counter(e.service for e in entries).items():
+                if count > settings.capacity:
+                    raise ValueError(
+                        f"service {service!r} holds {count} entries, more than "
+                        f"the capacity {settings.capacity}"
+                    )
         store = cls(1 if dim is None else dim, settings, lsh, seed)
         for entry in entries:
             store._entries.setdefault(entry.service, {})[entry.id] = entry

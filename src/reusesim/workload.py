@@ -73,6 +73,8 @@ class WorkloadSpec:
             require_finite(name, getattr(self, name))
         for name in ("input_size_range", "output_size_range", "complexity_range"):
             require_finite(name, *getattr(self, name))
+        if not self.service or "," in self.service:
+            raise ValueError("service must be a non-empty name without commas")
         if self.num_tasks < 0:
             raise ValueError("num_tasks must be >= 0")
         if not 0.0 <= self.redundancy_rate <= 1.0:

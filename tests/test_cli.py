@@ -97,9 +97,14 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         ("store.capacity", "0", "capacity"),
         ("store.decay_interval", "-1", "decay_interval"),
         ("store.partial_fraction", "1.5", "partial_fraction"),
-        ("lsh.max_candidates", "0", "max_candidates"),
         ("lsh.num_tables", "0", "num_tables"),
         ("lsh.bits_per_table", "70", "bits_per_table"),
+        ("cost.edge_bandwidth", "0", "bandwidths"),
+        ("workload.dimension", "0", "dimension"),
+        # an empty service would fail mid-run only where a store is built,
+        # and a comma would add a field to every tasks.csv row
+        ("workload.service", "", "service"),
+        ("workload.service", "a,b", "service"),
     ],
 )
 @pytest.mark.parametrize("mode", ["edge_no_reuse", "edge_with_reuse"])
@@ -111,7 +116,8 @@ def test_config_rejects_out_of_range_store_settings(
     rc = main(["run", "-c", str(cfg), "--set", f"{key}={value}", "-d", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and field in err
+    section = key.split(".")[0]
+    assert err.startswith(f"config error: section {section!r}: ") and field in err
     assert not (tmp_path / "tasks.csv").exists()
 
 

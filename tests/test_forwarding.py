@@ -95,6 +95,26 @@ def test_partial_reuse_places_residual_result():
     assert node.store.entry_count("svc") == 2
 
 
+@pytest.mark.parametrize("fraction", [0.1, 0.3, 0.7])
+def test_partial_reuse_carries_configured_fraction_exactly(fraction):
+    node = EdgeNode(
+        offloaded_services=frozenset({"svc"}),
+        store=ReuseStore(
+            dimension=2,
+            settings=StoreSettings(
+                tau_full=1.0, tau_partial=5.0, partial_fraction=fraction
+            ),
+            seed=1,
+        ),
+    )
+    t0 = make_task(task_id=0, service="svc", values=(10.0, 0.0))
+    node.complete(t0, node.decide(t0, 0.0), ResultPayload("a"), 0.1)
+    t1 = make_task(task_id=1, service="svc", values=(13.0, 0.0))  # distance 3
+    o1 = node.decide(t1, 1.0)
+    assert o1.kind is OutcomeKind.PARTIAL_REUSE
+    assert o1.reused_fraction == fraction
+
+
 def test_store_disabled_never_reuses():
     node = EdgeNode(offloaded_services=frozenset({"svc"}), store=None)
     rng = np.random.default_rng(0)

@@ -52,8 +52,6 @@ def test_params_validation():
         LshSettings(num_tables=0)
     with pytest.raises(ValueError):
         LshSettings(bits_per_table=63)
-    with pytest.raises(ValueError, match="^max_candidates must be >= 1"):
-        LshSettings(max_candidates=0)
     with pytest.raises(ValueError, match="^dimension must be >= 1"):
         LshIndex(LshSettings(), 0, 0)
 
@@ -107,8 +105,7 @@ def _filled_index(n=50, d=16, seed=5):
 def test_insert_then_query_self():
     idx, vectors = _filled_index()
     for i in (0, 17, 42):
-        results = idx.query(vectors[i], max_candidates=4)
-        assert results[0] == (i, 0.0)
+        assert idx.query(vectors[i]) == [(i, 0.0)]
 
 
 def test_insert_counts_bucket_references():
@@ -134,12 +131,12 @@ def test_insert_duplicate_id_rejected():
 
 def test_query_empty_index():
     idx = LshIndex(LshSettings(), 4, 0)
-    assert idx.query([1.0, 0.0, 0.0, 0.0], 16) == []
+    assert idx.query([1.0, 0.0, 0.0, 0.0]) == []
 
 
 def test_query_near_duplicates_rank_first():
     # 1000 random vectors plus 10 near-duplicates of the query; a brute-force
-    # scan is the oracle for the expected front of the ranking.
+    # scan is the oracle for the nearest pair.
     d, sigma = 32, 0.01
     rng = np.random.default_rng(123)
     idx = LshIndex(LshSettings(num_tables=8, bits_per_table=8), d, 321)
@@ -152,28 +149,26 @@ def test_query_near_duplicates_rank_first():
         idx.insert(i, randoms[i])
     for j in range(10):
         idx.insert(1000 + j, near[j])
-    results = idx.query(q, max_candidates=16)
-    got_first = [i for i, _ in results[:10]]
+    [(got_id, got_dist)] = idx.query(q)
     dists = [(float(np.linalg.norm(randoms[i] - q)), i) for i in range(1000)]
     dists += [(float(np.linalg.norm(near[j] - q)), 1000 + j) for j in range(10)]
-    expect_first = [i for _, i in sorted(dists)[:10]]
-    assert got_first == expect_first
-    assert set(got_first) == set(range(1000, 1010))
+    expect_dist, expect_id = min(dists)
+    assert got_id == expect_id and got_id in range(1000, 1010)
+    assert got_dist == pytest.approx(expect_dist)
 
 
 def test_query_orders_by_distance_then_id():
     idx = LshIndex(LshSettings(num_tables=2, bits_per_table=2), 2, 9)
     idx.insert(5, [1.0, 1.0])
     idx.insert(3, [1.0, 1.0])
-    results = idx.query([1.0, 1.0], max_candidates=10)
-    assert results == [(3, 0.0), (5, 0.0)]
+    assert idx.query([1.0, 1.0]) == [(3, 0.0)]
 
 
 def test_remove():
     idx, vectors = _filled_index(n=10)
     idx.remove(3)
     assert 3 not in idx
-    assert all(3 not in {i for i, _ in idx.query(vectors[k], 10)} for k in range(10))
+    assert all(3 not in idx.candidate_ids(vectors[k]) for k in range(10))
     for i in range(10):
         if i != 3:
             idx.remove(i)
@@ -242,8 +237,8 @@ def test_removed_rows_are_reused():
     idx.insert(101, vectors[7])
     assert {idx._row_of[100], idx._row_of[101]} == freed
     assert idx._matrix.shape[0] == rows
-    assert idx.query(vectors[3], 1) == [(100, 0.0)]
-    assert idx.query(vectors[7], 1) == [(101, 0.0)]
+    assert idx.query(vectors[3]) == [(100, 0.0)]
+    assert idx.query(vectors[7]) == [(101, 0.0)]
 
 
 def test_matrix_grows_past_initial_rows():
@@ -252,7 +247,7 @@ def test_matrix_grows_past_initial_rows():
     assert idx._matrix.shape[0] == 2 * INITIAL_ROWS
     assert len(idx) == n
     for i in (0, INITIAL_ROWS - 1, INITIAL_ROWS):
-        assert idx.query(vectors[i], 1) == [(i, 0.0)]
+        assert idx.query(vectors[i]) == [(i, 0.0)]
 
 
 def test_query_distances_match_stacked_brute_force():
@@ -268,8 +263,8 @@ def test_query_distances_match_stacked_brute_force():
         ids = sorted(idx.candidate_ids(q))
         stacked = np.stack([np.asarray(stored[i], dtype=np.float64) for i in ids])
         dists = np.sqrt(((stacked - q) ** 2).sum(axis=1)).tolist()
-        expected = sorted(zip(ids, dists), key=lambda p: (p[1], p[0]))
-        assert idx.query(q, max_candidates=len(ids) + 1) == expected
+        expected = min(zip(ids, dists), key=lambda p: (p[1], p[0]))
+        assert idx.query(q) == [expected]
 
 
 @pytest.fixture
@@ -303,7 +298,7 @@ def test_insert_and_query_hash_once(signature_calls, make):
     v = make([1.0, 2.0, 3.0])
     idx.insert(0, v)
     assert len(signature_calls) == 1
-    assert idx.query(v, 16) == [(0, 0.0)]
+    assert idx.query(v) == [(0, 0.0)]
     assert len(signature_calls) == 2
 
 
@@ -314,7 +309,7 @@ def test_insert_rejects_id_outside_int64(entry_id):
         idx.insert(entry_id, [1.0, 0.0])
     assert len(idx) == 0 and sum(idx.bucket_sizes()) == 0
     idx.insert(2**63 - 1, [1.0, 0.0])
-    assert idx.query([1.0, 0.0], 16) == [(2**63 - 1, 0.0)]
+    assert idx.query([1.0, 0.0]) == [(2**63 - 1, 0.0)]
 
 
 class ReferenceLsh:
@@ -322,7 +317,7 @@ class ReferenceLsh:
 
     It shares the hyperplanes of the index under test, hashes through a
     reshape and an int64 cast, unions per-table sets, stacks the candidates
-    in ascending id order and sorts the pairs by (distance, id).
+    in ascending id order and sorts all of the pairs by (distance, id).
     """
 
     def __init__(self, index: LshIndex):
@@ -355,14 +350,13 @@ class ReferenceLsh:
             ids |= table.get(key, set())
         return frozenset(ids)
 
-    def query(self, q, max_candidates):
+    def query(self, q):
         ids = sorted(self.candidate_ids(q))
         if not ids:
             return []
         stacked = np.stack([self.vectors[i] for i in ids])
         dists = np.sqrt(((stacked - np.asarray(q, dtype=np.float64)) ** 2).sum(axis=1))
-        ranked = sorted(zip(ids, dists.tolist()), key=lambda p: (p[1], p[0]))
-        return ranked[:max_candidates]
+        return sorted(zip(ids, dists.tolist()), key=lambda p: (p[1], p[0]))
 
 
 @st.composite
@@ -387,7 +381,7 @@ def lsh_scenarios(draw):
     operations = st.one_of(
         st.tuples(st.just("insert"), entry_id, vector),
         st.tuples(st.just("remove"), entry_id),
-        st.tuples(st.just("query"), vector, st.integers(1, 10)),
+        st.tuples(st.just("query"), vector),
     )
     return (lsh, dimension, seed), pool, draw(st.lists(operations, max_size=40))
 
@@ -415,7 +409,7 @@ def test_read_path_matches_reference(scenario):
                 with pytest.raises(KeyError):
                     idx.remove(args[0])
         else:
-            q, max_candidates = pool[args[0]], args[1]
+            q = pool[args[0]]
             assert idx.signature(q) == ref.signature(q)
             assert idx.candidate_ids(q) == ref.candidate_ids(q)
-            assert idx.query(q, max_candidates) == ref.query(q, max_candidates)
+            assert idx.query(q) == ref.query(q)[:1]

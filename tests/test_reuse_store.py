@@ -51,7 +51,7 @@ def test_mid_distance_is_partial_with_remaining_fraction():
     store.place("svc", FeatureVector((10.0, 0.0)), ResultPayload("a"), now=0.0)
     res = store.lookup("svc", FeatureVector((13.0, 0.0)), now=1.0)  # distance 3
     assert res.kind is LookupKind.PARTIAL
-    assert res.remaining_fraction == pytest.approx(0.75)
+    assert res.reused_fraction == 0.25
     assert res.entry.frequency == 1
 
 
@@ -176,7 +176,7 @@ def test_eviction_sequence_matches_bruteforce_replay():
             if placed and rng.random() < 0.6:
                 target = rng.choice(placed)
                 res = store.lookup("svc", axis_vector(target), now)
-                if res.is_hit:
+                if res.kind is not LookupKind.MISS:
                     model[res.entry.id][0] += 1
                     model[res.entry.id][1] = now
             else:
@@ -200,7 +200,7 @@ def test_frequency_conservation_on_live_entries():
         now = float(step)
         if placed and rng.random() < 0.6:
             res = store.lookup("svc", axis_vector(rng.choice(placed)), now)
-            if res.is_hit:
+            if res.kind is not LookupKind.MISS:
                 bumps[res.entry.id] = bumps.get(res.entry.id, 0) + 1
         else:
             eid = store.place("svc", axis_vector(len(placed)), ResultPayload("x"), now)
@@ -384,7 +384,7 @@ def test_heap_eviction_matches_full_scan_oracle(capacity, decay_interval, operat
                 target = placed - arg[0]
                 res = store.lookup("svc", axis_vector(target), now)
                 hit_id = live_vector.get(target)
-                assert (res.entry.id if res.is_hit else None) == hit_id
+                assert (res.entry.id if res.kind is not LookupKind.MISS else None) == hit_id
                 if hit_id is not None:
                     model[hit_id][0] += 1
                     model[hit_id][1] = now
@@ -488,6 +488,20 @@ def test_empty_snapshot_keeps_dimension(tmp_path):
     loaded = ReuseStore.load(path)
     assert loaded.dimension == 2
     assert loaded.place("svc", FeatureVector((1.0, 2.0)), ResultPayload("x"), 0.0) == 0
+
+
+def test_snapshot_over_capacity_is_rejected(tmp_path):
+    store = small_store(capacity=None)
+    for i in range(5):
+        store.place("svc", axis_vector(i), ResultPayload("x"), now=0.0)
+    store.place("other", axis_vector(0), ResultPayload("y"), now=0.0)
+    path = tmp_path / "store.snapshot"
+    store.save(path)
+    with pytest.raises(
+        ValueError, match="^service 'svc' holds 5 entries, more than the capacity 2$"
+    ):
+        ReuseStore.load(path, StoreSettings(capacity=2), SMALL_LSH)
+    assert ReuseStore.load(path, StoreSettings(capacity=5), SMALL_LSH).entry_count("svc") == 5
 
 
 @pytest.mark.parametrize(
