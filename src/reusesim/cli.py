@@ -18,20 +18,20 @@ import argparse
 import math
 import sys
 from dataclasses import MISSING, fields, is_dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .sim import MetricsReport, Mode, ReuseGain, SimConfig, reuse_gain, run
+from .sim import MetricsReport, Mode, ReuseGain, SimConfig, TaskRecord, reuse_gain, run
 from .workload import BASE_NORM, WorkloadSpec, ramp_rate
 
 SCENARIOS = ("completion", "computation", "waiting", "utilization", "load", "gain")
 
-TASKS_HEADER = (
-    "task_id,service,label,outcome,location,arrival_s,start_s,finish_s,"
-    "waiting_s,computation_s,completion_s,correct"
-)
+# tasks.csv has one column per TaskRecord field, in declaration order
+_TASK_COLUMNS = tuple(f.name for f in fields(TaskRecord))
+TASKS_HEADER = ",".join(_TASK_COLUMNS)
 # (column, value of one run) for every metric column of summary.csv and the
 # sweep files; a gain is None, a blank cell, when the run has no baseline.
 _RunValue = Callable[[MetricsReport, Optional[ReuseGain]], Optional[float]]
@@ -191,27 +191,9 @@ def _fmt(x) -> str:
 
 
 def write_tasks_csv(path, report: MetricsReport) -> None:
+    row = attrgetter(*_TASK_COLUMNS)
     lines = [TASKS_HEADER]
-    for r in report.records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.task_id,
-                    r.service,
-                    r.label,
-                    r.outcome,
-                    r.location,
-                    r.arrival_s,
-                    r.start_s,
-                    r.finish_s,
-                    r.waiting_s,
-                    r.computation_s,
-                    r.completion_s,
-                    r.correct,
-                )
-            )
-        )
+    lines.extend(",".join(map(_fmt, row(r))) for r in report.records)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -391,3 +373,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -5,7 +5,9 @@ output over the chosen path), execution (complexity over the executing
 server's capacity rate), and reuse (table lookup plus any residual
 computation).  Hop latency is an additive term on the communication cost so
 that hop counts have an observable effect; setting ``per_hop_latency`` to 0
-recovers the pure transfer-time model.
+recovers the pure transfer-time model.  ``received_at`` and ``delivered_at``
+give the absolute times of the two transfers; the simulator takes every
+transfer time from them.
 """
 
 from __future__ import annotations
@@ -14,13 +16,29 @@ from dataclasses import dataclass
 from .core import CostParams, Outcome, Task
 
 
+def received_at(depart: float, task: Task, at_edge: bool, params: CostParams) -> float:
+    """When an input sent at ``depart`` has crossed the edge or cloud path.
+
+    The uplink carries the input plus the whole path's hop latency.
+    """
+    if at_edge:
+        return depart + task.input_size / params.edge_bandwidth + (
+            params.edge_hops * params.per_hop_latency
+        )
+    return depart + task.input_size / params.cloud_bandwidth + (
+        params.cloud_hops * params.per_hop_latency
+    )
+
+
+def delivered_at(done: float, task: Task, at_edge: bool, params: CostParams) -> float:
+    """When an output ready at ``done`` has crossed the path back to the user."""
+    bandwidth = params.edge_bandwidth if at_edge else params.cloud_bandwidth
+    return done + task.output_size / bandwidth
+
+
 def communication_cost(task: Task, at_edge: bool, params: CostParams) -> float:
     """Transfer time of input+output on the edge or cloud path, plus hop latency."""
-    if at_edge:
-        transfer = (task.input_size + task.output_size) / params.edge_bandwidth
-        return transfer + params.edge_hops * params.per_hop_latency
-    transfer = (task.input_size + task.output_size) / params.cloud_bandwidth
-    return transfer + params.cloud_hops * params.per_hop_latency
+    return delivered_at(received_at(0.0, task, at_edge, params), task, at_edge, params)
 
 
 def execution_cost(task: Task, at_edge: bool, params: CostParams) -> float:

@@ -4,10 +4,10 @@ Task timeline (edge modes)::
 
     arrival --uplink--> received at edge --queue--> slot service --downlink--> done
 
-* uplink carries the input plus the whole path's hop latency
-  (I/b_e + edge_hops * per_hop_latency); downlink carries the output (O/b_e),
-  so transfer time plus service time reproduces the completion-cost model
-  exactly when a task never waits.
+* every transfer time comes from ``cost.received_at`` (the uplink: the
+  input plus the whole path's hop latency) and ``cost.delivered_at`` (the
+  downlink: the output), so transfer time plus service time reproduces the
+  completion-cost model exactly when a task never waits.
 * the edge has ``edge_slots`` identical slots served FIFO from one queue;
   a slot is held for the full execution time on a miss, for the lookup cost
   on a full reuse hit, and for lookup plus residual execution on a partial
@@ -23,16 +23,20 @@ With ``max_queue_delay`` set, a task that has waited that long abandons the
 edge queue and is offloaded: it repeats its transfer on the user<->cloud
 path and executes there, keeping the time already spent waiting.
 
-The event loop is single-threaded; events at equal timestamps fire in
-scheduling order, so runs are exactly reproducible.  Independent trials may
-run in parallel and merge afterwards.
+The event loop is single-threaded, so runs are exactly reproducible.  Ties
+at one instant: receptions fire first, in (arrival, id) order; the other
+events fire in the order they were scheduled, so when a slot frees at the
+instant a waiting task's ``max_queue_delay`` expires, the event scheduled
+first wins: a task's expiry is scheduled at its reception, a slot's
+freeing at the dispatch that filled it.  Independent trials may run in
+parallel and merge afterwards.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -40,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import CostParams, Outcome, OutcomeKind, Task, require_finite
-from .cost import execution_cost, reuse_cost
+from .cost import delivered_at, execution_cost, received_at, reuse_cost
 from .forwarding import EdgeNode
 from .lsh import LshSettings
 from .reuse_store import ResultPayload, ReuseStore, StoreSettings
@@ -99,9 +103,7 @@ class MetricsReport:
     mean_completion_s: float
     p90_completion_s: float
     mean_computation_s: float
-    p90_computation_s: float
     mean_waiting_s: float
-    p90_waiting_s: float
     utilization_pct: float
     load_cloud: float
     load_edge: float
@@ -156,11 +158,9 @@ def _cloud_record(
     task: Task, depart: float, waiting: float, cost: CostParams
 ) -> TaskRecord:
     """Record for a task served on the cloud path starting at ``depart``."""
-    start = depart + task.input_size / cost.cloud_bandwidth + (
-        cost.cloud_hops * cost.per_hop_latency
-    )
+    start = received_at(depart, task, False, cost)
     computation = execution_cost(task, False, cost)
-    finish = start + computation + task.output_size / cost.cloud_bandwidth
+    finish = delivered_at(start + computation, task, False, cost)
     return TaskRecord(
         task_id=task.id,
         service=task.service,
@@ -193,8 +193,9 @@ def simulate(
         raise ValueError("edge_slots must be >= 1")
     if mode is Mode.EDGE_WITH_REUSE and store is None:
         raise ValueError("EDGE_WITH_REUSE needs a reuse store")
-    by_id = {t.id: t for t in tasks}
-    if len(by_id) != len(tasks):
+    if not tasks:
+        raise ValueError("cannot simulate an empty run")
+    if len({t.id for t in tasks}) != len(tasks):
         repeated = next(i for i, c in Counter(t.id for t in tasks).items() if c > 1)
         raise ValueError(f"task id {repeated} is repeated")
     digest = workload_digest(tasks)
@@ -206,10 +207,10 @@ def simulate(
         offloaded_services=frozenset(t.service for t in tasks),
         store=store if mode is Mode.EDGE_WITH_REUSE else None,
     )
-    recv_time: dict[int, float] = {}
-    state: dict[int, str] = {}
-    queue: list[int] = []
-    head = 0  # queue is consumed from the front; bounced tasks are skipped
+    # (task, receive time) in reception order; a queued task is still
+    # waiting while its id is in ``waiting``, so bounced ones are skipped
+    queue: deque[tuple[Task, float]] = deque()
+    waiting: set[int] = set()
     heap: list[tuple[float, int, int, object]] = []
     seq = 0
 
@@ -219,71 +220,52 @@ def simulate(
         seq += 1
 
     for t in sorted(tasks, key=lambda t: (t.arrival_time, t.id)):
-        recv = t.arrival_time + t.input_size / cost.edge_bandwidth + (
-            cost.edge_hops * cost.per_hop_latency
-        )
-        recv_time[t.id] = recv
-        push(recv, _RECV, t.id)
+        push(received_at(t.arrival_time, t, True, cost), _RECV, t)
 
-    free = edge_slots
     running = 0
     peak = 0
     busy = 0.0
     records: list[TaskRecord] = []
-    n_in_system = 0
     area = 0.0
-    first_event: Optional[float] = None
-    last_event: Optional[float] = None
+    first_event = last_event = heap[0][0]
     sum_time_in_system = 0.0
     edge_served = 0
 
     def dispatch(now: float) -> None:
-        nonlocal head, free, running, peak
-        while free > 0 and head < len(queue):
-            tid = queue[head]
-            head += 1
-            if state[tid] != "queued":
+        nonlocal running, peak
+        while running < edge_slots and queue:
+            task, recv = queue.popleft()
+            if task.id not in waiting:
                 continue
-            state[tid] = "running"
-            task = by_id[tid]
+            waiting.remove(task.id)
             outcome = node.decide(task, now)
             duration = _service_duration(outcome, task, cost)
-            free -= 1
             running += 1
             peak = max(peak, running)
-            push(now + duration, _FINISH, (tid, outcome, now, duration))
+            push(now + duration, _FINISH, (task, recv, outcome, now, duration))
 
     while heap:
         now, _, kind, payload = heapq.heappop(heap)
-        if first_event is None:
-            first_event = now
-        else:
-            area += n_in_system * (now - last_event)
+        area += (len(waiting) + running) * (now - last_event)
         last_event = now
 
         if kind == _RECV:
-            tid = payload
-            state[tid] = "queued"
-            queue.append(tid)
-            n_in_system += 1
+            waiting.add(payload.id)
+            queue.append((payload, now))
             if max_queue_delay is not None:
-                push(now + max_queue_delay, _RENEGE, tid)
+                push(now + max_queue_delay, _RENEGE, queue[-1])
             dispatch(now)
         elif kind == _FINISH:
-            tid, outcome, start, duration = payload
-            task = by_id[tid]
-            free += 1
+            task, recv, outcome, start, duration = payload
             running -= 1
             busy += duration
-            n_in_system -= 1
-            state[tid] = "done"
             node.complete(
                 task, outcome, ResultPayload(task.object_label, task.output_size), now
             )
-            finish = now + task.output_size / cost.edge_bandwidth
+            finish = delivered_at(now, task, True, cost)
             records.append(
                 TaskRecord(
-                    task_id=tid,
+                    task_id=task.id,
                     service=task.service,
                     label=task.object_label,
                     outcome=outcome.kind.value,
@@ -291,25 +273,22 @@ def simulate(
                     arrival_s=task.arrival_time,
                     start_s=start,
                     finish_s=finish,
-                    waiting_s=start - recv_time[tid],
+                    waiting_s=start - recv,
                     computation_s=duration,
                     completion_s=finish - task.arrival_time,
                     correct=task_correct(outcome, task),
                 )
             )
-            sum_time_in_system += now - recv_time[tid]
+            sum_time_in_system += now - recv
             edge_served += 1
             dispatch(now)
         else:  # _RENEGE
-            tid = payload
-            if state.get(tid) != "queued":
-                continue
-            state[tid] = "bounced"
-            n_in_system -= 1
-            task = by_id[tid]
-            records.append(_cloud_record(task, now, now - recv_time[tid], cost))
+            task, recv = payload
+            if task.id in waiting:
+                waiting.remove(task.id)
+                records.append(_cloud_record(task, now, now - recv, cost))
 
-    span = (last_event - first_event) if first_event is not None else 0.0
+    span = last_event - first_event
     time_avg = area / span if span > 0 else 0.0
     mean_tis = sum_time_in_system / edge_served if edge_served else 0.0
     return _aggregate(
@@ -330,8 +309,6 @@ def _aggregate(
 ) -> MetricsReport:
     records = sorted(records, key=lambda r: r.task_id)
     n = len(records)
-    if n == 0:
-        raise ValueError("cannot aggregate an empty run")
     completion = np.array([r.completion_s for r in records])
     computation = np.array([r.computation_s for r in records])
     waiting = np.array([r.waiting_s for r in records])
@@ -349,9 +326,7 @@ def _aggregate(
         mean_completion_s=float(completion.mean()),
         p90_completion_s=float(np.percentile(completion, 90)),
         mean_computation_s=float(computation.mean()),
-        p90_computation_s=float(np.percentile(computation, 90)),
         mean_waiting_s=float(waiting.mean()),
-        p90_waiting_s=float(np.percentile(waiting, 90)),
         utilization_pct=utilization,
         load_cloud=n_cloud / n,
         load_edge=n_edge / n,

@@ -35,7 +35,6 @@ class ObjectCatalog:
 
     dimension: int
     noise_sigma: float
-    seed: Optional[int] = None
     objects: dict[str, np.ndarray] = field(default_factory=dict)
     labels: list[str] = field(default_factory=list)
 
@@ -50,9 +49,6 @@ class ObjectCatalog:
         base = self.objects[label]
         noisy = base + self.noise_sigma * rng.standard_normal(self.dimension)
         return FeatureVector(tuple(noisy.tolist()))
-
-    def base(self, label: str) -> FeatureVector:
-        return FeatureVector(tuple(self.objects[label].tolist()))
 
 
 @dataclass(frozen=True)
@@ -120,9 +116,7 @@ def _draw_task(
 def generate(spec: WorkloadSpec) -> list[Task]:
     """Generate the task list for a spec; deterministic given the seed."""
     rng = np.random.default_rng(spec.seed)
-    catalog = ObjectCatalog(
-        dimension=spec.dimension, noise_sigma=spec.noise_sigma, seed=spec.seed
-    )
+    catalog = ObjectCatalog(dimension=spec.dimension, noise_sigma=spec.noise_sigma)
     tasks: list[Task] = []
     clock = 0.0
     for i in range(spec.num_tasks):

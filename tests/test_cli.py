@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,6 +180,35 @@ def test_run_unwritable_outdir(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["run", "-c", str(cfg), "-d", str(blocker / "sub")])
     assert rc == 2
+
+
+def _run_module(*args):
+    """``python -m reusesim.cli ARGS`` in a fresh process, importing ``src/``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "reusesim.cli", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_module_run_reports_config_error(tmp_path):
+    cfg = write_config(tmp_path)
+    proc = _run_module(
+        "run", "-c", str(cfg), "--set", "store.capacity=0", "-d", str(tmp_path / "o")
+    )
+    assert proc.returncode == 1
+    assert "config error: section 'store'" in proc.stderr
+
+
+def test_module_run_writes_csvs(tmp_path):
+    cfg = write_config(tmp_path, "mode = edge_no_reuse\nworkload.num_tasks = 20\n")
+    out = tmp_path / "out"
+    proc = _run_module("run", "-c", str(cfg), "-d", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "tasks.csv").exists() and (out / "summary.csv").exists()
 
 
 def test_run_deterministic_bytes(tmp_path):

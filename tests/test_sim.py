@@ -189,6 +189,32 @@ def test_queue_delay_bound_bounces_to_cloud(flat_cost):
     assert rep.load_cloud > 0
 
 
+def test_tie_rule_at_one_instant(flat_cost):
+    # one slot, 2 s tasks, 2 s patience, no transfer time.  Task 0 and task 1
+    # arrive at 0 (listed in reverse: receptions go in (arrival, id) order),
+    # so 0 starts and its finish at 2 is scheduled before 1's expiry at 2:
+    # 1 starts at 2, having waited exactly the patience.  Task 2 arrives at
+    # 2; its reception fires before the finish at 2, so its expiry at 4 is
+    # scheduled before the finish of task 1 at 4: task 2 bounces.
+    tasks = [
+        make_task(
+            task_id=i,
+            values=(float(i + 1), 0.0),
+            input_size=0.0,
+            output_size=0.0,
+            arrival=arrival,
+        )
+        for i, arrival in reversed(list(enumerate((0.0, 0.0, 2.0))))
+    ]
+    rep = simulate(
+        tasks, Mode.EDGE_NO_REUSE, flat_cost, edge_slots=1, max_queue_delay=2.0
+    )
+    by_id = {r.task_id: (r.location, r.start_s, r.waiting_s) for r in rep.records}
+    assert by_id[0] == ("edge", 0.0, 0.0)
+    assert by_id[1] == ("edge", 2.0, 2.0)
+    assert by_id[2] == ("cloud", 4.0, 2.0)
+
+
 def test_reuse_gain_zero_redundancy_and_mismatch_errors():
     spec = WorkloadSpec(num_tasks=150, redundancy_rate=0.0, seed=37)
     rr = run(SimConfig(mode=Mode.EDGE_WITH_REUSE, workload=spec, seed=37))
