@@ -24,11 +24,11 @@ edge queue and is offloaded: it repeats its transfer on the user<->cloud
 path and executes there, keeping the time already spent waiting.
 
 The event loop is single-threaded, so runs are exactly reproducible.  Ties
-at one instant: receptions fire first, in (arrival, id) order; the other
-events fire in the order they were scheduled, so when a slot frees at the
-instant a waiting task's ``max_queue_delay`` expires, the event scheduled
-first wins: a task's expiry is scheduled at its reception, a slot's
-freeing at the dispatch that filled it.  Independent trials may run in
+at one instant: receptions fire first, in (arrival, id) order.  Every task
+has the same patience, so only the queue's head can renege next; when a
+slot frees at the instant the head's ``max_queue_delay`` runs out, the one
+scheduled first wins: the head's deadline is scheduled at its reception, a
+slot's freeing at the dispatch that filled it.  Independent trials may run in
 parallel and merge afterwards.
 """
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -201,16 +202,17 @@ def simulate(
     digest = workload_digest(tasks)
     if mode is Mode.CLOUD_ONLY:
         records = [_cloud_record(t, t.arrival_time, 0.0, cost) for t in tasks]
-        return _aggregate(mode, records, 0.0, edge_slots, 0, 0.0, 0.0, 0, digest)
+        return _aggregate(mode, records, 0.0, edge_slots, 0, 0.0, 0.0, digest)
 
     node = EdgeNode(
         offloaded_services=frozenset(t.service for t in tasks),
         store=store if mode is Mode.EDGE_WITH_REUSE else None,
     )
-    # (task, receive time) in reception order; a queued task is still
-    # waiting while its id is in ``waiting``, so bounced ones are skipped
-    queue: deque[tuple[Task, float]] = deque()
-    waiting: set[int] = set()
+    patience = math.inf if max_queue_delay is None else max_queue_delay
+    # (deadline, seq at reception, task, receive time) in reception order:
+    # every task has the same patience, so the keys grow along the queue and
+    # only the head can renege next; the heap holds receptions and finishes
+    queue: deque[tuple[float, int, Task, float]] = deque()
     heap: list[tuple[float, int, int, object]] = []
     seq = 0
 
@@ -229,15 +231,11 @@ def simulate(
     area = 0.0
     first_event = last_event = heap[0][0]
     sum_time_in_system = 0.0
-    edge_served = 0
 
     def dispatch(now: float) -> None:
         nonlocal running, peak
         while running < edge_slots and queue:
-            task, recv = queue.popleft()
-            if task.id not in waiting:
-                continue
-            waiting.remove(task.id)
+            _, _, task, recv = queue.popleft()
             outcome = node.decide(task, now)
             duration = _service_duration(outcome, task, cost)
             running += 1
@@ -245,15 +243,17 @@ def simulate(
             push(now + duration, _FINISH, (task, recv, outcome, now, duration))
 
     while heap:
-        now, _, kind, payload = heapq.heappop(heap)
-        area += (len(waiting) + running) * (now - last_event)
+        if queue and queue[0][:2] < heap[0][:2]:
+            now, kind, payload = queue[0][0], _RENEGE, None
+        else:
+            now, _, kind, payload = heapq.heappop(heap)
+        # the interval up to ``now`` counts whoever leaves at ``now``
+        area += (len(queue) + running) * (now - last_event)
         last_event = now
 
         if kind == _RECV:
-            waiting.add(payload.id)
-            queue.append((payload, now))
-            if max_queue_delay is not None:
-                push(now + max_queue_delay, _RENEGE, queue[-1])
+            queue.append((now + patience, seq, payload, now))
+            seq += 1
             dispatch(now)
         elif kind == _FINISH:
             task, recv, outcome, start, duration = payload
@@ -280,20 +280,16 @@ def simulate(
                 )
             )
             sum_time_in_system += now - recv
-            edge_served += 1
             dispatch(now)
-        else:  # _RENEGE
-            task, recv = payload
-            if task.id in waiting:
-                waiting.remove(task.id)
-                records.append(_cloud_record(task, now, now - recv, cost))
+        else:  # the head's patience ran out
+            _, _, task, recv = queue.popleft()
+            records.append(_cloud_record(task, now, now - recv, cost))
+            sum_time_in_system += now - recv
 
     span = last_event - first_event
     time_avg = area / span if span > 0 else 0.0
-    mean_tis = sum_time_in_system / edge_served if edge_served else 0.0
-    return _aggregate(
-        mode, records, busy, edge_slots, peak, time_avg, mean_tis, edge_served, digest
-    )
+    mean_tis = sum_time_in_system / len(tasks)
+    return _aggregate(mode, records, busy, edge_slots, peak, time_avg, mean_tis, digest)
 
 
 def _aggregate(
@@ -304,7 +300,6 @@ def _aggregate(
     peak: int,
     time_avg: float,
     mean_tis: float,
-    edge_served: int,
     digest: str,
 ) -> MetricsReport:
     records = sorted(records, key=lambda r: r.task_id)

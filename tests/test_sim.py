@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from reusesim import (
@@ -14,6 +16,7 @@ from reusesim import (
     simulate,
 )
 from reusesim.core import Outcome
+from reusesim.cost import received_at
 from reusesim.workload import generate
 
 from conftest import make_task
@@ -213,6 +216,52 @@ def test_tie_rule_at_one_instant(flat_cost):
     assert by_id[0] == ("edge", 0.0, 0.0)
     assert by_id[1] == ("edge", 2.0, 2.0)
     assert by_id[2] == ("cloud", 4.0, 2.0)
+
+
+@pytest.mark.parametrize("mode", [Mode.EDGE_NO_REUSE, Mode.EDGE_WITH_REUSE])
+@pytest.mark.parametrize("max_queue_delay", [None, 1.0, 2.0, 1000.0])
+def test_sample_path_littles_law(mode, max_queue_delay):
+    # on any finite horizon, the area under the number in system equals the
+    # sum of the times in system (Stidham, 1974); a bounced task is in
+    # system from its reception until it leaves the queue.  30 tasks/s
+    # overloads the slots in both modes, so tasks bounce there
+    bounced = 0
+    for seed in (3, 4, 5):
+        for rate in (6.0, 17.0, 30.0):
+            spec = WorkloadSpec(
+                num_tasks=300, redundancy_rate=0.5, arrival_rate=rate, seed=seed
+            )
+            cfg = SimConfig(
+                mode=mode, workload=spec, seed=seed, max_queue_delay=max_queue_delay
+            )
+            tasks = generate(spec)
+            recv = {t.id: received_at(t.arrival_time, t, True, cfg.cost) for t in tasks}
+            rep = run(cfg)
+            last = max(
+                r.start_s + r.computation_s
+                if r.location == "edge"
+                else recv[r.task_id] + r.waiting_s
+                for r in rep.records
+            )
+            span = last - min(recv.values())
+            assert math.isclose(
+                rep.time_avg_in_system * span,
+                len(tasks) * rep.mean_time_in_system,
+                rel_tol=1e-9,
+            ), (seed, rate)
+            bounced += rep.n_cloud
+    if max_queue_delay in (1.0, 2.0):
+        assert bounced > 0
+
+
+@pytest.mark.parametrize("mode", [Mode.EDGE_NO_REUSE, Mode.EDGE_WITH_REUSE])
+def test_patience_never_reached_changes_nothing(mode):
+    spec = WorkloadSpec(num_tasks=300, redundancy_rate=0.5, arrival_rate=30.0, seed=7)
+    plain = run(SimConfig(mode=mode, workload=spec, seed=7))
+    patient = run(SimConfig(mode=mode, workload=spec, seed=7, max_queue_delay=1000.0))
+    assert patient.n_cloud == 0
+    assert max(r.waiting_s for r in plain.records) > 0
+    assert patient == plain
 
 
 def test_reuse_gain_zero_redundancy_and_mismatch_errors():
