@@ -13,7 +13,6 @@ from .core import (
     Outcome,
     OutcomeKind,
     Task,
-    distance,
 )
 from .cost import (
     CostBreakdown,
@@ -81,7 +80,6 @@ __all__ = [
     "WorkloadSpec",
     "communication_cost",
     "completion_cost",
-    "distance",
     "execution_cost",
     "generate",
     "ingest",

@@ -24,8 +24,9 @@ from typing import Callable, Optional, Union, get_args, get_origin, get_type_hin
 
 import numpy as np
 
+from .reuse_store import StoreSettings
 from .sim import MetricsReport, Mode, ReuseGain, SimConfig, TaskRecord, reuse_gain, run
-from .workload import BASE_NORM, WorkloadSpec, ramp_rate
+from .workload import BASE_NORM, WorkloadSpec, redundancy_ramp
 
 SCENARIOS = ("completion", "computation", "waiting", "utilization", "load", "gain")
 
@@ -249,65 +250,65 @@ def cmd_run(config_path, overrides, outdir) -> int:
 
 
 def _p90_row(
-    mode: Mode,
-    n: int,
-    redundancy: float,
-    runs: list[tuple[MetricsReport, Optional[ReuseGain]]],
+    mode: Mode, n: int, redundancy: float, runs: list[list[Optional[float]]]
 ) -> str:
-    columns = zip(*(_metrics(report, gain) for report, gain in runs))
+    """The p90 over trials of each metric column; blank where a trial has none."""
     return _row(
         mode,
         n,
         redundancy,
         "p90",
-        (None if None in col else float(np.percentile(col, 90)) for col in columns),
+        (None if None in col else float(np.percentile(col, 90)) for col in zip(*runs)),
     )
 
 
-def cmd_sweep(scenario: str, outdir, seed: int = 42, trials: int = 10) -> int:
+def cmd_sweep(scenario: str, outdir, seed: int, trials: int) -> int:
     if scenario not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; valid scenarios: {', '.join(SCENARIOS)}"
         )
+    modes = (Mode.CLOUD_ONLY, Mode.EDGE_NO_REUSE, Mode.EDGE_WITH_REUSE)
+    try:
+        specs = redundancy_ramp(range(10, 101, 10), WorkloadSpec(seed=seed))
+        grid = [
+            SimConfig(mode=mode, workload=spec, trials=trials, seed=seed)
+            for mode in modes
+            for spec in specs
+        ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ns = list(range(10, 101, 10))
-    modes = (Mode.CLOUD_ONLY, Mode.EDGE_NO_REUSE, Mode.EDGE_WITH_REUSE)
-    reports: dict[tuple[Mode, int, int], MetricsReport] = {}
-    for mode in modes:
-        for n in ns:
-            for trial in range(trials):
-                config = SimConfig(
-                    mode=mode,
-                    workload=WorkloadSpec(
-                        num_tasks=n, redundancy_rate=ramp_rate(n), seed=seed
-                    ),
-                    seed=seed,
-                )
-                reports[(mode, n, trial)] = run(config, trial)
-    lines = [SUMMARY_HEADER]
-    for mode in modes:
-        for n in ns:
-            redundancy = ramp_rate(n)
-            runs = []
-            for trial in range(trials):
-                report = reports[(mode, n, trial)]
-                gain = None
-                if mode is Mode.EDGE_WITH_REUSE:
-                    gain = reuse_gain(report, reports[(Mode.EDGE_NO_REUSE, n, trial)])
-                runs.append((report, gain))
-                lines.append(summary_row(report, n, redundancy, trial, gain))
-            lines.append(_p90_row(mode, n, redundancy, runs))
     path = outdir / f"sweep_{scenario}.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # the no-reuse runs come before the reuse runs whose gains pair with them
+    plain: dict[tuple[int, int], MetricsReport] = {}
+    with path.open("w", encoding="utf-8") as out:
+        out.write(SUMMARY_HEADER + "\n")
+        for config in grid:
+            n, redundancy = config.workload.num_tasks, config.workload.redundancy_rate
+            runs = []
+            for trial in range(config.trials):
+                report = run(config, trial)
+                gain = None
+                if config.mode is Mode.EDGE_NO_REUSE:
+                    plain[n, trial] = report
+                elif config.mode is Mode.EDGE_WITH_REUSE:
+                    gain = reuse_gain(report, plain.pop((n, trial)))
+                out.write(summary_row(report, n, redundancy, trial, gain) + "\n")
+                runs.append(_metrics(report, gain))
+            out.write(_p90_row(config.mode, n, redundancy, runs) + "\n")
     print(f"wrote {path}")
     return 0
 
 
-def cmd_calibrate(
-    dimension: int = 32, sigma: float = 0.05, samples: int = 2000, seed: int = 42
-) -> int:
+def cmd_calibrate(dimension: int, sigma: float, samples: int, seed: int) -> int:
     """Sample same-object vs cross-object distances and suggest thresholds."""
+    try:
+        WorkloadSpec(dimension=dimension, noise_sigma=sigma, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if samples < 2:
+        raise ConfigError("--samples must be >= 2")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, dimension))
     bases = BASE_NORM * g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -320,11 +321,15 @@ def cmd_calibrate(
     within_hi = float(np.max(within))
     cross_lo = float(np.min(cross))
     tau_full = min(2.5 * within_hi, cross_lo / 4.0)
+    try:
+        suggested = StoreSettings(tau_full=tau_full, tau_partial=2.0 * tau_full)
+    except ValueError as exc:
+        raise ConfigError(f"no valid thresholds from these samples: {exc}") from None
     print(f"dimension={dimension} sigma={sigma} samples={samples}")
     print(f"same-object distance: mean={within.mean():.4f} max={within_hi:.4f}")
     print(f"cross-object distance: min={cross_lo:.4f} mean={cross.mean():.4f}")
-    print(f"suggested store.tau_full = {tau_full:.4f}")
-    print(f"suggested store.tau_partial = {2.0 * tau_full:.4f}")
+    print(f"suggested store.tau_full = {suggested.tau_full:.4f}")
+    print(f"suggested store.tau_partial = {suggested.tau_partial:.4f}")
     return 0
 
 
@@ -345,14 +350,14 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a preset scenario grid")
     p_sweep.add_argument("scenario", help=f"one of: {', '.join(SCENARIOS)}")
     p_sweep.add_argument("-d", "--outdir", default=".", help="output directory")
-    p_sweep.add_argument("--seed", type=int, default=42)
-    p_sweep.add_argument("--trials", type=int, default=10)
+    p_sweep.add_argument("--seed", type=int, default=SimConfig.seed)
+    p_sweep.add_argument("--trials", type=int, default=SimConfig.trials)
 
     p_cal = sub.add_parser("calibrate", help="suggest similarity thresholds")
-    p_cal.add_argument("--dim", type=int, default=32)
-    p_cal.add_argument("--sigma", type=float, default=0.05)
+    p_cal.add_argument("--dim", type=int, default=WorkloadSpec.dimension)
+    p_cal.add_argument("--sigma", type=float, default=WorkloadSpec.noise_sigma)
     p_cal.add_argument("--samples", type=int, default=2000)
-    p_cal.add_argument("--seed", type=int, default=42)
+    p_cal.add_argument("--seed", type=int, default=SimConfig.seed)
 
     args = parser.parse_args(argv)
     try:

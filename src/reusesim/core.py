@@ -58,15 +58,6 @@ class FeatureVector:
         return len(self.values)
 
 
-def distance(a: FeatureVector, b: FeatureVector) -> float:
-    """Euclidean distance between two feature vectors."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(
-            f"cannot compare vectors of dimension {a.dimension} and {b.dimension}"
-        )
-    return math.dist(a.values, b.values)
-
-
 @dataclass(frozen=True)
 class Task:
     """One service invocation.
@@ -174,7 +165,3 @@ class Outcome:
     def is_reuse(self) -> bool:
         """Reuse flag: True when a stored result satisfies (part of) the task."""
         return self.kind in (OutcomeKind.FULL_REUSE, OutcomeKind.PARTIAL_REUSE)
-
-    @property
-    def is_full_reuse(self) -> bool:
-        return self.kind is OutcomeKind.FULL_REUSE

@@ -47,21 +47,16 @@ def execution_cost(task: Task, at_edge: bool, params: CostParams) -> float:
     return task.complexity / rate
 
 
-def reuse_cost(
-    task: Task, full: bool, remaining_fraction: float, params: CostParams
-) -> float:
-    """Lookup cost, plus the residual edge execution for a partial hit.
+def reuse_cost(task: Task, reused_fraction: float, params: CostParams) -> float:
+    """Lookup cost, plus edge execution of the share of the task not reused.
 
-    ``remaining_fraction`` is the share of the task's complexity still to be
-    computed after the partial match; the residual always runs at the edge.
+    ``reused_fraction`` is the share of the task's complexity the matched
+    entry covers: 1 for a full hit (the lookup alone), less for a partial
+    hit, whose remainder always runs at the edge.
     """
-    if not 0.0 <= remaining_fraction <= 1.0:
-        raise ValueError("remaining_fraction must lie in [0, 1]")
-    if full:
-        if remaining_fraction != 0.0:
-            raise ValueError("a full reuse leaves no remaining fraction")
-        return params.lookup_cost
-    residual = remaining_fraction * task.complexity / params.edge_capacity_rate
+    if not 0.0 <= reused_fraction <= 1.0:
+        raise ValueError("reused_fraction must lie in [0, 1]")
+    residual = (1.0 - reused_fraction) * task.complexity / params.edge_capacity_rate
     return params.lookup_cost + residual
 
 
@@ -69,39 +64,22 @@ def reuse_cost(
 class CostBreakdown:
     """Component costs of one task under one outcome, all in seconds.
 
-    ``total`` is communication + (1-reused)*execution + reused*reuse, where
-    the flags mirror the outcome; ``execution`` is always the would-be
-    from-scratch cost at the chosen location, even when reuse avoided it.
+    ``total`` is communication + reuse for a reuse outcome and communication
+    + execution otherwise; ``execution`` is always the would-be from-scratch
+    cost at the chosen location, even when reuse avoided it.
     """
 
     communication: float
     execution: float
     reuse: float
     total: float
-    at_edge: bool
-    full_reuse: bool
-    reused: bool
 
 
 def completion_cost(task: Task, outcome: Outcome, params: CostParams) -> CostBreakdown:
     """Assemble the completion cost of a task from its outcome."""
-    at_edge = outcome.at_edge
-    reused = outcome.is_reuse
-    comm = communication_cost(task, at_edge, params)
-    execution = execution_cost(task, at_edge, params)
-    if reused:
-        remaining = 0.0 if outcome.is_full_reuse else 1.0 - outcome.reused_fraction
-        reuse = reuse_cost(task, outcome.is_full_reuse, remaining, params)
-        total = comm + reuse
-    else:
-        reuse = 0.0
-        total = comm + execution
-    return CostBreakdown(
-        communication=comm,
-        execution=execution,
-        reuse=reuse,
-        total=total,
-        at_edge=at_edge,
-        full_reuse=outcome.is_full_reuse,
-        reused=reused,
-    )
+    comm = communication_cost(task, outcome.at_edge, params)
+    execution = execution_cost(task, outcome.at_edge, params)
+    if outcome.is_reuse:
+        reuse = reuse_cost(task, outcome.reused_fraction, params)
+        return CostBreakdown(comm, execution, reuse, comm + reuse)
+    return CostBreakdown(comm, execution, 0.0, comm + execution)

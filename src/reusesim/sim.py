@@ -60,6 +60,12 @@ class Mode(Enum):
 
 @dataclass
 class SimConfig:
+    """One experiment: mode, workload, costs, edge and store, trials and seed.
+
+    ``run`` seeds trial *i*'s workload and store from ``seed + i``, whatever
+    ``workload.seed`` holds.
+    """
+
     mode: Mode
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     cost: CostParams = field(default_factory=CostParams)
@@ -75,6 +81,8 @@ class SimConfig:
         require_finite("max_queue_delay", self.max_queue_delay)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.edge_slots < 1:
             raise ValueError("edge_slots must be >= 1")
         if self.max_queue_delay is not None and self.max_queue_delay <= 0:
@@ -131,9 +139,9 @@ def task_correct(outcome: Outcome, task: Task) -> bool:
     object.  For a partial hit the residual is computed from scratch, but the
     reused fraction still has to match.
     """
-    if outcome.kind in (OutcomeKind.EDGE_COMPUTE, OutcomeKind.CLOUD_OFFLOAD):
-        return True
-    return outcome.matched_entry.output.label == task.object_label
+    return not outcome.is_reuse or (
+        outcome.matched_entry.output.label == task.object_label
+    )
 
 
 def workload_digest(tasks: Sequence[Task]) -> str:
@@ -148,11 +156,37 @@ def workload_digest(tasks: Sequence[Task]) -> str:
 
 def _service_duration(outcome: Outcome, task: Task, cost: CostParams) -> float:
     """Time a task holds an edge slot, given its outcome."""
-    if outcome.kind is OutcomeKind.FULL_REUSE:
-        return reuse_cost(task, True, 0.0, cost)
-    if outcome.kind is OutcomeKind.PARTIAL_REUSE:
-        return reuse_cost(task, False, 1.0 - outcome.reused_fraction, cost)
+    if outcome.is_reuse:
+        return reuse_cost(task, outcome.reused_fraction, cost)
     return execution_cost(task, True, cost)
+
+
+def _record(
+    task: Task,
+    outcome: Outcome,
+    start: float,
+    finish: float,
+    waiting: float,
+    computation: float,
+) -> TaskRecord:
+    """Record of a task served under ``outcome``: its kind, place and correctness."""
+    return TaskRecord(
+        task_id=task.id,
+        service=task.service,
+        label=task.object_label,
+        outcome=outcome.kind.value,
+        location="edge" if outcome.at_edge else "cloud",
+        arrival_s=task.arrival_time,
+        start_s=start,
+        finish_s=finish,
+        waiting_s=waiting,
+        computation_s=computation,
+        completion_s=finish - task.arrival_time,
+        correct=task_correct(outcome, task),
+    )
+
+
+_CLOUD = Outcome(OutcomeKind.CLOUD_OFFLOAD)
 
 
 def _cloud_record(
@@ -162,20 +196,7 @@ def _cloud_record(
     start = received_at(depart, task, False, cost)
     computation = execution_cost(task, False, cost)
     finish = delivered_at(start + computation, task, False, cost)
-    return TaskRecord(
-        task_id=task.id,
-        service=task.service,
-        label=task.object_label,
-        outcome=OutcomeKind.CLOUD_OFFLOAD.value,
-        location="cloud",
-        arrival_s=task.arrival_time,
-        start_s=start,
-        finish_s=finish,
-        waiting_s=waiting,
-        computation_s=computation,
-        completion_s=finish - task.arrival_time,
-        correct=True,
-    )
+    return _record(task, _CLOUD, start, finish, waiting, computation)
 
 
 _RECV, _FINISH, _RENEGE = 0, 1, 2
@@ -264,20 +285,7 @@ def simulate(
             )
             finish = delivered_at(now, task, True, cost)
             records.append(
-                TaskRecord(
-                    task_id=task.id,
-                    service=task.service,
-                    label=task.object_label,
-                    outcome=outcome.kind.value,
-                    location="edge",
-                    arrival_s=task.arrival_time,
-                    start_s=start,
-                    finish_s=finish,
-                    waiting_s=start - recv,
-                    computation_s=duration,
-                    completion_s=finish - task.arrival_time,
-                    correct=task_correct(outcome, task),
-                )
+                _record(task, outcome, start, finish, start - recv, duration)
             )
             sum_time_in_system += now - recv
             dispatch(now)
@@ -308,12 +316,11 @@ def _aggregate(
     computation = np.array([r.computation_s for r in records])
     waiting = np.array([r.waiting_s for r in records])
     makespan = float(max(r.finish_s for r in records))
-    counts = {k: 0 for k in OutcomeKind}
-    for r in records:
-        counts[OutcomeKind(r.outcome)] += 1
-    n_cloud = counts[OutcomeKind.CLOUD_OFFLOAD]
-    n_edge = counts[OutcomeKind.EDGE_COMPUTE]
-    n_reuse = counts[OutcomeKind.FULL_REUSE] + counts[OutcomeKind.PARTIAL_REUSE]
+    counts = Counter(r.outcome for r in records)
+    n_full = counts[OutcomeKind.FULL_REUSE.value]
+    n_partial = counts[OutcomeKind.PARTIAL_REUSE.value]
+    n_edge = counts[OutcomeKind.EDGE_COMPUTE.value]
+    n_cloud = counts[OutcomeKind.CLOUD_OFFLOAD.value]
     utilization = 100.0 * busy / (edge_slots * makespan) if makespan > 0 else 0.0
     return MetricsReport(
         mode=mode,
@@ -325,7 +332,7 @@ def _aggregate(
         utilization_pct=utilization,
         load_cloud=n_cloud / n,
         load_edge=n_edge / n,
-        load_reuse=n_reuse / n,
+        load_reuse=(n_full + n_partial) / n,
         correctness_rate=sum(r.correct for r in records) / n,
         busy_slot_time=busy,
         makespan=makespan,
@@ -333,8 +340,8 @@ def _aggregate(
         peak_concurrency=peak,
         time_avg_in_system=time_avg,
         mean_time_in_system=mean_tis,
-        n_full_reuse=counts[OutcomeKind.FULL_REUSE],
-        n_partial_reuse=counts[OutcomeKind.PARTIAL_REUSE],
+        n_full_reuse=n_full,
+        n_partial_reuse=n_partial,
         n_edge_compute=n_edge,
         n_cloud=n_cloud,
         workload_digest=digest,

@@ -87,6 +87,8 @@ class WorkloadSpec:
             raise ValueError("dimension must be >= 1")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _draw_task(

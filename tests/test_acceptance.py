@@ -59,8 +59,8 @@ def test_criterion_01_cost_model_exactness(flat_cost):
         ((t.input_size + t.output_size) / flat_cost.cloud_bandwidth, 5.0),
         (t.complexity / flat_cost.edge_capacity_rate, 2.0),
         (t.complexity / flat_cost.cloud_capacity_rate, 0.2),
-        (reuse_cost(t, True, 0.0, flat_cost), 0.001),
-        (reuse_cost(t, False, 0.5, flat_cost), 1.001),
+        (reuse_cost(t, 1.0, flat_cost), 0.001),
+        (reuse_cost(t, 0.5, flat_cost), 1.001),
         (
             completion_cost(t, Outcome(OutcomeKind.CLOUD_OFFLOAD), flat_cost).total,
             5.2,
@@ -106,7 +106,7 @@ def test_criterion_01_cost_model_exactness(flat_cost):
             Outcome(OutcomeKind.CLOUD_OFFLOAD),
         )[k]
         b = completion_cost(task, outcome, params)
-        gamma = 1.0 if b.reused else 0.0
+        gamma = 1.0 if outcome.is_reuse else 0.0
         worst = max(
             worst,
             abs(b.communication + (1 - gamma) * b.execution + gamma * b.reuse - b.total),

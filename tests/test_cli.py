@@ -278,6 +278,39 @@ def test_calibrate_prints_thresholds(capsys):
     assert "tau_full" in out and "tau_partial" in out
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ],
+)
+def test_sweep_rejects_bad_flags_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "completion", "-d", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--sigma", "nan"], "noise_sigma"),
+        (["--samples", "0"], "--samples"),
+        (["--samples", "1"], "--samples"),
+        (["--dim", "0"], "dimension"),
+        (["--seed", "-1"], "seed"),
+        # no noise: every same-object distance is 0, so tau_full would be 0
+        (["--sigma", "0"], "tau_full"),
+    ],
+)
+def test_calibrate_rejects_what_has_no_valid_suggestion(flags, named, capsys):
+    assert main(["calibrate", "--samples", "50", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and named in captured.err
+    assert captured.out == ""
+
+
 def test_schema_covers_all_fields():
     # every dotted section the README documents exists in the schema
     prefixes = {k.split(".")[0] for k in CONFIG_SCHEMA if "." in k}

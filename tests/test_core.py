@@ -1,57 +1,11 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from reusesim import (
-    CostParams,
-    DimensionMismatch,
-    FeatureVector,
-    Outcome,
-    OutcomeKind,
-    distance,
-)
+from reusesim import CostParams, FeatureVector, Outcome, OutcomeKind
 from reusesim.reuse_store import ResultPayload, ReuseEntry
 
 from conftest import make_task
-
-
-def test_distance_identity():
-    v = FeatureVector((1.0, 2.0, 3.0))
-    assert distance(v, v) == 0.0
-
-
-def test_distance_3_4_5():
-    assert distance(FeatureVector((0.0, 0.0)), FeatureVector((3.0, 4.0))) == 5.0
-
-
-def test_distance_unit_shift():
-    # sqrt(4 * 1^2) = 2
-    a = FeatureVector((1.0, 1.0, 1.0, 1.0))
-    b = FeatureVector((2.0, 2.0, 2.0, 2.0))
-    assert distance(a, b) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_distance_symmetric():
-    a = FeatureVector((0.5, -1.5, 2.0))
-    b = FeatureVector((3.0, 0.25, -7.0))
-    assert distance(a, b) == distance(b, a)
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        distance(FeatureVector((1.0,)), FeatureVector((1.0, 2.0)))
-
-
-coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 8).flatmap(lambda d: st.tuples(*[st.tuples(*[coords] * d)] * 3)))
-def test_distance_triangle_inequality(triple):
-    a, b, c = (FeatureVector(t) for t in triple)
-    assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
 
 
 @pytest.mark.parametrize("bad", [(), (float("nan"), 1.0), (float("inf"),)])
@@ -144,9 +98,9 @@ def test_outcome_invalid_combinations(kind, fraction, with_entry):
 
 def test_outcome_flags():
     full = Outcome(OutcomeKind.FULL_REUSE, reused_fraction=1.0, matched_entry=_entry())
-    assert full.at_edge and full.is_reuse and full.is_full_reuse
+    assert full.at_edge and full.is_reuse
     partial = Outcome(OutcomeKind.PARTIAL_REUSE, reused_fraction=0.4, matched_entry=_entry())
-    assert partial.at_edge and partial.is_reuse and not partial.is_full_reuse
+    assert partial.at_edge and partial.is_reuse
     edge = Outcome(OutcomeKind.EDGE_COMPUTE)
     assert edge.at_edge and not edge.is_reuse
     cloud = Outcome(OutcomeKind.CLOUD_OFFLOAD)

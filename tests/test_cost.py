@@ -52,31 +52,31 @@ def test_execution_cost(flat_cost):
 
 
 def test_reuse_cost_full(flat_cost):
-    assert reuse_cost(make_task(), True, 0.0, flat_cost) == pytest.approx(0.001, abs=1e-12)
+    assert reuse_cost(make_task(), 1.0, flat_cost) == pytest.approx(0.001, abs=1e-12)
 
 
 def test_reuse_cost_partial(flat_cost):
     # lookup + 0.5 * 100 / 50 = 0.001 + 1.0
-    got = reuse_cost(make_task(complexity=100.0), False, 0.5, flat_cost)
+    got = reuse_cost(make_task(complexity=100.0), 0.5, flat_cost)
     assert got == pytest.approx(1.001, abs=1e-9)
 
 
 def test_reuse_cost_degenerate_remaining_one(flat_cost):
-    got = reuse_cost(make_task(complexity=100.0), False, 1.0, flat_cost)
+    got = reuse_cost(make_task(complexity=100.0), 0.0, flat_cost)
     assert got == pytest.approx(0.001 + 2.0, abs=1e-9)
 
 
 def test_reuse_cost_rejects_contradiction(flat_cost):
-    with pytest.raises(ValueError):
-        reuse_cost(make_task(), True, 0.5, flat_cost)
-    with pytest.raises(ValueError):
-        reuse_cost(make_task(), False, 1.5, flat_cost)
+    # a share of the task outside [0, 1] contradicts itself
+    with pytest.raises(ValueError, match="reused_fraction"):
+        reuse_cost(make_task(), -0.5, flat_cost)
+    with pytest.raises(ValueError, match="reused_fraction"):
+        reuse_cost(make_task(), 1.5, flat_cost)
 
 
 def test_completion_cloud_offload(flat_cost):
     b = completion_cost(make_task(), CLOUD, flat_cost)
     assert b.total == pytest.approx(5.0 + 0.2, abs=1e-9)
-    assert not b.at_edge and not b.reused
 
 
 def test_completion_full_reuse(flat_cost):
@@ -122,7 +122,7 @@ def test_reassembly_identity_random():
     for _ in range(1000):
         t, o, p = _random_case(rng)
         b = completion_cost(t, o, p)
-        gamma = 1.0 if b.reused else 0.0
+        gamma = 1.0 if o.is_reuse else 0.0
         rebuilt = b.communication + (1 - gamma) * b.execution + gamma * b.reuse
         assert abs(rebuilt - b.total) <= 1e-12
         assert min(b.communication, b.execution, b.reuse, b.total) >= 0.0

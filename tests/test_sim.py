@@ -15,8 +15,9 @@ from reusesim import (
     run,
     simulate,
 )
-from reusesim.core import Outcome
+from reusesim.core import FeatureVector, Outcome
 from reusesim.cost import received_at
+from reusesim.reuse_store import ResultPayload, ReuseEntry
 from reusesim.workload import generate
 
 from conftest import make_task
@@ -47,7 +48,7 @@ def test_repeat_task_full_reuse_hand_trace(flat_cost):
     rep = simulate([t0, t1], Mode.EDGE_WITH_REUSE, flat_cost, edge_slots=1, store=store)
     second = rep.records[1]
     assert second.outcome == "full_reuse"
-    assert second.computation_s == pytest.approx(0.001, abs=1e-12)
+    assert second.computation_s == flat_cost.lookup_cost
 
 
 def test_fifo_waiting_hand_trace(flat_cost):
@@ -76,6 +77,36 @@ def test_unqueued_records_match_cost_model():
     plain = simulate([t], Mode.EDGE_NO_REUSE, p, edge_slots=2).records[0]
     expect = completion_cost(t, Outcome(OutcomeKind.EDGE_COMPUTE), p).total
     assert plain.completion_s == pytest.approx(expect, abs=1e-12)
+
+    # so does every task of a reuse run that never waited, whatever its
+    # outcome; a partial fraction other than 0.5 tells it from its complement
+    spec = WorkloadSpec(
+        num_tasks=300, redundancy_rate=0.7, arrival_rate=20.0, noise_sigma=0.12, seed=7
+    )
+    config = SimConfig(
+        mode=Mode.EDGE_WITH_REUSE,
+        workload=spec,
+        store=StoreSettings(partial_fraction=0.3),
+        seed=7,
+    )
+    tasks = {t.id: t for t in generate(spec)}
+    records = run(config).records
+    unqueued = [r for r in records if r.waiting_s == 0.0]
+    assert len(unqueued) < len(records)
+    assert {r.outcome for r in unqueued} == {
+        "full_reuse", "partial_reuse", "edge_compute"
+    }
+    entry = ReuseEntry(
+        id=0, service="s", features=FeatureVector((0.0,)), output=ResultPayload("x")
+    )
+    outcomes = {
+        "full_reuse": Outcome(OutcomeKind.FULL_REUSE, 1.0, entry),
+        "partial_reuse": Outcome(OutcomeKind.PARTIAL_REUSE, 0.3, entry),
+        "edge_compute": Outcome(OutcomeKind.EDGE_COMPUTE),
+    }
+    for r in unqueued:
+        expect = completion_cost(tasks[r.task_id], outcomes[r.outcome], config.cost)
+        assert r.completion_s == pytest.approx(expect.total, rel=1e-9, abs=1e-12)
 
 
 def test_determinism_identical_reports():
@@ -336,6 +367,14 @@ def test_config_rejects_non_finite(value):
                 workload=WorkloadSpec(num_tasks=5, arrival_rate=value),
             )
         )
+
+
+def test_negative_seed_is_rejected():
+    # numpy would reject it only at the first draw, with no field named
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SimConfig(mode=Mode.EDGE_NO_REUSE, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        WorkloadSpec(seed=-1)
 
 
 def test_store_settings_flow_through_run():
