@@ -42,7 +42,6 @@ from .sim import (
     simulate,
 )
 from .workload import (
-    ObjectCatalog,
     WorkloadFileError,
     WorkloadSpec,
     generate,
@@ -65,7 +64,6 @@ __all__ = [
     "LshSettings",
     "MetricsReport",
     "Mode",
-    "ObjectCatalog",
     "Outcome",
     "OutcomeKind",
     "ResultPayload",

@@ -1,7 +1,8 @@
 """Shared value types: feature vectors, tasks, cost parameters, outcomes.
 
 Everything here is an immutable value type after construction and safe to
-share between threads.
+share between threads.  ``tasks_from_columns`` builds many tasks at once
+from checked columns.
 """
 
 from __future__ import annotations
@@ -9,7 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from itertools import count
+from typing import TYPE_CHECKING, Optional, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .reuse_store import ReuseEntry
@@ -91,6 +95,74 @@ class Task:
             raise ValueError("task complexity must be > 0")
         if self.arrival_time < 0:
             raise ValueError("task arrival time must be >= 0")
+
+
+def tasks_from_columns(
+    service: str,
+    labels: Sequence[str],
+    features: np.ndarray,
+    input_size: np.ndarray,
+    output_size: np.ndarray,
+    complexity: np.ndarray,
+    arrival: np.ndarray,
+) -> list[Task]:
+    """Tasks ``0..n-1`` of one service, task ``i`` from row ``i`` of each column.
+
+    ``features`` has shape ``(n, dimension)``; the other columns have shape
+    ``(n,)``.  The conditions of ``FeatureVector`` and ``Task`` are checked
+    once per column.  A row that breaks one goes through those constructors,
+    which raise the error, naming the field, that they raise one task at a
+    time; the rows that pass are built without checking each again.
+    """
+    ok = (
+        np.isfinite(features).all(axis=1)
+        & (features.shape[1] >= 1)
+        & np.isfinite(input_size)
+        & np.isfinite(output_size)
+        & np.isfinite(complexity)
+        & np.isfinite(arrival)
+        & (input_size >= 0)
+        & (output_size >= 0)
+        & (complexity > 0)
+        & (arrival >= 0)
+    )
+    for i in np.flatnonzero(~ok).tolist():
+        Task(
+            i,
+            service,
+            labels[i],
+            FeatureVector(features[i].tolist()),
+            float(input_size[i]),
+            float(output_size[i]),
+            float(complexity[i]),
+            float(arrival[i]),
+        )
+    # fields are set as the frozen dataclasses' ``__init__`` sets them, minus
+    # the ``__post_init__`` checks made above for the whole column
+    new, set_field = object.__new__, object.__setattr__
+    tasks: list[Task] = []
+    for i, label, values, size_in, size_out, work, at in zip(
+        count(),
+        labels,
+        features.tolist(),
+        input_size.tolist(),
+        output_size.tolist(),
+        complexity.tolist(),
+        arrival.tolist(),
+    ):
+        fv = new(FeatureVector)
+        set_field(fv, "values", tuple(values))
+        task = new(Task)
+        set_field(task, "id", i)
+        set_field(task, "service", service)
+        set_field(task, "object_label", label)
+        set_field(task, "features", fv)
+        set_field(task, "input_size", size_in)
+        set_field(task, "output_size", size_out)
+        set_field(task, "complexity", work)
+        set_field(task, "arrival_time", at)
+        tasks.append(task)
+    return tasks
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,7 @@ def simulate(
     tasks: Sequence[Task],
     mode: Mode,
     cost: CostParams,
-    edge_slots: int = 15,
+    edge_slots: int = SimConfig.edge_slots,
     store: Optional[ReuseStore] = None,
     max_queue_delay: Optional[float] = None,
 ) -> MetricsReport:

@@ -9,46 +9,27 @@ uniformly among seen labels), otherwise it introduces a new one.  Arrivals
 form a Poisson process.
 
 All randomness flows from one seeded generator consumed in a fixed per-task
-order (redundancy coin, base vector if new, noise, sizes, complexity,
-inter-arrival), so a given spec is bit-reproducible.
+order (redundancy coin, then a seen object's index or a new base vector,
+noise, input size, output size, complexity, inter-arrival gap), so a given
+spec is bit-reproducible.  The draws fill numpy columns, and the tasks are
+built from the columns at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureVector, Task, require_finite
+from .core import Task, require_finite, tasks_from_columns
 
 BASE_NORM = 10.0
 
 
 class WorkloadFileError(ValueError):
     """A feature-dump file failed to parse; the message names the line."""
-
-
-@dataclass
-class ObjectCatalog:
-    """Labelled base vectors; observations of one label differ only by noise."""
-
-    dimension: int
-    noise_sigma: float
-    objects: dict[str, np.ndarray] = field(default_factory=dict)
-    labels: list[str] = field(default_factory=list)
-
-    def mint(self, rng: np.random.Generator) -> str:
-        label = f"obj-{len(self.labels):05d}"
-        g = rng.standard_normal(self.dimension)
-        self.objects[label] = BASE_NORM * g / np.linalg.norm(g)
-        self.labels.append(label)
-        return label
-
-    def observe(self, label: str, rng: np.random.Generator) -> FeatureVector:
-        base = self.objects[label]
-        noisy = base + self.noise_sigma * rng.standard_normal(self.dimension)
-        return FeatureVector(tuple(noisy.tolist()))
 
 
 @dataclass(frozen=True)
@@ -91,45 +72,63 @@ class WorkloadSpec:
             raise ValueError("seed must be >= 0")
 
 
-def _draw_task(
-    spec: WorkloadSpec,
-    rng: np.random.Generator,
-    task_id: int,
-    label: str,
-    features: FeatureVector,
-    clock: float,
-) -> Task:
-    """One task arriving after ``clock``; draws sizes, complexity, inter-arrival."""
-    input_size = float(rng.uniform(*spec.input_size_range))
-    output_size = float(rng.uniform(*spec.output_size_range))
-    complexity = float(rng.uniform(*spec.complexity_range))
-    return Task(
-        id=task_id,
-        service=spec.service,
-        object_label=label,
-        features=features,
-        input_size=input_size,
-        output_size=output_size,
-        complexity=complexity,
-        arrival_time=clock + float(rng.exponential(1.0 / spec.arrival_rate)),
-    )
+def _draw(
+    spec: WorkloadSpec, n: int, observe: bool
+) -> tuple[Optional[list[str]], Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Draw ``n`` tasks' random columns, one task at a time.
+
+    Returns ``(labels, features, sizes, arrival)``: ``sizes`` has columns
+    input size, output size and complexity.  With ``observe``, each task
+    first draws its object and its noisy observation, in the module's draw
+    order; otherwise ``labels`` and ``features`` are ``None``.  Each value
+    is the float the matching scalar ``Generator`` call returns (``uniform``
+    is ``lo + (hi - lo) * random()``, ``exponential`` is ``scale *
+    standard_exponential()``), and arrivals are the running sum of the gaps.
+    """
+    rng = np.random.default_rng(spec.seed)
+    random, normal = rng.random, rng.standard_normal
+    integers, exponential = rng.integers, rng.standard_exponential
+    uniforms = np.empty((n, 3))
+    gaps = np.empty(n)
+    if observe:
+        raw_bases = np.empty((n, spec.dimension))
+        noise = np.empty((n, spec.dimension))
+        objects: list[int] = []
+        minted = 0
+    for i in range(n):
+        if observe:
+            # the first task has no seen object to repeat, so it draws no coin
+            if i and random() < spec.redundancy_rate:
+                objects.append(int(integers(0, minted)))
+            else:
+                normal(out=raw_bases[minted])
+                objects.append(minted)
+                minted += 1
+            normal(out=noise[i])
+        random(out=uniforms[i])
+        gaps[i] = exponential()
+
+    ranges = (spec.input_size_range, spec.output_size_range, spec.complexity_range)
+    lo = np.array([r[0] for r in ranges])
+    sizes = lo + np.array([r[1] - r[0] for r in ranges]) * uniforms
+    arrival = np.cumsum((1.0 / spec.arrival_rate) * gaps)
+    if not observe:
+        return None, None, sizes, arrival
+    bases = raw_bases[:minted]
+    norms = np.array([math.sqrt(g @ g) for g in bases]).reshape(minted, 1)
+    bases *= BASE_NORM
+    bases /= norms
+    features = noise
+    features *= spec.noise_sigma
+    features += bases[objects]
+    names = [f"obj-{k:05d}" for k in range(minted)]
+    return [names[k] for k in objects], features, sizes, arrival
 
 
 def generate(spec: WorkloadSpec) -> list[Task]:
     """Generate the task list for a spec; deterministic given the seed."""
-    rng = np.random.default_rng(spec.seed)
-    catalog = ObjectCatalog(dimension=spec.dimension, noise_sigma=spec.noise_sigma)
-    tasks: list[Task] = []
-    clock = 0.0
-    for i in range(spec.num_tasks):
-        if catalog.labels and rng.random() < spec.redundancy_rate:
-            label = catalog.labels[int(rng.integers(0, len(catalog.labels)))]
-        else:
-            label = catalog.mint(rng)
-        task = _draw_task(spec, rng, i, label, catalog.observe(label, rng), clock)
-        tasks.append(task)
-        clock = task.arrival_time
-    return tasks
+    labels, features, sizes, arrival = _draw(spec, spec.num_tasks, observe=True)
+    return tasks_from_columns(spec.service, labels, features, *sizes.T, arrival)
 
 
 def ramp_rate(n: int) -> float:
@@ -159,7 +158,8 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
     arrival times, sizes, and complexities are drawn from the spec exactly
     as in ``generate``.
     """
-    records: list[tuple[str, tuple[float, ...]]] = []
+    labels: list[str] = []
+    rows: list[tuple[float, ...]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -180,12 +180,10 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
                     f"line {lineno}: expected {spec.dimension} feature values, "
                     f"got {len(values)}"
                 )
-            records.append((label, values))
-    rng = np.random.default_rng(spec.seed)
-    tasks: list[Task] = []
-    clock = 0.0
-    for i, (label, values) in enumerate(records):
-        task = _draw_task(spec, rng, i, label, FeatureVector(values), clock)
-        tasks.append(task)
-        clock = task.arrival_time
-    return tasks
+            if not all(map(math.isfinite, values)):
+                raise WorkloadFileError(f"line {lineno}: non-finite feature value")
+            labels.append(label)
+            rows.append(values)
+    features = np.array(rows, dtype=np.float64).reshape(len(rows), spec.dimension)
+    _, _, sizes, arrival = _draw(spec, len(rows), observe=False)
+    return tasks_from_columns(spec.service, labels, features, *sizes.T, arrival)

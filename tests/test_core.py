@@ -1,8 +1,11 @@
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from reusesim import CostParams, FeatureVector, Outcome, OutcomeKind
+from reusesim import CostParams, FeatureVector, Outcome, OutcomeKind, Task
+from reusesim.core import tasks_from_columns
 from reusesim.reuse_store import ResultPayload, ReuseEntry
 
 from conftest import make_task
@@ -61,6 +64,67 @@ def test_cost_params_validation():
 def test_constructors_reject_non_finite(valid, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         replace(valid, **{field: value})
+
+
+def _columns(n=3, dimension=2):
+    return {
+        "features": np.arange(n * dimension, dtype=float).reshape(n, dimension),
+        "input_size": np.full(n, 4.0),
+        "output_size": np.full(n, 0.5),
+        "complexity": np.full(n, 80.0),
+        "arrival": np.arange(1.0, n + 1.0),
+    }
+
+
+def _checked_task(i, columns):
+    """Task ``i`` of ``columns`` through the checked public constructors."""
+    return Task(
+        i,
+        "s",
+        f"obj-{i}",
+        FeatureVector(columns["features"][i].tolist()),
+        float(columns["input_size"][i]),
+        float(columns["output_size"][i]),
+        float(columns["complexity"][i]),
+        float(columns["arrival"][i]),
+    )
+
+
+def test_tasks_from_columns_equal_the_checked_constructors():
+    columns = _columns()
+    tasks = tasks_from_columns("s", ["obj-0", "obj-1", "obj-2"], **columns)
+    assert tasks == [_checked_task(i, columns) for i in range(3)]
+    assert tasks_from_columns("s", [], **_columns(n=0)) == []
+
+
+@pytest.mark.parametrize(
+    "column,value",
+    [
+        ("features", float("nan")),
+        ("features", float("-inf")),
+        ("input_size", float("nan")),
+        ("input_size", -1.0),
+        ("output_size", float("inf")),
+        ("output_size", -0.5),
+        ("complexity", 0.0),
+        ("complexity", float("inf")),
+        ("arrival", -0.1),
+        ("arrival", float("nan")),
+    ],
+)
+def test_tasks_from_columns_raise_the_constructors_error(column, value):
+    columns = _columns()
+    columns[column][1, ...] = value
+    columns["complexity"][2] = -1.0  # a later bad row does not win
+    with pytest.raises(ValueError) as expected:
+        _checked_task(1, columns)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        tasks_from_columns("s", ["obj-0", "obj-1", "obj-2"], **columns)
+
+
+def test_tasks_from_columns_need_dimension_one():
+    with pytest.raises(ValueError, match="^feature vector needs dimension >= 1"):
+        tasks_from_columns("s", ["obj-0"], **_columns(n=1, dimension=0))
 
 
 def _entry():

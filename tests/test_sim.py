@@ -336,6 +336,11 @@ def test_simulate_rejects_zero_edge_slots(flat_cost, mode):
         simulate([make_task()], mode, flat_cost, edge_slots=0, store=store)
 
 
+def test_simulate_defaults_to_the_config_edge_slots(flat_cost):
+    report = simulate([make_task()], Mode.EDGE_NO_REUSE, flat_cost)
+    assert report.edge_slots == SimConfig(mode=Mode.EDGE_NO_REUSE).edge_slots
+
+
 def test_simulate_rejects_missing_store(flat_cost):
     with pytest.raises(ValueError):
         simulate([make_task()], Mode.EDGE_WITH_REUSE, flat_cost, store=None)

@@ -1,9 +1,15 @@
+import hashlib
 import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reusesim import (
+    FeatureVector,
+    Task,
     WorkloadFileError,
     WorkloadSpec,
     generate,
@@ -11,6 +17,8 @@ from reusesim import (
     ramp_rate,
     redundancy_ramp,
 )
+from reusesim.sim import workload_digest
+from reusesim.workload import BASE_NORM
 
 
 def test_generate_deterministic():
@@ -167,9 +175,10 @@ def test_ingest_dimension_error_names_line(tmp_path):
         ingest(path, spec)
 
 
-def test_ingest_malformed_value_names_line(tmp_path):
+@pytest.mark.parametrize("value", ["oops", "nan", "inf", "-inf"])
+def test_ingest_malformed_value_names_line(tmp_path, value):
     spec = WorkloadSpec(dimension=2, seed=5)
-    path = _dump(tmp_path, ["cat,1.0,2.0", "dog,oops,2.0"])
+    path = _dump(tmp_path, ["cat,1.0,2.0", f"dog,{value},2.0"])
     with pytest.raises(WorkloadFileError, match="line 2"):
         ingest(path, spec)
 
@@ -188,3 +197,181 @@ def test_ingest_deterministic(tmp_path):
 def test_ingest_missing_file(tmp_path):
     with pytest.raises(OSError):
         ingest(tmp_path / "missing.csv", WorkloadSpec())
+
+
+# --- the per-task generator the columnar one replaced, kept as its oracle ---
+
+
+@dataclass
+class ObjectCatalog:
+    """Labelled base vectors; observations of one label differ only by noise."""
+
+    dimension: int
+    noise_sigma: float
+    objects: dict[str, np.ndarray] = field(default_factory=dict)
+    labels: list[str] = field(default_factory=list)
+
+    def mint(self, rng: np.random.Generator) -> str:
+        label = f"obj-{len(self.labels):05d}"
+        g = rng.standard_normal(self.dimension)
+        self.objects[label] = BASE_NORM * g / np.linalg.norm(g)
+        self.labels.append(label)
+        return label
+
+    def observe(self, label: str, rng: np.random.Generator) -> FeatureVector:
+        base = self.objects[label]
+        noisy = base + self.noise_sigma * rng.standard_normal(self.dimension)
+        return FeatureVector(tuple(noisy.tolist()))
+
+
+def _draw_task(
+    spec: WorkloadSpec,
+    rng: np.random.Generator,
+    task_id: int,
+    label: str,
+    features: FeatureVector,
+    clock: float,
+) -> Task:
+    """One task arriving after ``clock``; draws sizes, complexity, inter-arrival."""
+    input_size = float(rng.uniform(*spec.input_size_range))
+    output_size = float(rng.uniform(*spec.output_size_range))
+    complexity = float(rng.uniform(*spec.complexity_range))
+    return Task(
+        id=task_id,
+        service=spec.service,
+        object_label=label,
+        features=features,
+        input_size=input_size,
+        output_size=output_size,
+        complexity=complexity,
+        arrival_time=clock + float(rng.exponential(1.0 / spec.arrival_rate)),
+    )
+
+
+def reference_generate(spec: WorkloadSpec) -> list[Task]:
+    """Generate the task list for a spec; deterministic given the seed."""
+    rng = np.random.default_rng(spec.seed)
+    catalog = ObjectCatalog(dimension=spec.dimension, noise_sigma=spec.noise_sigma)
+    tasks: list[Task] = []
+    clock = 0.0
+    for i in range(spec.num_tasks):
+        if catalog.labels and rng.random() < spec.redundancy_rate:
+            label = catalog.labels[int(rng.integers(0, len(catalog.labels)))]
+        else:
+            label = catalog.mint(rng)
+        task = _draw_task(spec, rng, i, label, catalog.observe(label, rng), clock)
+        tasks.append(task)
+        clock = task.arrival_time
+    return tasks
+
+
+def reference_ingest(path, spec: WorkloadSpec) -> list[Task]:
+    """Build tasks from an externally produced feature dump.
+
+    File format: one record per line, ``label,v1,...,vd`` with an optional
+    ``label,f1,...,fd`` header.  Labels and features come from the file;
+    arrival times, sizes, and complexities are drawn from the spec exactly
+    as in ``generate``.
+    """
+    records: list[tuple[str, tuple[float, ...]]] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            label = parts[0]
+            try:
+                values = tuple(float(p) for p in parts[1:])
+            except ValueError:
+                if lineno == 1:
+                    continue  # header row
+                raise WorkloadFileError(
+                    f"line {lineno}: non-numeric feature value"
+                ) from None
+            if len(values) != spec.dimension:
+                raise WorkloadFileError(
+                    f"line {lineno}: expected {spec.dimension} feature values, "
+                    f"got {len(values)}"
+                )
+            records.append((label, values))
+    rng = np.random.default_rng(spec.seed)
+    tasks: list[Task] = []
+    clock = 0.0
+    for i, (label, values) in enumerate(records):
+        task = _draw_task(spec, rng, i, label, FeatureVector(values), clock)
+        tasks.append(task)
+        clock = task.arrival_time
+    return tasks
+
+
+def _size_range(lo_min):
+    lo = st.floats(lo_min, 100.0)
+    return st.one_of(
+        lo.map(lambda v: (v, v)),
+        st.tuples(lo, st.floats(0.0, 100.0)).map(lambda p: (p[0], p[0] + p[1])),
+    )
+
+
+specs = st.builds(
+    WorkloadSpec,
+    num_tasks=st.integers(0, 60),
+    redundancy_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    arrival_rate=st.floats(0.01, 1000.0),
+    input_size_range=_size_range(0.0),
+    output_size_range=_size_range(0.0),
+    complexity_range=_size_range(0.001),
+    dimension=st.integers(1, 8),
+    noise_sigma=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    seed=st.integers(0, 2**63),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=specs)
+def test_generate_matches_the_per_task_reference(spec):
+    tasks, expected = generate(spec), reference_generate(spec)
+    assert tasks == expected
+    assert workload_digest(tasks) == workload_digest(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=specs)
+def test_ingest_matches_the_per_task_reference(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("dump") / "features.csv"
+    lines = ["label," + ",".join(f"f{k}" for k in range(spec.dimension))]
+    for t in generate(spec):
+        lines.append(",".join([t.object_label, *map(repr, t.features.values)]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tasks, expected = ingest(path, spec), reference_ingest(path, spec)
+    assert tasks == expected
+    assert workload_digest(tasks) == workload_digest(expected)
+
+
+def test_generated_tasks_hold_plain_floats():
+    task = generate(WorkloadSpec(num_tasks=1, dimension=3))[0]
+    assert type(task.features.values) is tuple
+    assert {type(v) for v in task.features.values} == {float}
+    assert type(task.arrival_time) is float and type(task.complexity) is float
+
+
+# the benchmark's specs at seed 301 (perfbench/workloads.py), digested before
+# generation moved to columns; sweep pins the hash of its 100 run digests
+def test_workload_digests_are_pinned():
+    churn = WorkloadSpec(
+        num_tasks=3000, redundancy_rate=0.2, arrival_rate=17.0, seed=301
+    )
+    hot = WorkloadSpec(
+        num_tasks=8000, redundancy_rate=0.9, noise_sigma=0.12, seed=301
+    )
+    sweep = [
+        replace(s, seed=301 + trial)
+        for s in redundancy_ramp(range(10, 101, 10), WorkloadSpec())
+        for trial in range(10)
+    ]
+    assert workload_digest(generate(churn)) == "6ff9e704aa975f7151320a4b1fbbbf06"
+    assert workload_digest(generate(hot)) == "ec88a2b1e220b4ef5135a0952859cbd1"
+    digests = "".join(workload_digest(generate(s)) for s in sweep)
+    assert hashlib.sha256(digests.encode()).hexdigest() == (
+        "ab3a9c77c5b31e2b5eb2020e195520aa896d6459f5a18460737405052326d3af"
+    )
