@@ -25,7 +25,16 @@ from typing import Callable, Optional, Union, get_args, get_origin, get_type_hin
 import numpy as np
 
 from .reuse_store import StoreSettings
-from .sim import MetricsReport, Mode, ReuseGain, SimConfig, TaskRecord, reuse_gain, run
+from .sim import (
+    MetricsReport,
+    Mode,
+    ReuseGain,
+    SimConfig,
+    TaskRecord,
+    p90,
+    reuse_gain,
+    run,
+)
 from .workload import BASE_NORM, WorkloadSpec, redundancy_ramp
 
 SCENARIOS = ("completion", "computation", "waiting", "utilization", "load", "gain")
@@ -258,7 +267,7 @@ def _p90_row(
         n,
         redundancy,
         "p90",
-        (None if None in col else float(np.percentile(col, 90)) for col in zip(*runs)),
+        (None if None in col else p90(col) for col in zip(*runs)),
     )
 
 

@@ -1,14 +1,18 @@
 """Shared value types: feature vectors, tasks, cost parameters, outcomes.
 
 Everything here is an immutable value type after construction and safe to
-share between threads.  ``tasks_from_columns`` builds many tasks at once
-from checked columns.
+share between threads.  The one exception is a derived cache: an
+``LshIndex`` that hashes a ``FeatureVector`` writes the bucket keys it
+computed into the vector, so a read may write that cache.  The write is
+idempotent (the same index always computes the same keys) and the cache
+takes no part in equality, hashing, ``repr`` or pickling.
+``tasks_from_columns`` builds many tasks at once from checked columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -16,6 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 if TYPE_CHECKING:
+    from .lsh import LshIndex
     from .reuse_store import ReuseEntry
 
 
@@ -40,11 +45,18 @@ def _require_finite_fields(fields: dict[str, float]) -> None:
             require_finite(name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
-    """Fixed-dimension real-valued feature vector (pre-extracted upstream)."""
+    """Fixed-dimension real-valued feature vector (pre-extracted upstream).
+
+    ``_lsh_keys`` is ``(index, keys)`` for the last ``LshIndex`` that hashed
+    the vector, written by ``LshIndex.signature``; None until then.
+    """
 
     values: tuple[float, ...]
+    _lsh_keys: Optional[tuple["LshIndex", tuple[int, ...]]] = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         vals = tuple(map(float, self.values))
@@ -53,6 +65,11 @@ class FeatureVector:
         if not all(map(math.isfinite, vals)):
             raise ValueError("feature vector values must be finite")
         object.__setattr__(self, "values", vals)
+
+    def __reduce__(self):
+        # rebuilt from its values alone: the cached keys name an index of
+        # this process, so a copy or an unpickled vector starts without them
+        return FeatureVector, (self.values,)
 
     @property
     def dimension(self) -> int:
@@ -152,6 +169,7 @@ def tasks_from_columns(
     ):
         fv = new(FeatureVector)
         set_field(fv, "values", tuple(values))
+        set_field(fv, "_lsh_keys", None)
         task = new(Task)
         set_field(task, "id", i)
         set_field(task, "service", service)
@@ -237,3 +255,8 @@ class Outcome:
     def is_reuse(self) -> bool:
         """Reuse flag: True when a stored result satisfies (part of) the task."""
         return self.kind in (OutcomeKind.FULL_REUSE, OutcomeKind.PARTIAL_REUSE)
+
+
+# The two outcomes that carry no reuse, shared by every task that has one.
+CLOUD_OFFLOAD = Outcome(OutcomeKind.CLOUD_OFFLOAD)
+EDGE_COMPUTE = Outcome(OutcomeKind.EDGE_COMPUTE)

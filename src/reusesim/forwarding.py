@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Outcome, OutcomeKind, Task
+from .core import CLOUD_OFFLOAD, EDGE_COMPUTE, Outcome, OutcomeKind, Task
 from .reuse_store import LookupKind, ResultPayload, ReuseStore
 
 _OUTCOME_OF = {
     LookupKind.FULL: OutcomeKind.FULL_REUSE,
     LookupKind.PARTIAL: OutcomeKind.PARTIAL_REUSE,
-    LookupKind.MISS: OutcomeKind.EDGE_COMPUTE,
 }
 
 
@@ -44,10 +43,12 @@ class EdgeNode:
 
     def decide(self, task: Task, now: float) -> Outcome:
         if task.service not in self.offloaded_services:
-            return Outcome(OutcomeKind.CLOUD_OFFLOAD)
+            return CLOUD_OFFLOAD
         if self.store is None:
-            return Outcome(OutcomeKind.EDGE_COMPUTE)
+            return EDGE_COMPUTE
         result = self.store.lookup(task.service, task.features, now)
+        if result.kind is LookupKind.MISS:
+            return EDGE_COMPUTE
         return Outcome(_OUTCOME_OF[result.kind], result.reused_fraction, result.entry)
 
     def complete(

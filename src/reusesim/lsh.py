@@ -12,8 +12,12 @@ Hyperplanes come from ``numpy.random.default_rng(seed)`` (PCG64), whose
 stream is stable across platforms, so given settings, dimension and seed
 always build the same index.
 
-Reads (``signature``, ``query``, ``candidate_ids``) may run concurrently;
-``insert``/``remove`` need exclusive access.
+A ``FeatureVector`` remembers the bucket keys the last index to hash it
+computed, so each vector is projected once per index: the place that
+follows a lookup reuses the lookup's keys.  Reads (``signature``, ``query``,
+``candidate_ids``) therefore write that derived, idempotent cache on a value
+type; they may still run concurrently, since two reads of one vector write
+the same keys.  ``insert``/``remove`` need exclusive access.
 """
 
 from __future__ import annotations
@@ -99,10 +103,24 @@ class LshIndex:
             )
         return arr
 
-    def signature(self, v: VectorLike) -> tuple[int, ...]:
-        """Per-table bucket keys of one vector; key i addresses table i."""
-        bits = (self._proj @ self._coerce(v)) >= 0.0
+    def _project(self, arr: np.ndarray) -> tuple[int, ...]:
+        bits = (self._proj @ arr) >= 0.0
         return tuple((bits.reshape(self._key_shape) @ self._bit_weights).tolist())
+
+    def signature(self, v: VectorLike) -> tuple[int, ...]:
+        """Per-table bucket keys of one vector; key i addresses table i.
+
+        A ``FeatureVector`` keeps the keys with a reference to this index,
+        and a later call of this index returns them without projecting.
+        """
+        if not isinstance(v, FeatureVector):
+            return self._project(self._coerce(v))
+        memo = v._lsh_keys
+        if memo is not None and memo[0] is self:
+            return memo[1]
+        keys = self._project(self._coerce(v))
+        object.__setattr__(v, "_lsh_keys", (self, keys))
+        return keys
 
     def insert(self, entry_id: int, v: VectorLike) -> None:
         if entry_id in self._row_of:
@@ -110,7 +128,7 @@ class LshIndex:
         if not _INT64_MIN <= entry_id <= _INT64_MAX:  # query ranks ids as int64
             raise ValueError(f"entry id {entry_id} is outside the int64 range")
         arr = self._coerce(v)
-        keys = self.signature(arr)
+        keys = self.signature(v)
         for table, key in zip(self._tables, keys):
             table.setdefault(key, set()).add(entry_id)
         if self._free_rows:
@@ -137,7 +155,7 @@ class LshIndex:
 
     def candidate_ids(self, q: VectorLike) -> frozenset[int]:
         """Union of the buckets addressed by the query's signature."""
-        keys = self.signature(self._coerce(q))
+        keys = self.signature(q)
         return _EMPTY.union(*map(dict.get, self._tables, keys, repeat(_EMPTY)))
 
     def query(self, q: VectorLike) -> list[tuple[int, float]]:
@@ -147,11 +165,11 @@ class LshIndex:
         smallest distance (ties go to the smallest id), or ``[]`` when no
         addressed bucket holds a candidate.
         """
-        arr = self._coerce(q)
-        cands = self.candidate_ids(arr)
+        cands = self.candidate_ids(q)
         n = len(cands)
         if not n:
             return []
+        arr = self._coerce(q)
         ids = np.fromiter(cands, np.int64, n)
         rows = np.fromiter(map(self._row_of.__getitem__, cands), np.intp, n)
         # in place, but the same elementwise steps (hence the same floats) as

@@ -40,11 +40,11 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import CostParams, Outcome, OutcomeKind, Task, require_finite
+from .core import CLOUD_OFFLOAD, CostParams, Outcome, OutcomeKind, Task, require_finite
 from .cost import delivered_at, execution_cost, received_at, reuse_cost
 from .forwarding import EdgeNode
 from .lsh import LshSettings
@@ -154,6 +154,32 @@ def workload_digest(tasks: Sequence[Task]) -> str:
     return h.hexdigest()
 
 
+def p90(values: Iterable[float]) -> float:
+    """The 90th percentile of ``values``, bit for bit ``np.percentile(values, 90)``.
+
+    numpy's default linear method, type 7 of Hyndman & Fan (1996), computed
+    in Python: the virtual index ``(n - 1) * 0.9`` splits into its floor
+    ``i`` and ``gamma``, and sorted elements ``i`` and ``i + 1`` are
+    interpolated as numpy's ``_lerp`` does, from the upper one when
+    ``gamma >= 0.5``.  An index at ``n - 1`` (only when ``n == 1``) takes the
+    last element.  Where ``0.0`` and ``-0.0`` tie, numpy's result may take
+    either sign, depending on how its partition orders them.
+    """
+    xs = sorted(values)
+    n = len(xs)
+    if not n:
+        raise ValueError("p90 needs at least one value")
+    at = (n - 1) * 0.9
+    i = math.floor(at)
+    if i >= n - 1:
+        return xs[-1]
+    a, b = xs[i], xs[i + 1]
+    gamma = at - i
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
 def _service_duration(outcome: Outcome, task: Task, cost: CostParams) -> float:
     """Time a task holds an edge slot, given its outcome."""
     if outcome.is_reuse:
@@ -186,9 +212,6 @@ def _record(
     )
 
 
-_CLOUD = Outcome(OutcomeKind.CLOUD_OFFLOAD)
-
-
 def _cloud_record(
     task: Task, depart: float, waiting: float, cost: CostParams
 ) -> TaskRecord:
@@ -196,7 +219,7 @@ def _cloud_record(
     start = received_at(depart, task, False, cost)
     computation = execution_cost(task, False, cost)
     finish = delivered_at(start + computation, task, False, cost)
-    return _record(task, _CLOUD, start, finish, waiting, computation)
+    return _record(task, CLOUD_OFFLOAD, start, finish, waiting, computation)
 
 
 _RECV, _FINISH, _RENEGE = 0, 1, 2
@@ -312,7 +335,8 @@ def _aggregate(
 ) -> MetricsReport:
     records = sorted(records, key=lambda r: r.task_id)
     n = len(records)
-    completion = np.array([r.completion_s for r in records])
+    completion_s = [r.completion_s for r in records]
+    completion = np.array(completion_s)
     computation = np.array([r.computation_s for r in records])
     waiting = np.array([r.waiting_s for r in records])
     makespan = float(max(r.finish_s for r in records))
@@ -326,7 +350,7 @@ def _aggregate(
         mode=mode,
         records=tuple(records),
         mean_completion_s=float(completion.mean()),
-        p90_completion_s=float(np.percentile(completion, 90)),
+        p90_completion_s=p90(completion_s),
         mean_computation_s=float(computation.mean()),
         mean_waiting_s=float(waiting.mean()),
         utilization_pct=utilization,

@@ -1,3 +1,4 @@
+import pickle
 import re
 from dataclasses import replace
 
@@ -23,6 +24,17 @@ def test_feature_vector_coerces_to_floats():
     assert v.dimension == 3
     assert len(v) == 3
 
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_feature_vector_pickles(protocol):
+    v = FeatureVector((1.0, -0.0, 2.5))
+    w = pickle.loads(pickle.dumps(v, protocol))
+    assert type(w) is FeatureVector and w == v and w.values == v.values
+    assert repr(w) == repr(v) == "FeatureVector(values=(1.0, -0.0, 2.5))"
+    task = make_task(values=(1.0, -0.0))
+    assert pickle.loads(pickle.dumps(task, protocol)) == task
+    assert not hasattr(v, "__dict__")  # slots
 
 def test_task_validation():
     with pytest.raises(ValueError):

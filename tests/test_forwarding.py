@@ -12,6 +12,7 @@ from reusesim import (
     StoreSettings,
     Task,
 )
+from reusesim.core import CLOUD_OFFLOAD, EDGE_COMPUTE
 from reusesim.reuse_store import ResultPayload
 
 from conftest import make_task
@@ -304,3 +305,13 @@ def test_trace_matches_reference_interpreter():
     for seed in range(20):
         real, model = trace_pair(seed)
         assert real == model
+
+
+def test_non_reuse_outcomes_are_the_shared_constants():
+    node = fresh_node()
+    assert node.decide(svc_task(0, [1.0, 0.0, 0.0, 0.0], service="other"), 0.0) is (
+        CLOUD_OFFLOAD
+    )
+    assert node.decide(svc_task(1, [1.0, 0.0, 0.0, 0.0]), 0.0) is EDGE_COMPUTE  # miss
+    plain = EdgeNode(offloaded_services=frozenset({"svc"}))
+    assert plain.decide(svc_task(2, [1.0, 0.0, 0.0, 0.0]), 0.0) is EDGE_COMPUTE

@@ -1,12 +1,17 @@
+import copy
+import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reusesim import DimensionMismatch, FeatureVector, LshIndex, LshSettings
+from reusesim import DimensionMismatch, FeatureVector, LshIndex, LshSettings, ReuseStore
+from reusesim.core import tasks_from_columns
 from reusesim.lsh import INITIAL_ROWS
+from reusesim.reuse_store import ResultPayload
 
 
 def collision_rate(theta, bits, builds, tables, d=8, seed0=0):
@@ -300,6 +305,112 @@ def test_insert_and_query_hash_once(signature_calls, make):
     assert len(signature_calls) == 1
     assert idx.query(v) == [(0, 0.0)]
     assert len(signature_calls) == 2
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """Records the index of each projection ``LshIndex`` computes."""
+    calls = []
+    project = LshIndex._project
+
+    def counting(self, arr):
+        calls.append(self)
+        return project(self, arr)
+
+    monkeypatch.setattr(LshIndex, "_project", counting)
+    return calls
+
+
+MEMO_LSH = LshSettings(num_tables=4, bits_per_table=6)
+
+
+def test_each_vector_is_projected_once_per_index(projections, signature_calls):
+    idx, _ = _filled_index(n=20, d=3)
+    projections.clear()
+    signature_calls.clear()
+    v = FeatureVector([1.0, 2.0, 3.0])
+    idx.query(v)  # a lookup's hash
+    idx.insert(100, v)  # the place after it reuses the lookup's keys
+    assert idx.query(v) == [(100, 0.0)]
+    idx.candidate_ids(v)
+    assert projections == [idx]
+    assert len(signature_calls) == 4  # the calls themselves are unchanged
+    values = [1.0, 2.0, 3.0]  # a plain sequence has nowhere to keep its keys
+    assert idx.signature(values) == idx.signature(values) == idx.signature(v)
+    assert len(projections) == 3
+
+
+def test_a_place_reuses_its_lookups_keys(projections):
+    store = ReuseStore(3, seed=1)
+    first, second = FeatureVector([1.0, 2.0, 3.0]), FeatureVector([60.0, 0.0, 0.0])
+    store.place("s", first, ResultPayload("a"), 0.0)  # an empty table needs no lookup
+    assert store.lookup("s", second, 1.0).kind.value == "miss"
+    store.place("s", second, ResultPayload("b"), 1.0)
+    assert len(projections) == 2
+    assert store.lookup("s", FeatureVector([60.0, 0.0, 0.0]), 2.0).entry.id == 1
+
+
+def test_two_indexes_keep_their_own_keys(projections):
+    a, b = LshIndex(MEMO_LSH, 3, 1), LshIndex(MEMO_LSH, 3, 2)
+    values = [0.3, -1.2, 0.7]
+    keys_a, keys_b = a.signature(values), b.signature(values)
+    assert keys_a != keys_b
+    v = FeatureVector(values)
+    for _ in range(2):
+        assert a.signature(v) == keys_a
+        assert b.signature(v) == keys_b
+
+
+def test_keys_are_kept_for_the_index_object_not_an_equal_one(projections):
+    v = FeatureVector([0.3, -1.2, 0.7])
+    first = LshIndex(MEMO_LSH, 3, 1)
+    keys = first.signature(v)
+    twin = LshIndex(MEMO_LSH, 3, 1)  # the same hyperplanes in another object
+    assert twin.signature(v) == keys
+    assert projections == [first, twin]
+    del first, twin
+    gc.collect()
+    fresh = LshIndex(MEMO_LSH, 3, 1)
+    assert fresh.signature(v) == keys
+    assert projections[-1] is fresh and len(projections) == 3
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [
+        lambda v: pickle.loads(pickle.dumps(v)),
+        lambda v: pickle.loads(pickle.dumps(copy.copy(v))),
+        copy.copy,
+        copy.deepcopy,
+    ],
+    ids=["pickled", "copied-then-pickled", "copied", "deep-copied"],
+)
+def test_a_copied_or_pickled_vector_is_rehashed(projections, clone):
+    idx = LshIndex(MEMO_LSH, 3, 1)
+    v = FeatureVector([0.3, -1.2, 0.7])
+    keys = idx.signature(v)
+    # the cached keys, and the index they name, stay out of the pickle
+    assert pickle.dumps(v) == pickle.dumps(FeatureVector([0.3, -1.2, 0.7]))
+    w = clone(v)
+    assert (w, hash(w), repr(w)) == (v, hash(v), repr(v))
+    fresh = LshIndex(MEMO_LSH, 3, 1)
+    assert fresh.signature(w) == keys
+    assert projections == [idx, fresh]
+    assert idx.signature(v) == keys and len(projections) == 2
+
+
+def test_vectors_from_columns_and_the_constructor_behave_alike(projections):
+    one = np.ones(1)
+    (task,) = tasks_from_columns(
+        "s", ["o"], np.array([[0.3, -1.2, 0.7]]), one, one, one, np.zeros(1)
+    )
+    fast, built = task.features, FeatureVector([0.3, -1.2, 0.7])
+    assert (fast, hash(fast), repr(fast)) == (built, hash(built), repr(built))
+    assert pickle.loads(pickle.dumps(fast)) == built
+    idx = LshIndex(MEMO_LSH, 3, 1)
+    for _ in range(2):
+        assert idx.signature(fast) == idx.signature(built)
+    assert len(projections) == 2
 
 
 @pytest.mark.parametrize("entry_id", [2**63, -(2**63) - 1])
