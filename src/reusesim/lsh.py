@@ -34,7 +34,6 @@ VectorLike = Union[FeatureVector, Sequence[float], np.ndarray]
 
 INITIAL_ROWS = 64
 
-_FLOAT64 = np.dtype(np.float64)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _EMPTY: frozenset[int] = frozenset()
 
@@ -88,11 +87,8 @@ class LshIndex:
     def _coerce(self, v: VectorLike) -> np.ndarray:
         """``v`` as a float64 array of shape ``(dimension,)``.
 
-        Such an array is returned as is, so a method that coerces once can
-        pass its array down without converting or checking it again.
+        A float64 array is returned without a copy.
         """
-        if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == self._shape:
-            return v
         arr = np.asarray(
             v.values if isinstance(v, FeatureVector) else v, dtype=np.float64
         )

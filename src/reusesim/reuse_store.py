@@ -1,11 +1,12 @@
 """Reuse store: previously computed results keyed by input similarity.
 
-Each service gets its own LSH index plus an entry map.  A lookup classifies
-the nearest stored input as a full hit (distance <= tau_full), a partial hit
-(distance <= tau_partial, covering ``partial_fraction`` of the task), or a
-miss.  Hits bump the entry's reuse frequency; when a service's table is at
-capacity the least-frequently-used entry is evicted (ties: least recently
-used, then smallest id).
+Each service gets one table: its entries and their LSH index, the lazy LFU
+heap and the hit and miss counts.  A lookup classifies the nearest stored
+input as a full hit (distance <= tau_full), a partial hit (distance <=
+tau_partial, covering ``partial_fraction`` of the task), or a miss.  Hits
+bump the entry's reuse frequency; when a service's table is at capacity the
+least-frequently-used entry is evicted (ties: least recently used, then
+smallest id).
 
 Admission is unconditional: every freshly computed result is stored and LFU
 filters out unpopular inputs over time.  Frequencies count over the entry's
@@ -28,8 +29,7 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -103,6 +103,7 @@ class LookupResult:
 MISS = LookupResult(LookupKind.MISS)
 
 _SNAPSHOT_MAGIC = "#reusesim-snapshot"
+_HEADER_FIELDS = {"dimension", "next_id", "last_decay"}
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,30 @@ def _service_seed(base_seed: int, service: str) -> int:
     )
 
 
+@dataclass(eq=False, slots=True)
+class _ServiceTable:
+    """One service's reuse table and everything kept about it.
+
+    ``heap`` is the lazy LFU heap: None until the service's first eviction,
+    and again once it is due for a rebuild.
+    """
+
+    index: LshIndex
+    entries: dict[int, ReuseEntry] = field(default_factory=dict)
+    heap: Optional[list[tuple[int, float, int]]] = None
+    hits: int = 0
+    misses: int = 0
+
+    def push_key(self, entry: ReuseEntry) -> None:
+        """Record an entry's new LFU key in the heap, if there is one."""
+        if self.heap is None:
+            return
+        if len(self.heap) > 2 * len(self.entries) + 16:
+            self.heap = None  # mostly stale: rebuild at the next eviction
+        else:
+            heapq.heappush(self.heap, _lfu_key(entry))
+
+
 class ReuseStore:
     """Per-service similarity-indexed cache of computed results."""
 
@@ -139,12 +164,7 @@ class ReuseStore:
         self.settings = settings
         self.lsh = lsh
         self.seed = seed
-        self._entries: dict[str, dict[int, ReuseEntry]] = {}
-        self._indexes: dict[str, LshIndex] = {}
-        # service -> lazy LFU heap, built at the service's first eviction
-        self._heaps: dict[str, list[tuple[int, float, int]]] = {}
-        self._hits: Counter[str] = Counter()
-        self._misses: Counter[str] = Counter()
+        self._tables: dict[str, _ServiceTable] = {}
         self._next_id = 0
         self._last_decay = 0.0
         self.eviction_log: list[tuple[str, int]] = []
@@ -153,49 +173,34 @@ class ReuseStore:
     def capacity(self) -> Optional[int]:
         return self.settings.capacity
 
-    def _index_for(self, service: str) -> LshIndex:
-        index = self._indexes.get(service)
-        if index is None:
-            index = LshIndex(
-                self.lsh, self.dimension, _service_seed(self.seed, service)
-            )
-            self._indexes[service] = index
-        return index
+    def _table(self, service: str) -> _ServiceTable:
+        table = self._tables.get(service)
+        if table is None:
+            seed = _service_seed(self.seed, service)
+            table = _ServiceTable(LshIndex(self.lsh, self.dimension, seed))
+            self._tables[service] = table
+        return table
 
-    def _maybe_decay(self, now: float) -> None:
-        """Halve every frequency once per whole interval since the last decay.
+    def _advance(self, now: float) -> None:
+        """Check ``now``, then apply the decay due by then.
 
-        ``k`` halvings are applied as one shift, so the cost does not depend
-        on how much simulated time has passed.
+        Every frequency is halved once per whole interval since the last
+        decay.  ``k`` halvings are applied as one shift, so the cost does not
+        depend on how much simulated time has passed.
         """
+        require_finite("now", now)
         interval = self.settings.decay_interval
         if interval is None:
             return
         k = (now - self._last_decay) // interval
         if k < 1:
             return
-        for table in self._entries.values():
-            for entry in table.values():
+        for table in self._tables.values():
+            for entry in table.entries.values():
                 # halving past f.bit_length() leaves 0 (or -1) unchanged
                 entry.frequency >>= int(min(k, entry.frequency.bit_length()))
+            table.heap = None
         self._last_decay += k * interval
-        self._heaps.clear()
-
-    def _push_key(self, service: str, entry: ReuseEntry) -> None:
-        """Record an entry's new LFU key in the service's heap, if it has one."""
-        heap = self._heaps.get(service)
-        if heap is None:
-            return
-        if len(heap) > 2 * len(self._entries[service]) + 16:
-            del self._heaps[service]  # mostly stale: rebuild at the next eviction
-        else:
-            heapq.heappush(heap, _lfu_key(entry))
-
-    def _build_heap(self, service: str, table: dict[int, ReuseEntry]) -> list:
-        heap = [_lfu_key(e) for e in table.values()]
-        heapq.heapify(heap)
-        self._heaps[service] = heap
-        return heap
 
     def lookup(self, service: str, q: FeatureVector, now: float) -> LookupResult:
         """Classify the nearest stored input for ``service`` against the thresholds.
@@ -206,25 +211,18 @@ class ReuseStore:
         """
         if not service:
             raise ValueError("service name must be non-empty")
-        require_finite("now", now)
-        self._maybe_decay(now)
-        table = self._entries.get(service)
-        if not table:
-            self._misses[service] += 1
-            return MISS
-        nearest = self._index_for(service).query(q)
-        if not nearest:
-            self._misses[service] += 1
+        self._advance(now)
+        table = self._table(service)
+        nearest = table.index.query(q) if table.entries else []
+        if not nearest or nearest[0][1] > self.settings.tau_partial:
+            table.misses += 1
             return MISS
         ((best_id, best_dist),) = nearest
-        if best_dist > self.settings.tau_partial:
-            self._misses[service] += 1
-            return MISS
-        entry = table[best_id]
+        entry = table.entries[best_id]
         entry.frequency += 1
         entry.last_used_at = now
-        self._push_key(service, entry)
-        self._hits[service] += 1
+        table.push_key(entry)
+        table.hits += 1
         if best_dist <= self.settings.tau_full:
             return LookupResult(LookupKind.FULL, entry, 1.0)
         return LookupResult(LookupKind.PARTIAL, entry, self.settings.partial_fraction)
@@ -238,15 +236,16 @@ class ReuseStore:
     ) -> int:
         """Admit a freshly computed result, evicting LFU first if at capacity.
 
-        Returns the new entry's id.
+        Returns the new entry's id.  The index checks the vector before the
+        entry is stored, so a rejected vector leaves no entry behind.
         """
-        require_finite("now", now)
-        self._maybe_decay(now)
-        table = self._entries.setdefault(service, {})
+        self._advance(now)
+        table = self._table(service)
         capacity = self.settings.capacity
-        if capacity is not None and len(table) >= capacity:
+        if capacity is not None and len(table.entries) >= capacity:
             self.evict_lfu(service)
         entry_id = self._next_id
+        table.index.insert(entry_id, features)
         self._next_id += 1
         entry = ReuseEntry(
             id=entry_id,
@@ -257,9 +256,8 @@ class ReuseStore:
             inserted_at=now,
             last_used_at=now,
         )
-        table[entry_id] = entry
-        self._push_key(service, entry)
-        self._index_for(service).insert(entry_id, features)
+        table.entries[entry_id] = entry
+        table.push_key(entry)
         return entry_id
 
     def evict_lfu(self, service: str) -> int:
@@ -268,37 +266,35 @@ class ReuseStore:
         The victim is ``min((frequency, last_used_at, id))`` over the
         service's entries, found by popping stale keys off the lazy heap.
         """
-        table = self._entries.get(service)
-        if not table:
+        table = self._tables.get(service)
+        if table is None or not table.entries:
             raise KeyError(f"no entries stored for service {service!r}")
-        heap = self._heaps.get(service)
+        entries = table.entries
         while True:
-            if not heap:  # no heap yet, or only stale keys were left
-                heap = self._build_heap(service, table)
-            key = heapq.heappop(heap)
-            victim = table.get(key[2])
+            if not table.heap:  # no heap yet, or only stale keys were left
+                table.heap = [_lfu_key(e) for e in entries.values()]
+                heapq.heapify(table.heap)
+            key = heapq.heappop(table.heap)
+            victim = entries.get(key[2])
             if victim is not None and _lfu_key(victim) == key:
                 break
-        del table[victim.id]
-        self._index_for(service).remove(victim.id)
+        del entries[victim.id]
+        table.index.remove(victim.id)
         self.eviction_log.append((service, victim.id))
         return victim.id
 
     def entry_count(self, service: str) -> int:
-        return len(self._entries.get(service, {}))
+        table = self._tables.get(service)
+        return len(table.entries) if table else 0
 
     def entries(self, service: str) -> list[ReuseEntry]:
-        return list(self._entries.get(service, {}).values())
+        table = self._tables.get(service)
+        return list(table.entries.values()) if table else []
 
     def stats(self) -> dict[str, ServiceStats]:
-        services = set(self._entries) | set(self._hits) | set(self._misses)
         return {
-            s: ServiceStats(
-                entries=len(self._entries.get(s, {})),
-                hits=self._hits[s],
-                misses=self._misses[s],
-            )
-            for s in sorted(services)
+            service: ServiceStats(len(t.entries), t.hits, t.misses)
+            for service, t in sorted(self._tables.items())
         }
 
     # -- snapshot/restore -------------------------------------------------
@@ -307,30 +303,32 @@ class ReuseStore:
     #   #reusesim-snapshot dimension=<d> next_id=<n> last_decay=<t>
     # then one entry per line:
     #   service,id,frequency,inserted_at,last_used_at,label,output_size,v1,...,vd
-    # Hit/miss counters are not part of the snapshot.  Files without
-    # ``last_decay=`` in the header, or without a header, predate the
-    # ``output_size`` column: their rows load with an output size of 0 and a
-    # decay clock of 0.
+    # Lines end with "\n" alone, so a service name or label round-trips with
+    # any character but "\n" and ",", "\r" and leading spaces included.
+    # Hit/miss counters are not part of the snapshot.
 
     def save(self, path) -> None:
+        """Write the store's entries, ids and decay clock to ``path``.
+
+        A service name or label holding a comma or a line break raises
+        ``ValueError`` naming the field: the row could not be read back.
+        """
         lines = [
             f"{_SNAPSHOT_MAGIC} dimension={self.dimension} next_id={self._next_id} "
             f"last_decay={self._last_decay!r}"
         ]
-        for service in sorted(self._entries):
-            if "," in service:
-                raise ValueError("service names must not contain commas")
-            for entry_id in sorted(self._entries[service]):
-                e = self._entries[service][entry_id]
-                if "," in e.output.label:
-                    raise ValueError("labels must not contain commas")
+        for service, table in sorted(self._tables.items()):
+            _check_snapshot_text("service names", service)
+            for entry_id in sorted(table.entries):
+                e = table.entries[entry_id]
+                _check_snapshot_text("labels", e.output.label)
                 values = ",".join(repr(v) for v in e.features.values)
                 lines.append(
                     f"{service},{e.id},{e.frequency},{e.inserted_at!r},"
                     f"{e.last_used_at!r},{e.output.label},{e.output.output_size!r},"
                     f"{values}"
                 )
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
@@ -344,101 +342,81 @@ class ReuseStore:
         """Rebuild a store from a snapshot under the given settings and seed.
 
         The feature dimension, the next id to hand out and the decay clock
-        come from the header.  A file without one (as written before the
-        header existed) takes the dimension from its first row (1 when it has
-        none) and continues ids after the largest stored one, so it cannot
-        know about ids evicted before it was saved.  A malformed header or
-        row raises ``ValueError`` naming its line, and a service with more
-        entries than ``settings.capacity`` raises one naming the service.
+        come from the header.  A malformed header or row raises
+        ``ValueError`` naming its line, and a service with more entries than
+        ``settings.capacity`` raises one naming the service.
         """
-        dim: Optional[int] = None
-        next_id: Optional[int] = None
-        last_decay: Optional[float] = None
-        entries: list[ReuseEntry] = []
-        seen: set[tuple[str, int]] = set()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if lineno == 1 and line.startswith(_SNAPSHOT_MAGIC):
-                    dim, next_id, last_decay = _parse_header(line)
-                    continue
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            dim, next_id, last_decay = _parse_header(fh.readline().removesuffix("\n"))
+            store = cls(dim, settings, lsh, seed)
+            store._next_id, store._last_decay = next_id, last_decay
+            for lineno, raw in enumerate(fh, start=2):
+                line = raw.removesuffix("\n")
                 if not line:
                     continue
                 try:
-                    entry = _parse_entry(line.split(","), sized=last_decay is not None)
+                    entry = _parse_entry(line.split(","))
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
-                if dim is None:
-                    dim = entry.features.dimension
-                elif entry.features.dimension != dim:
+                if entry.features.dimension != dim:
                     raise ValueError(
                         f"line {lineno}: expected {dim} "
                         f"feature values, got {entry.features.dimension}"
                     )
-                if (entry.service, entry.id) in seen:
+                table = store._table(entry.service)
+                if entry.id in table.entries:
                     raise ValueError(f"line {lineno}: duplicate entry id {entry.id}")
-                if next_id is not None and entry.id >= next_id:
+                if entry.id >= next_id:
                     raise ValueError(
                         f"line {lineno}: entry id {entry.id} is not below "
                         f"the header's next_id {next_id}"
                     )
-                seen.add((entry.service, entry.id))
-                entries.append(entry)
-        if settings.capacity is not None:
-            for service, count in Counter(e.service for e in entries).items():
-                if count > settings.capacity:
-                    raise ValueError(
-                        f"service {service!r} holds {count} entries, more than "
-                        f"the capacity {settings.capacity}"
-                    )
-        store = cls(1 if dim is None else dim, settings, lsh, seed)
-        for entry in entries:
-            store._entries.setdefault(entry.service, {})[entry.id] = entry
-            store._index_for(entry.service).insert(entry.id, entry.features)
-            store._next_id = max(store._next_id, entry.id + 1)
-        if next_id is not None:
-            store._next_id = next_id
-        if last_decay is not None:
-            store._last_decay = last_decay
+                table.entries[entry.id] = entry
+                table.index.insert(entry.id, entry.features)
+        capacity = settings.capacity
+        for service, table in store._tables.items():
+            if capacity is not None and len(table.entries) > capacity:
+                raise ValueError(
+                    f"service {service!r} holds {len(table.entries)} entries, "
+                    f"more than the capacity {capacity}"
+                )
         return store
 
 
-def _parse_header(line: str) -> tuple[int, int, Optional[float]]:
-    """``(dimension, next_id, last_decay)`` from a snapshot's header (line 1).
+def _check_snapshot_text(field_name: str, text: str) -> None:
+    if "," in text or "\n" in text:
+        raise ValueError(f"{field_name} must not contain commas or line breaks")
 
-    ``last_decay`` is None for a header written before it was recorded.
-    """
-    fields = dict(field.partition("=")[::2] for field in line.split()[1:])
+
+def _parse_header(line: str) -> tuple[int, int, float]:
+    """``(dimension, next_id, last_decay)`` from a snapshot's header (line 1)."""
+    magic, *pairs = line.split(" ")
+    fields = dict(pair.partition("=")[::2] for pair in pairs)
     try:
-        dim, next_id = int(fields["dimension"]), int(fields["next_id"])
-        raw_decay = fields.get("last_decay")
-        last_decay = None if raw_decay is None else float(raw_decay)
-        require_finite("last_decay", last_decay)
-    except (KeyError, ValueError):
-        dim = next_id = -1
-    if dim < 1 or next_id < 0:
-        raise ValueError(f"line 1: malformed snapshot header {line!r}")
-    return dim, next_id, last_decay
+        if magic == _SNAPSHOT_MAGIC and fields.keys() == _HEADER_FIELDS:
+            dim, next_id = int(fields["dimension"]), int(fields["next_id"])
+            last_decay = float(fields["last_decay"])
+            require_finite("last_decay", last_decay)
+            if dim >= 1 and next_id >= 0:
+                return dim, next_id, last_decay
+    except ValueError:
+        pass
+    raise ValueError(f"line 1: malformed snapshot header {line!r}")
 
 
-def _parse_entry(parts: list[str], sized: bool) -> ReuseEntry:
-    """One snapshot row, already split on commas, as an entry.
-
-    ``sized`` rows carry the output size after the label.
-    """
-    first_value = 7 if sized else 6
-    if len(parts) <= first_value:
+def _parse_entry(parts: list[str]) -> ReuseEntry:
+    """One snapshot row, already split on commas, as an entry."""
+    if len(parts) < 8:
         raise ValueError("too few fields")
-    service, entry_id, freq, inserted, used, label = parts[:6]
-    inserted_at, last_used_at = float(inserted), float(used)
-    output_size = float(parts[6]) if sized else 0.0
+    service, entry_id, freq, inserted, used, label, size = parts[:7]
+    inserted_at, last_used_at, output_size = float(inserted), float(used), float(size)
     require_finite("inserted_at", inserted_at)
     require_finite("last_used_at", last_used_at)
     require_finite("output_size", output_size)
     return ReuseEntry(
         id=int(entry_id),
         service=service,
-        features=FeatureVector(tuple(float(v) for v in parts[first_value:])),
+        features=FeatureVector(tuple(float(v) for v in parts[7:])),
         output=ResultPayload(label=label, output_size=output_size),
         frequency=int(freq),
         inserted_at=inserted_at,

@@ -4,10 +4,17 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reusesim import FeatureVector, LookupKind, LshSettings, ReuseStore, StoreSettings
+from reusesim import (
+    DimensionMismatch,
+    FeatureVector,
+    LookupKind,
+    LshSettings,
+    ReuseStore,
+    StoreSettings,
+)
 from reusesim.reuse_store import ResultPayload
 
 
@@ -301,7 +308,11 @@ def test_decay_shift_equals_repeated_halving(tmp_path, intervals):
     freqs = [0, 1, 2, 5, 1000, 2**63 - 1, 2**70 + 3, -1, -5]
     path = tmp_path / "store.snapshot"
     path.write_text(
-        "".join(f"svc,{i},{f},0.0,0.0,o{i},{10.0 * (i + 1)!r},0.0\n" for i, f in enumerate(freqs)),
+        f"#reusesim-snapshot dimension=2 next_id={len(freqs)} last_decay=0.0\n"
+        + "".join(
+            f"svc,{i},{f},0.0,0.0,o{i},0.0,{10.0 * (i + 1)!r},0.0\n"
+            for i, f in enumerate(freqs)
+        ),
         encoding="utf-8",
     )
     store = ReuseStore.load(path, StoreSettings(decay_interval=2.0), seed=3)
@@ -412,7 +423,7 @@ def test_lfu_heap_stays_bounded_under_many_hits():
         store.place("svc", axis_vector(i), ResultPayload("x"), now=float(i))
     for step in range(1000):
         store.lookup("svc", axis_vector(1 + step % 3), now=10.0 + step)
-        assert len(store._heaps.get("svc", ())) <= 2 * 3 + 17
+        assert len(store._tables["svc"].heap or ()) <= 2 * 3 + 17
     live = store.entries("svc")
     victim = min(live, key=lambda e: (e.frequency, e.last_used_at, e.id))
     assert store.evict_lfu("svc") == victim.id
@@ -469,17 +480,18 @@ def test_snapshot_keeps_output_size_and_decay_clock(tmp_path):
         assert s.lookup("svc", axis_vector(0), now=29.0).entry.frequency == 3
 
 
-def test_snapshot_without_last_decay_loads_as_before(tmp_path):
-    path = _write_snapshot(
-        tmp_path, ["#reusesim-snapshot dimension=2 next_id=3", "svc,1,4,0.5,2.5,a,1.0,2.0"]
-    )
-    loaded = ReuseStore.load(path)
-    (entry,) = loaded.entries("svc")
-    assert entry.output == ResultPayload("a", 0.0)
-    assert entry.features.values == (1.0, 2.0)
-    assert (entry.frequency, entry.inserted_at, entry.last_used_at) == (4, 0.5, 2.5)
-    assert loaded._last_decay == 0.0
-    assert loaded.place("svc", FeatureVector((5.0, 5.0)), ResultPayload("b"), 3.0) == 3
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # no header, rows without the output_size column
+        ["svc,1,4,0.5,2.5,a,1.0,2.0"],
+        # a header without last_decay, rows without the output_size column
+        ["#reusesim-snapshot dimension=2 next_id=3", "svc,1,4,0.5,2.5,a,1.0,2.0"],
+    ],
+)
+def test_older_snapshot_layouts_are_rejected(tmp_path, lines):
+    with pytest.raises(ValueError, match="^line 1: malformed snapshot header"):
+        ReuseStore.load(_write_snapshot(tmp_path, lines))
 
 
 def test_empty_snapshot_keeps_dimension(tmp_path):
@@ -508,14 +520,26 @@ def test_snapshot_over_capacity_is_rejected(tmp_path):
     "lines,detail",
     [
         (["#reusesim-snapshot dimension=2"], "line 1: malformed snapshot header"),
-        (["#reusesim-snapshot dimension=0 next_id=1"], "line 1: malformed snapshot header"),
-        (["#reusesim-snapshot dimension=x next_id=1"], "line 1: malformed snapshot header"),
         (
-            ["#reusesim-snapshot dimension=2 next_id=1", "svc,0,0,0.0,0.0,a,1.0"],
+            ["#reusesim-snapshot dimension=0 next_id=1 last_decay=0.0"],
+            "line 1: malformed snapshot header",
+        ),
+        (
+            ["#reusesim-snapshot dimension=x next_id=1 last_decay=0.0"],
+            "line 1: malformed snapshot header",
+        ),
+        (
+            [
+                "#reusesim-snapshot dimension=2 next_id=1 last_decay=0.0",
+                "svc,0,0,0.0,0.0,a,0.0,1.0",
+            ],
             "line 2: expected 2 feature values, got 1",
         ),
         (
-            ["#reusesim-snapshot dimension=1 next_id=1", "svc,1,0,0.0,0.0,a,1.0"],
+            [
+                "#reusesim-snapshot dimension=1 next_id=1 last_decay=0.0",
+                "svc,1,0,0.0,0.0,a,0.0,1.0",
+            ],
             "line 2: entry id 1 is not below the header's next_id 1",
         ),
         (
@@ -538,7 +562,12 @@ def test_snapshot_header_errors_name_line(tmp_path, lines, detail):
 
 def test_snapshot_row_of_wrong_dimension_names_line(tmp_path):
     path = _write_snapshot(
-        tmp_path, ["svc,0,0,0.0,0.0,a,1.0,2.0,3.0", "", "svc,1,0,0.0,0.0,b,1.0,2.0"]
+        tmp_path,
+        [
+            "#reusesim-snapshot dimension=3 next_id=2 last_decay=0.0",
+            "",
+            "svc,1,0,0.0,0.0,b,0.0,1.0,2.0",
+        ],
     )
     with pytest.raises(ValueError, match="^line 3: expected 3 feature values, got 2$"):
         ReuseStore.load(path)
@@ -553,10 +582,119 @@ def test_snapshot_row_of_wrong_dimension_names_line(tmp_path):
         ("svc,1,0,0.0,0.0,b,one", 2, "could not convert"),
         ("svc,1,0,0.0,nan,b,1.0", 2, "last_used_at must be finite"),
         ("svc,1,0,0.0,0.0,b,inf", 2, "feature vector values must be finite"),
-        ("svc,0,0,0.0,0.0,b,1.0", 2, "duplicate entry id 0"),
+        ("svc,1,0,0.0,0.0,b", 2, "too few fields"),
     ],
 )
 def test_snapshot_parse_errors_name_line(tmp_path, row, lineno, detail):
-    path = _write_snapshot(tmp_path, ["svc,0,0,0.0,0.0,a,1.0", row])
+    # each case lists a row's fields up to its label, then its feature
+    # values; it is written with an output_size of 0.0 between the two
+    fields = row.split(",")
+    path = _write_snapshot(
+        tmp_path,
+        [
+            "#reusesim-snapshot dimension=1 next_id=2 last_decay=0.0",
+            ",".join(fields[:6] + ["0.0"] + fields[6:]),
+        ],
+    )
     with pytest.raises(ValueError, match=f"^line {lineno}: {detail}"):
         ReuseStore.load(path)
+
+
+def test_snapshot_duplicate_id_names_line(tmp_path):
+    path = _write_snapshot(
+        tmp_path,
+        [
+            "#reusesim-snapshot dimension=1 next_id=2 last_decay=0.0",
+            "svc,0,0,0.0,0.0,a,0.0,1.0",
+            "svc,0,0,0.0,0.0,b,0.0,1.0",
+        ],
+    )
+    with pytest.raises(ValueError, match="^line 3: duplicate entry id 0$"):
+        ReuseStore.load(path)
+
+
+def _snapshot_can_hold(text):
+    return "," not in text and "\n" not in text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    placed=st.lists(
+        st.tuples(
+            st.text(),  # service
+            st.text(),  # label
+            st.floats(allow_nan=False, allow_infinity=False),  # output size
+            st.integers(0, 3),  # hits
+        ),
+        max_size=8,
+    ),
+    evictions=st.integers(0, 2),
+)
+@example(placed=[(" svc ", "a\r", 0.0, 1), ("svc\r", " b ", 0.0, 0)], evictions=0)
+def test_snapshot_round_trips_any_names_and_labels(placed, evictions):
+    """What ``save`` writes loads back equal; what it cannot, it refuses by field."""
+    store_settings = StoreSettings(capacity=None, decay_interval=1.5)
+    store = ReuseStore(2, store_settings, SMALL_LSH, seed=2)
+    for i, (service, label, size, hits) in enumerate(placed):
+        vector = FeatureVector((10.0 * (i + 1), -1.5 * i))
+        store.place(service, vector, ResultPayload(label, size), now=0.7 * i)
+        for k in range(hits if service else 0):
+            store.lookup(service, vector, now=0.7 * i + 0.1 * k)
+    for service, *_ in placed[:evictions]:
+        if store.entry_count(service):
+            store.evict_lfu(service)
+    services = {service for service, *_ in placed}
+    bad_service = not all(map(_snapshot_can_hold, services))
+    bad_label = not all(
+        _snapshot_can_hold(e.output.label) for s in services for e in store.entries(s)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "store.snapshot")
+        if bad_service or bad_label:
+            with pytest.raises(ValueError) as err:
+                store.save(path)
+            field_name = str(err.value).partition(" must not contain")[0]
+            assert (field_name == "service names" and bad_service) or (
+                field_name == "labels" and bad_label
+            )
+            return
+        store.save(path)
+        loaded = ReuseStore.load(path, store_settings, SMALL_LSH, seed=2)
+        again = os.path.join(tmp, "again.snapshot")
+        loaded.save(again)
+        with open(path, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+    assert loaded.dimension == store.dimension
+    assert (loaded._next_id, loaded._last_decay) == (store._next_id, store._last_decay)
+    for service in services:
+        assert loaded.entries(service) == store.entries(service)
+
+
+@pytest.mark.parametrize(
+    "service,label,field_name",
+    [
+        ("s,vc", "a", "service names"),
+        ("s\nvc", "a", "service names"),
+        ("svc", "a,b", "labels"),
+        ("svc", "a\nb", "labels"),
+    ],
+)
+def test_save_names_a_field_it_cannot_write(tmp_path, service, label, field_name):
+    store = small_store()
+    store.place(service, axis_vector(0), ResultPayload(label), now=0.0)
+    with pytest.raises(
+        ValueError, match=f"^{field_name} must not contain commas or line breaks$"
+    ):
+        store.save(tmp_path / "store.snapshot")
+
+
+def test_place_of_a_rejected_vector_stores_nothing(tmp_path):
+    store = small_store()
+    with pytest.raises(DimensionMismatch):
+        store.place("svc", FeatureVector((1.0, 2.0)), ResultPayload("a"), now=0.0)
+    assert store.entries("svc") == []
+    assert store.place("svc", axis_vector(0), ResultPayload("b"), now=1.0) == 0
+    path = tmp_path / "store.snapshot"
+    store.save(path)
+    loaded = ReuseStore.load(path, StoreSettings(capacity=3), SMALL_LSH)
+    assert loaded.entries("svc") == store.entries("svc")
