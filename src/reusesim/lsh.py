@@ -12,25 +12,25 @@ Hyperplanes come from ``numpy.random.default_rng(seed)`` (PCG64), whose
 stream is stable across platforms, so given settings, dimension and seed
 always build the same index.
 
-A ``FeatureVector`` remembers the bucket keys the last index to hash it
-computed, so each vector is projected once per index: the place that
-follows a lookup reuses the lookup's keys.  Reads (``signature``, ``query``,
-``candidate_ids``) therefore write that derived, idempotent cache on a value
-type; they may still run concurrently, since two reads of one vector write
-the same keys.  ``insert``/``remove`` need exclusive access.
+Every vector the index takes is a ``FeatureVector``, whose values are
+already checked finite; the index checks only the dimension.  The vector
+remembers the bucket keys the last index to hash it computed, so each
+vector is projected once per index: the place that follows a lookup reuses
+the lookup's keys.  Reads (``signature``, ``query``, ``candidate_ids``)
+therefore write that derived, idempotent cache on a value type; they may
+still run concurrently, since two reads of one vector write the same keys.
+``insert``/``remove`` need exclusive access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 import numpy as np
 
 from .core import DimensionMismatch, FeatureVector
-
-VectorLike = Union[FeatureVector, Sequence[float], np.ndarray]
 
 INITIAL_ROWS = 64
 
@@ -84,14 +84,9 @@ class LshIndex:
     def __contains__(self, entry_id: int) -> bool:
         return entry_id in self._row_of
 
-    def _coerce(self, v: VectorLike) -> np.ndarray:
-        """``v`` as a float64 array of shape ``(dimension,)``.
-
-        A float64 array is returned without a copy.
-        """
-        arr = np.asarray(
-            v.values if isinstance(v, FeatureVector) else v, dtype=np.float64
-        )
+    def _coerce(self, v: FeatureVector) -> np.ndarray:
+        """``v``'s values as a float64 array of shape ``(dimension,)``."""
+        arr = np.asarray(v.values, dtype=np.float64)
         if arr.shape != self._shape:
             raise DimensionMismatch(
                 f"expected a vector of dimension {self.dimension}, "
@@ -103,14 +98,12 @@ class LshIndex:
         bits = (self._proj @ arr) >= 0.0
         return tuple((bits.reshape(self._key_shape) @ self._bit_weights).tolist())
 
-    def signature(self, v: VectorLike) -> tuple[int, ...]:
+    def signature(self, v: FeatureVector) -> tuple[int, ...]:
         """Per-table bucket keys of one vector; key i addresses table i.
 
-        A ``FeatureVector`` keeps the keys with a reference to this index,
-        and a later call of this index returns them without projecting.
+        The vector keeps the keys with a reference to this index, and a
+        later call of this index returns them without projecting.
         """
-        if not isinstance(v, FeatureVector):
-            return self._project(self._coerce(v))
         memo = v._lsh_keys
         if memo is not None and memo[0] is self:
             return memo[1]
@@ -118,7 +111,7 @@ class LshIndex:
         object.__setattr__(v, "_lsh_keys", (self, keys))
         return keys
 
-    def insert(self, entry_id: int, v: VectorLike) -> None:
+    def insert(self, entry_id: int, v: FeatureVector) -> None:
         if entry_id in self._row_of:
             raise ValueError(f"entry id {entry_id} already present")
         if not _INT64_MIN <= entry_id <= _INT64_MAX:  # query ranks ids as int64
@@ -149,12 +142,12 @@ class LshIndex:
             if not bucket:
                 del table[key]
 
-    def candidate_ids(self, q: VectorLike) -> frozenset[int]:
+    def candidate_ids(self, q: FeatureVector) -> frozenset[int]:
         """Union of the buckets addressed by the query's signature."""
         keys = self.signature(q)
         return _EMPTY.union(*map(dict.get, self._tables, keys, repeat(_EMPTY)))
 
-    def query(self, q: VectorLike) -> list[tuple[int, float]]:
+    def query(self, q: FeatureVector) -> list[tuple[int, float]]:
         """The nearest candidate from the addressed buckets.
 
         Returns ``[(entry_id, euclidean distance)]`` for the candidate at the

@@ -140,6 +140,12 @@ class _ServiceTable:
     hits: int = 0
     misses: int = 0
 
+    def admit(self, entry: ReuseEntry) -> None:
+        """Index, store and key one entry; a vector the index rejects stores nothing."""
+        self.index.insert(entry.id, entry.features)
+        self.entries[entry.id] = entry
+        self.push_key(entry)
+
     def push_key(self, entry: ReuseEntry) -> None:
         """Record an entry's new LFU key in the heap, if there is one."""
         if self.heap is None:
@@ -160,6 +166,8 @@ class ReuseStore:
         lsh: LshSettings = LshSettings(),
         seed: int = 0,
     ):
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self.settings = settings
         self.lsh = lsh
@@ -174,8 +182,11 @@ class ReuseStore:
         return self.settings.capacity
 
     def _table(self, service: str) -> _ServiceTable:
+        """The service's table, made at first use; the one check of a service name."""
         table = self._tables.get(service)
         if table is None:
+            if not service:
+                raise ValueError("service name must be non-empty")
             seed = _service_seed(self.seed, service)
             table = _ServiceTable(LshIndex(self.lsh, self.dimension, seed))
             self._tables[service] = table
@@ -209,11 +220,9 @@ class ReuseStore:
         stamps its last use; a miss (including an unknown service) leaves the
         store untouched apart from the miss counter.
         """
-        if not service:
-            raise ValueError("service name must be non-empty")
         self._advance(now)
         table = self._table(service)
-        nearest = table.index.query(q) if table.entries else []
+        nearest = table.index.query(q)
         if not nearest or nearest[0][1] > self.settings.tau_partial:
             table.misses += 1
             return MISS
@@ -236,29 +245,20 @@ class ReuseStore:
     ) -> int:
         """Admit a freshly computed result, evicting LFU first if at capacity.
 
-        Returns the new entry's id.  The index checks the vector before the
-        entry is stored, so a rejected vector leaves no entry behind.
+        Returns the new entry's id.  A vector the index rejects leaves no
+        entry behind and consumes no id.
         """
         self._advance(now)
         table = self._table(service)
         capacity = self.settings.capacity
         if capacity is not None and len(table.entries) >= capacity:
             self.evict_lfu(service)
-        entry_id = self._next_id
-        table.index.insert(entry_id, features)
-        self._next_id += 1
         entry = ReuseEntry(
-            id=entry_id,
-            service=service,
-            features=features,
-            output=output,
-            frequency=0,
-            inserted_at=now,
-            last_used_at=now,
+            self._next_id, service, features, output, inserted_at=now, last_used_at=now
         )
-        table.entries[entry_id] = entry
-        table.push_key(entry)
-        return entry_id
+        table.admit(entry)
+        self._next_id += 1
+        return entry.id
 
     def evict_lfu(self, service: str) -> int:
         """Remove and return the id of the least-frequently-used entry.
@@ -350,29 +350,29 @@ class ReuseStore:
             dim, next_id, last_decay = _parse_header(fh.readline().removesuffix("\n"))
             store = cls(dim, settings, lsh, seed)
             store._next_id, store._last_decay = next_id, last_decay
+            seen: set[int] = set()  # ids are unique across the whole store
             for lineno, raw in enumerate(fh, start=2):
                 line = raw.removesuffix("\n")
                 if not line:
                     continue
                 try:
                     entry = _parse_entry(line.split(","))
+                    if entry.features.dimension != dim:
+                        raise ValueError(
+                            f"expected {dim} feature values, "
+                            f"got {entry.features.dimension}"
+                        )
+                    if entry.id in seen:
+                        raise ValueError(f"duplicate entry id {entry.id}")
+                    if entry.id >= next_id:
+                        raise ValueError(
+                            f"entry id {entry.id} is not below "
+                            f"the header's next_id {next_id}"
+                        )
+                    store._table(entry.service).admit(entry)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
-                if entry.features.dimension != dim:
-                    raise ValueError(
-                        f"line {lineno}: expected {dim} "
-                        f"feature values, got {entry.features.dimension}"
-                    )
-                table = store._table(entry.service)
-                if entry.id in table.entries:
-                    raise ValueError(f"line {lineno}: duplicate entry id {entry.id}")
-                if entry.id >= next_id:
-                    raise ValueError(
-                        f"line {lineno}: entry id {entry.id} is not below "
-                        f"the header's next_id {next_id}"
-                    )
-                table.entries[entry.id] = entry
-                table.index.insert(entry.id, entry.features)
+                seen.add(entry.id)
         capacity = settings.capacity
         for service, table in store._tables.items():
             if capacity is not None and len(table.entries) > capacity:

@@ -25,6 +25,7 @@ def collision_rate(theta, bits, builds, tables, d=8, seed0=0):
     w = np.zeros(d)
     w[0] = math.cos(theta)
     w[1] = math.sin(theta)
+    u, w = FeatureVector(u), FeatureVector(w)
     hits = 0
     for b in range(builds):
         idx = LshIndex(LshSettings(num_tables=tables, bits_per_table=bits), d, seed0 + b)
@@ -66,7 +67,7 @@ def test_signature_deterministic():
     rng = np.random.default_rng(0)
     for _ in range(20):
         v = rng.standard_normal(8)
-        assert idx.signature(v) == idx.signature(v)
+        assert idx.signature(FeatureVector(v)) == idx.signature(FeatureVector(v))
 
 
 def test_signature_sign_symmetry():
@@ -77,7 +78,7 @@ def test_signature_sign_symmetry():
         v = rng.standard_normal(4)
         if abs(float(h @ v)) < 1e-12:
             continue
-        assert idx.signature(v) != idx.signature(-v)
+        assert idx.signature(FeatureVector(v)) != idx.signature(FeatureVector(-v))
 
 
 def test_signature_dimension_mismatch():
@@ -101,7 +102,7 @@ def test_collision_rate_monotone_in_angle():
 def _filled_index(n=50, d=16, seed=5):
     idx = LshIndex(LshSettings(num_tables=4, bits_per_table=6), d, seed)
     rng = np.random.default_rng(seed)
-    vectors = rng.standard_normal((n, d))
+    vectors = [FeatureVector(row) for row in rng.standard_normal((n, d))]
     for i in range(n):
         idx.insert(i, vectors[i])
     return idx, vectors
@@ -121,22 +122,22 @@ def test_insert_counts_bucket_references():
 
 def test_identical_vectors_share_buckets():
     idx = LshIndex(LshSettings(num_tables=6, bits_per_table=8), 8, 11)
-    v = np.arange(8, dtype=float)
+    v = FeatureVector(np.arange(8, dtype=float))
     idx.insert(1, v)
-    idx.insert(2, v.copy())
+    idx.insert(2, FeatureVector(v.values))
     assert idx.candidate_ids(v) == frozenset({1, 2})
 
 
 def test_insert_duplicate_id_rejected():
     idx = LshIndex(LshSettings(), 4, 0)
-    idx.insert(0, [1.0, 0.0, 0.0, 0.0])
+    idx.insert(0, FeatureVector([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        idx.insert(0, [0.0, 1.0, 0.0, 0.0])
+        idx.insert(0, FeatureVector([0.0, 1.0, 0.0, 0.0]))
 
 
 def test_query_empty_index():
     idx = LshIndex(LshSettings(), 4, 0)
-    assert idx.query([1.0, 0.0, 0.0, 0.0]) == []
+    assert idx.query(FeatureVector([1.0, 0.0, 0.0, 0.0])) == []
 
 
 def test_query_near_duplicates_rank_first():
@@ -151,10 +152,10 @@ def test_query_near_duplicates_rank_first():
     q /= np.linalg.norm(q) / 10.0
     near = q + sigma * rng.standard_normal((10, d))
     for i in range(1000):
-        idx.insert(i, randoms[i])
+        idx.insert(i, FeatureVector(randoms[i]))
     for j in range(10):
-        idx.insert(1000 + j, near[j])
-    [(got_id, got_dist)] = idx.query(q)
+        idx.insert(1000 + j, FeatureVector(near[j]))
+    [(got_id, got_dist)] = idx.query(FeatureVector(q))
     dists = [(float(np.linalg.norm(randoms[i] - q)), i) for i in range(1000)]
     dists += [(float(np.linalg.norm(near[j] - q)), 1000 + j) for j in range(10)]
     expect_dist, expect_id = min(dists)
@@ -164,9 +165,9 @@ def test_query_near_duplicates_rank_first():
 
 def test_query_orders_by_distance_then_id():
     idx = LshIndex(LshSettings(num_tables=2, bits_per_table=2), 2, 9)
-    idx.insert(5, [1.0, 1.0])
-    idx.insert(3, [1.0, 1.0])
-    assert idx.query([1.0, 1.0]) == [(3, 0.0)]
+    idx.insert(5, FeatureVector([1.0, 1.0]))
+    idx.insert(3, FeatureVector([1.0, 1.0]))
+    assert idx.query(FeatureVector([1.0, 1.0])) == [(3, 0.0)]
 
 
 def test_remove():
@@ -193,7 +194,7 @@ def test_candidate_set_is_exact_bucket_union():
     d = 12
     idx = LshIndex(LshSettings(num_tables=5, bits_per_table=4), d, 77)
     rng = np.random.default_rng(77)
-    vectors = rng.standard_normal((500, d))
+    vectors = [FeatureVector(row) for row in rng.standard_normal((500, d))]
     for i in range(500):
         idx.insert(i, vectors[i])
     for qi in range(0, 500, 50):
@@ -222,10 +223,10 @@ def test_candidate_scan_scaling_reported():
         members = rng.integers(0, n_clusters, size=n)
         pts = bases[members] + 0.05 * rng.standard_normal((n, d))
         for i in range(n):
-            idx.insert(i, pts[i])
+            idx.insert(i, FeatureVector(pts[i]))
         probes = bases[rng.integers(0, n_clusters, size=100)]
         means.append(
-            sum(len(idx.candidate_ids(p)) for p in probes) / 100.0
+            sum(len(idx.candidate_ids(FeatureVector(p))) for p in probes) / 100.0
         )
     exponent = math.log(means[-1] / means[0]) / math.log(sizes[-1] / sizes[0])
     print(f"candidate-scan scaling exponent ~= {exponent:.3f} (means {means})")
@@ -259,15 +260,17 @@ def test_query_distances_match_stacked_brute_force():
     idx, vectors = _filled_index(n=200, seed=8)
     for i in range(0, 200, 2):
         idx.remove(i)  # leave holes so rows and ids no longer line up
+    shifted = {i: FeatureVector(np.add(vectors[i].values, 0.01)) for i in range(60)}
     for i in range(0, 60, 2):
-        idx.insert(1000 + i, vectors[i] + 0.01)
+        idx.insert(1000 + i, shifted[i])
     stored = {i: vectors[i] for i in range(1, 200, 2)}
-    stored.update({1000 + i: vectors[i] + 0.01 for i in range(0, 60, 2)})
+    stored.update({1000 + i: shifted[i] for i in range(0, 60, 2)})
     rng = np.random.default_rng(9)
-    for q in list(vectors[::7]) + list(rng.standard_normal((20, 16))):
+    randoms = [FeatureVector(row) for row in rng.standard_normal((20, 16))]
+    for q in vectors[::7] + randoms:
         ids = sorted(idx.candidate_ids(q))
-        stacked = np.stack([np.asarray(stored[i], dtype=np.float64) for i in ids])
-        dists = np.sqrt(((stacked - q) ** 2).sum(axis=1)).tolist()
+        stacked = np.stack([np.asarray(stored[i].values) for i in ids])
+        dists = np.sqrt(((stacked - np.asarray(q.values)) ** 2).sum(axis=1)).tolist()
         expected = min(zip(ids, dists), key=lambda p: (p[1], p[0]))
         assert idx.query(q) == [expected]
 
@@ -295,9 +298,7 @@ def test_remove_does_not_recompute_signature(signature_calls):
     assert sum(idx.bucket_sizes()) == 0
 
 
-@pytest.mark.parametrize(
-    "make", [list, np.array, FeatureVector], ids=["list", "ndarray", "FeatureVector"]
-)
+@pytest.mark.parametrize("make", [FeatureVector], ids=["FeatureVector"])
 def test_insert_and_query_hash_once(signature_calls, make):
     idx = LshIndex(LshSettings(num_tables=4, bits_per_table=6), 3, 5)
     v = make([1.0, 2.0, 3.0])
@@ -305,6 +306,15 @@ def test_insert_and_query_hash_once(signature_calls, make):
     assert len(signature_calls) == 1
     assert idx.query(v) == [(0, 0.0)]
     assert len(signature_calls) == 2
+
+
+@pytest.mark.parametrize("make", [list, np.array], ids=["list", "ndarray"])
+def test_insert_takes_feature_vectors_only(make):
+    # a raw vector would skip FeatureVector's finiteness check
+    idx = LshIndex(LshSettings(num_tables=1, bits_per_table=1), 2, 0)
+    with pytest.raises(AttributeError):
+        idx.insert(0, make([1.0, 0.0]))
+    assert len(idx) == 0 and sum(idx.bucket_sizes()) == 0
 
 
 @pytest.fixture
@@ -335,9 +345,6 @@ def test_each_vector_is_projected_once_per_index(projections, signature_calls):
     idx.candidate_ids(v)
     assert projections == [idx]
     assert len(signature_calls) == 4  # the calls themselves are unchanged
-    values = [1.0, 2.0, 3.0]  # a plain sequence has nowhere to keep its keys
-    assert idx.signature(values) == idx.signature(values) == idx.signature(v)
-    assert len(projections) == 3
 
 
 def test_a_place_reuses_its_lookups_keys(projections):
@@ -353,7 +360,8 @@ def test_a_place_reuses_its_lookups_keys(projections):
 def test_two_indexes_keep_their_own_keys(projections):
     a, b = LshIndex(MEMO_LSH, 3, 1), LshIndex(MEMO_LSH, 3, 2)
     values = [0.3, -1.2, 0.7]
-    keys_a, keys_b = a.signature(values), b.signature(values)
+    keys_a = a.signature(FeatureVector(values))
+    keys_b = b.signature(FeatureVector(values))
     assert keys_a != keys_b
     v = FeatureVector(values)
     for _ in range(2):
@@ -417,10 +425,10 @@ def test_vectors_from_columns_and_the_constructor_behave_alike(projections):
 def test_insert_rejects_id_outside_int64(entry_id):
     idx = LshIndex(LshSettings(), 2, 0)
     with pytest.raises(ValueError, match=f"entry id {entry_id} is outside"):
-        idx.insert(entry_id, [1.0, 0.0])
+        idx.insert(entry_id, FeatureVector([1.0, 0.0]))
     assert len(idx) == 0 and sum(idx.bucket_sizes()) == 0
-    idx.insert(2**63 - 1, [1.0, 0.0])
-    assert idx.query([1.0, 0.0]) == [(2**63 - 1, 0.0)]
+    idx.insert(2**63 - 1, FeatureVector([1.0, 0.0]))
+    assert idx.query(FeatureVector([1.0, 0.0])) == [(2**63 - 1, 0.0)]
 
 
 class ReferenceLsh:
@@ -439,14 +447,14 @@ class ReferenceLsh:
         self.vectors = {}
 
     def signature(self, v):
-        bits = (self.planes @ np.asarray(v, dtype=np.float64)) >= 0.0
+        bits = (self.planes @ np.asarray(v.values, dtype=np.float64)) >= 0.0
         keys = bits.reshape(
             self.settings.num_tables, self.settings.bits_per_table
         ).astype(np.int64) @ self.weights
         return tuple(int(k) for k in keys)
 
     def insert(self, entry_id, v):
-        self.vectors[entry_id] = np.asarray(v, dtype=np.float64)
+        self.vectors[entry_id] = v
         for table, key in zip(self.tables, self.signature(v)):
             table.setdefault(key, set()).add(entry_id)
 
@@ -465,8 +473,8 @@ class ReferenceLsh:
         ids = sorted(self.candidate_ids(q))
         if not ids:
             return []
-        stacked = np.stack([self.vectors[i] for i in ids])
-        dists = np.sqrt(((stacked - np.asarray(q, dtype=np.float64)) ** 2).sum(axis=1))
+        stacked = np.stack([np.asarray(self.vectors[i].values) for i in ids])
+        dists = np.sqrt(((stacked - np.asarray(q.values)) ** 2).sum(axis=1))
         return sorted(zip(ids, dists.tolist()), key=lambda p: (p[1], p[0]))
 
 
@@ -485,7 +493,7 @@ def lsh_scenarios(draw):
     # order show in the last bit of a distance
     halves = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
     pool[halves] = np.round(2 * pool[halves]) / 2
-    pool = [tuple(row) for row in pool.tolist()]
+    pool = [FeatureVector(row) for row in pool.tolist()]
     vector = st.integers(0, len(pool) - 1)
     # ids whose set iteration order is not ascending, so ties must be ranked
     entry_id = st.sampled_from([-3, 0, 1, 8, 9, 16, 33, 2**62 + 3])

@@ -8,15 +8,13 @@ benchmark runs; these tests make it fail with the rest of the suite.
 import sys
 from pathlib import Path
 
-import numpy as np
-
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import layers  # noqa: E402
 from tracing import Clock, Patches, Tracer  # noqa: E402
 
-from reusesim import LookupKind, LshIndex, LshSettings  # noqa: E402
+from reusesim import FeatureVector, LookupKind, LshIndex, LshSettings  # noqa: E402
 from reusesim.sim import Mode, SimConfig, run  # noqa: E402
 from reusesim.workload import WorkloadSpec  # noqa: E402
 
@@ -61,8 +59,8 @@ def test_lookup_kinds_match_the_counters():
 
 def test_query_returns_int_float_pairs():
     idx = LshIndex(LshSettings(num_tables=2, bits_per_table=4), 3, 0)
-    idx.insert(7, np.array([1.0, 2.0, 3.0]))
-    result = idx.query([1.0, 2.0, 3.5])
+    idx.insert(7, FeatureVector([1.0, 2.0, 3.0]))
+    result = idx.query(FeatureVector([1.0, 2.0, 3.5]))
     assert isinstance(result, list) and len(result) == 1
     ((entry_id, dist),) = result
     assert type(entry_id) is int and type(dist) is float

@@ -134,6 +134,24 @@ def test_lookup_requires_service_name():
         store.lookup("", axis_vector(0), now=0.0)
 
 
+def test_place_requires_service_name():
+    store = small_store()
+    with pytest.raises(ValueError, match="^service name must be non-empty$"):
+        store.place("", axis_vector(0), ResultPayload("a"), now=0.0)
+    assert store.stats() == {}
+    assert store.place("svc", axis_vector(0), ResultPayload("a"), now=1.0) == 0
+
+
+@pytest.mark.parametrize("stored", [0, 1], ids=["empty", "non-empty"])
+def test_lookup_of_wrong_dimension_raises_and_counts_no_miss(stored):
+    store = small_store()
+    for i in range(stored):
+        store.place("svc", axis_vector(i), ResultPayload("a"), now=0.0)
+    with pytest.raises(DimensionMismatch):
+        store.lookup("svc", FeatureVector((1.0, 2.0)), now=1.0)
+    assert all(s.misses == 0 for s in store.stats().values())
+
+
 def _state_fingerprint(store, service):
     return tuple(
         sorted(
@@ -269,6 +287,11 @@ def test_constructor_validation():
         StoreSettings(partial_fraction=1.0)
     with pytest.raises(ValueError):
         StoreSettings(capacity=0)
+
+
+def test_store_dimension_must_be_positive():
+    with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        ReuseStore(0)
 
 
 @pytest.mark.parametrize(
@@ -583,6 +606,7 @@ def test_snapshot_row_of_wrong_dimension_names_line(tmp_path):
         ("svc,1,0,0.0,nan,b,1.0", 2, "last_used_at must be finite"),
         ("svc,1,0,0.0,0.0,b,inf", 2, "feature vector values must be finite"),
         ("svc,1,0,0.0,0.0,b", 2, "too few fields"),
+        (",1,0,0.0,0.0,b,1.0", 2, "service name must be non-empty"),
     ],
 )
 def test_snapshot_parse_errors_name_line(tmp_path, row, lineno, detail):
@@ -613,6 +637,19 @@ def test_snapshot_duplicate_id_names_line(tmp_path):
         ReuseStore.load(path)
 
 
+def test_snapshot_ids_are_unique_across_services(tmp_path):
+    path = _write_snapshot(
+        tmp_path,
+        [
+            "#reusesim-snapshot dimension=1 next_id=2 last_decay=0.0",
+            "a,1,0,0.0,0.0,x,0.0,1.0",
+            "b,1,0,0.0,0.0,y,0.0,2.0",
+        ],
+    )
+    with pytest.raises(ValueError, match="^line 3: duplicate entry id 1$"):
+        ReuseStore.load(path)
+
+
 def _snapshot_can_hold(text):
     return "," not in text and "\n" not in text
 
@@ -621,7 +658,7 @@ def _snapshot_can_hold(text):
 @given(
     placed=st.lists(
         st.tuples(
-            st.text(),  # service
+            st.text(min_size=1),  # service
             st.text(),  # label
             st.floats(allow_nan=False, allow_infinity=False),  # output size
             st.integers(0, 3),  # hits
