@@ -6,22 +6,25 @@ share between threads.  The one exception is a derived cache: an
 computed into the vector, so a read may write that cache.  The write is
 idempotent (the same index always computes the same keys) and the cache
 takes no part in equality, hashing, ``repr`` or pickling.
-``tasks_from_columns`` builds many tasks at once from checked columns.
+``tasks_from_columns`` builds many tasks at once from checked columns, each
+task's feature vector a read-only row of one feature matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from itertools import count
-from typing import TYPE_CHECKING, Optional, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .lsh import LshIndex
     from .reuse_store import ReuseEntry
+
+_set_field = object.__setattr__
 
 
 class DimensionMismatch(ValueError):
@@ -38,45 +41,88 @@ def require_finite(name: str, *values: Optional[float]) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _require_finite_fields(fields: dict[str, float]) -> None:
-    """``require_finite`` on each field, in one C-level pass when all are finite."""
-    if not all(map(math.isfinite, fields.values())):
-        for name, value in fields.items():
+def _require_finite_fields(names: Iterable[str], values: Collection[float]) -> None:
+    """``require_finite`` on each named value, in one C-level pass when all are finite."""
+    if not all(map(math.isfinite, values)):
+        for name, value in zip(names, values):
             require_finite(name, value)
 
 
-@dataclass(frozen=True, slots=True)
 class FeatureVector:
     """Fixed-dimension real-valued feature vector (pre-extracted upstream).
+
+    The values live in ``_array``, a read-only 1-D float64 array.  The
+    constructor copies its input into a new array; ``tasks_from_columns``
+    gives each vector a row view of the feature matrix of its call, so a
+    vector keeps that whole matrix alive.  ``values`` is a tuple of Python
+    floats, built at each read.  Equality, hashing, ``repr`` and pickling
+    go by ``values``.
 
     ``_lsh_keys`` is ``(index, keys)`` for the last ``LshIndex`` that hashed
     the vector, written by ``LshIndex.signature``; None until then.
     """
 
-    values: tuple[float, ...]
-    _lsh_keys: Optional[tuple["LshIndex", tuple[int, ...]]] = field(
-        default=None, init=False, compare=False, hash=False, repr=False
-    )
+    __slots__ = ("_array", "_lsh_keys")
 
-    def __post_init__(self) -> None:
-        vals = tuple(map(float, self.values))
-        if len(vals) < 1:
+    def __init__(self, values: Iterable[float]) -> None:
+        vals = tuple(map(float, values))
+        if not vals:
             raise ValueError("feature vector needs dimension >= 1")
         if not all(map(math.isfinite, vals)):
             raise ValueError("feature vector values must be finite")
-        object.__setattr__(self, "values", vals)
+        array = np.array(vals)
+        array.setflags(write=False)
+        _set_field(self, "_array", array)
+        _set_field(self, "_lsh_keys", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # rebuilt from its values alone: the cached keys name an index of
-        # this process, so a copy or an unpickled vector starts without them
+        # rebuilt from its values alone: a copy or an unpickled vector owns
+        # its array, and starts without the cached keys, which name an index
+        # of this process
         return FeatureVector, (self.values,)
 
     @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self._array.tolist())
+
+    @property
     def dimension(self) -> int:
-        return len(self.values)
+        return len(self._array)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._array)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(values={self.values!r})"
+
+
+def require_dimension(v: FeatureVector, dimension: int) -> np.ndarray:
+    """``v``'s array, after checking that its shape is ``(dimension,)``."""
+    array = v._array
+    if array.shape != (dimension,):
+        raise DimensionMismatch(
+            f"expected a vector of dimension {dimension}, got shape {array.shape}"
+        )
+    return array
+
+
+# the float fields of a Task, checked finite together
+_TASK_FLOATS = ("input_size", "output_size", "complexity", "arrival_time")
+_task_floats = attrgetter(*_TASK_FLOATS)
 
 
 @dataclass(frozen=True)
@@ -98,19 +144,13 @@ class Task:
     arrival_time: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite_fields(
-            {
-                "input_size": self.input_size,
-                "output_size": self.output_size,
-                "complexity": self.complexity,
-                "arrival_time": self.arrival_time,
-            }
-        )
-        if self.input_size < 0 or self.output_size < 0:
+        size_in, size_out, work, at = floats = _task_floats(self)
+        _require_finite_fields(_TASK_FLOATS, floats)
+        if size_in < 0 or size_out < 0:
             raise ValueError("task data sizes must be >= 0")
-        if self.complexity <= 0:
+        if work <= 0:
             raise ValueError("task complexity must be > 0")
-        if self.arrival_time < 0:
+        if at < 0:
             raise ValueError("task arrival time must be >= 0")
 
 
@@ -130,7 +170,13 @@ def tasks_from_columns(
     once per column.  A row that breaks one goes through those constructors,
     which raise the error, naming the field, that they raise one task at a
     time; the rows that pass are built without checking each again.
+
+    The feature matrix, as a C-contiguous float64 array (``features`` itself
+    when it is one), is made read-only, and task ``i``'s vector is a view of
+    its row ``i``.
     """
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    features.setflags(write=False)
     ok = (
         np.isfinite(features).all(axis=1)
         & (features.shape[1] >= 1)
@@ -154,21 +200,21 @@ def tasks_from_columns(
             float(complexity[i]),
             float(arrival[i]),
         )
-    # fields are set as the frozen dataclasses' ``__init__`` sets them, minus
-    # the ``__post_init__`` checks made above for the whole column
-    new, set_field = object.__new__, object.__setattr__
+    # fields are set as the constructors set them, minus the checks made
+    # above for the whole column
+    new, set_field = object.__new__, _set_field
     tasks: list[Task] = []
-    for i, label, values, size_in, size_out, work, at in zip(
+    for i, label, row, size_in, size_out, work, at in zip(
         count(),
         labels,
-        features.tolist(),
+        features,
         input_size.tolist(),
         output_size.tolist(),
         complexity.tolist(),
         arrival.tolist(),
     ):
         fv = new(FeatureVector)
-        set_field(fv, "values", tuple(values))
+        set_field(fv, "_array", row)
         set_field(fv, "_lsh_keys", None)
         task = new(Task)
         set_field(task, "id", i)
@@ -203,10 +249,11 @@ class CostParams:
     per_hop_latency: float = 0.005
 
     def __post_init__(self) -> None:
-        _require_finite_fields(vars(self))
-        if min(self.edge_bandwidth, self.cloud_bandwidth) <= 0:
+        fields = vars(self)
+        _require_finite_fields(fields, fields.values())
+        if self.edge_bandwidth <= 0 or self.cloud_bandwidth <= 0:
             raise ValueError("bandwidths must be > 0")
-        if min(self.edge_capacity_rate, self.cloud_capacity_rate) <= 0:
+        if self.edge_capacity_rate <= 0 or self.cloud_capacity_rate <= 0:
             raise ValueError("capacity rates must be > 0")
         if self.lookup_cost < 0:
             raise ValueError("lookup cost must be >= 0")
@@ -223,6 +270,9 @@ class OutcomeKind(Enum):
     CLOUD_OFFLOAD = "cloud_offload"
 
 
+_REUSE_KINDS = (OutcomeKind.FULL_REUSE, OutcomeKind.PARTIAL_REUSE)
+
+
 @dataclass(frozen=True)
 class Outcome:
     """How a task was satisfied, plus the matched store entry when reused."""
@@ -232,19 +282,19 @@ class Outcome:
     matched_entry: Optional["ReuseEntry"] = None
 
     def __post_init__(self) -> None:
-        if self.kind is OutcomeKind.FULL_REUSE:
-            if self.reused_fraction != 1.0 or self.matched_entry is None:
+        kind, fraction, entry = self.kind, self.reused_fraction, self.matched_entry
+        if kind is OutcomeKind.FULL_REUSE:
+            if fraction != 1.0 or entry is None:
                 raise ValueError("full reuse requires fraction 1 and a matched entry")
-        elif self.kind is OutcomeKind.PARTIAL_REUSE:
-            if not (0.0 < self.reused_fraction < 1.0) or self.matched_entry is None:
+        elif kind is OutcomeKind.PARTIAL_REUSE:
+            if not 0.0 < fraction < 1.0 or entry is None:
                 raise ValueError(
                     "partial reuse requires fraction in (0,1) and a matched entry"
                 )
-        else:
-            if self.reused_fraction != 0.0 or self.matched_entry is not None:
-                raise ValueError(
-                    "non-reuse outcomes carry no reused fraction or matched entry"
-                )
+        elif fraction != 0.0 or entry is not None:
+            raise ValueError(
+                "non-reuse outcomes carry no reused fraction or matched entry"
+            )
 
     @property
     def at_edge(self) -> bool:
@@ -254,7 +304,7 @@ class Outcome:
     @property
     def is_reuse(self) -> bool:
         """Reuse flag: True when a stored result satisfies (part of) the task."""
-        return self.kind in (OutcomeKind.FULL_REUSE, OutcomeKind.PARTIAL_REUSE)
+        return self.kind in _REUSE_KINDS
 
 
 # The two outcomes that carry no reuse, shared by every task that has one.

@@ -77,8 +77,9 @@ class CostBreakdown:
 
 def completion_cost(task: Task, outcome: Outcome, params: CostParams) -> CostBreakdown:
     """Assemble the completion cost of a task from its outcome."""
-    comm = communication_cost(task, outcome.at_edge, params)
-    execution = execution_cost(task, outcome.at_edge, params)
+    at_edge = outcome.at_edge
+    comm = communication_cost(task, at_edge, params)
+    execution = execution_cost(task, at_edge, params)
     if outcome.is_reuse:
         reuse = reuse_cost(task, outcome.reused_fraction, params)
         return CostBreakdown(comm, execution, reuse, comm + reuse)

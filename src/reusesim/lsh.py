@@ -13,29 +13,31 @@ stream is stable across platforms, so given settings, dimension and seed
 always build the same index.
 
 Every vector the index takes is a ``FeatureVector``, whose values are
-already checked finite; the index checks only the dimension.  The vector
-remembers the bucket keys the last index to hash it computed, so each
-vector is projected once per index: the place that follows a lookup reuses
-the lookup's keys.  Reads (``signature``, ``query``, ``candidate_ids``)
-therefore write that derived, idempotent cache on a value type; they may
-still run concurrently, since two reads of one vector write the same keys.
-``insert``/``remove`` need exclusive access.
+already checked finite and held as a read-only float64 array; the index
+checks only its shape and converts nothing.  The vector remembers the
+bucket keys the last index to hash it computed, so each vector is projected
+once per index: the place that follows a lookup reuses the lookup's keys.
+Reads (``signature``, ``query``, ``candidate_ids``) therefore write that
+derived, idempotent cache on a value type; they may still run concurrently,
+since two reads of one vector write the same keys.  ``insert``/``remove``
+need exclusive access.
+
+Each bucket maps the ids it holds to their rows of the index's matrix, so
+a query gathers its candidates' ids and rows from one dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable
 
 import numpy as np
 
-from .core import DimensionMismatch, FeatureVector
+from .core import FeatureVector, require_dimension
 
 INITIAL_ROWS = 64
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-_EMPTY: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -65,14 +67,14 @@ class LshIndex:
         self.settings = settings
         self.dimension = dimension
         self.hyperplanes = planes
-        self._shape = (dimension,)
         self._key_shape = (tables, bits)
         self._proj = planes.reshape(-1, dimension)
         self._bit_weights = 1 << np.arange(bits, dtype=np.int64)
-        self._tables: list[dict[int, set[int]]] = [{} for _ in range(tables)]
         # Stored vectors are rows of one matrix that doubles when full; rows
         # freed by ``remove`` are reused.  Each id maps to its row and to the
-        # per-table keys computed at insert.
+        # per-table keys computed at insert, and each bucket maps the ids it
+        # holds to their rows.
+        self._tables: list[dict[int, dict[int, int]]] = [{} for _ in range(tables)]
         self._matrix = np.empty((INITIAL_ROWS, dimension))
         self._free_rows: list[int] = []
         self._row_of: dict[int, int] = {}
@@ -83,16 +85,6 @@ class LshIndex:
 
     def __contains__(self, entry_id: int) -> bool:
         return entry_id in self._row_of
-
-    def _coerce(self, v: FeatureVector) -> np.ndarray:
-        """``v``'s values as a float64 array of shape ``(dimension,)``."""
-        arr = np.asarray(v.values, dtype=np.float64)
-        if arr.shape != self._shape:
-            raise DimensionMismatch(
-                f"expected a vector of dimension {self.dimension}, "
-                f"got shape {arr.shape}"
-            )
-        return arr
 
     def _project(self, arr: np.ndarray) -> tuple[int, ...]:
         bits = (self._proj @ arr) >= 0.0
@@ -107,7 +99,7 @@ class LshIndex:
         memo = v._lsh_keys
         if memo is not None and memo[0] is self:
             return memo[1]
-        keys = self._project(self._coerce(v))
+        keys = self._project(require_dimension(v, self.dimension))
         object.__setattr__(v, "_lsh_keys", (self, keys))
         return keys
 
@@ -116,10 +108,7 @@ class LshIndex:
             raise ValueError(f"entry id {entry_id} already present")
         if not _INT64_MIN <= entry_id <= _INT64_MAX:  # query ranks ids as int64
             raise ValueError(f"entry id {entry_id} is outside the int64 range")
-        arr = self._coerce(v)
-        keys = self.signature(v)
-        for table, key in zip(self._tables, keys):
-            table.setdefault(key, set()).add(entry_id)
+        keys = self.signature(v)  # v's shape is checked where its keys are computed
         if self._free_rows:
             row = self._free_rows.pop()
         else:
@@ -128,9 +117,11 @@ class LshIndex:
                 grown = np.empty((2 * row, self.dimension))
                 grown[:row] = self._matrix
                 self._matrix = grown
-        self._matrix[row] = arr
+        self._matrix[row] = v._array
         self._row_of[entry_id] = row
         self._keys_of[entry_id] = keys
+        for table, key in zip(self._tables, keys):
+            table.setdefault(key, {})[entry_id] = row
 
     def remove(self, entry_id: int) -> None:
         if entry_id not in self._row_of:
@@ -138,14 +129,21 @@ class LshIndex:
         self._free_rows.append(self._row_of.pop(entry_id))
         for table, key in zip(self._tables, self._keys_of.pop(entry_id)):
             bucket = table[key]
-            bucket.discard(entry_id)
+            del bucket[entry_id]
             if not bucket:
                 del table[key]
 
-    def candidate_ids(self, q: FeatureVector) -> frozenset[int]:
-        """Union of the buckets addressed by the query's signature."""
-        keys = self.signature(q)
-        return _EMPTY.union(*map(dict.get, self._tables, keys, repeat(_EMPTY)))
+    def candidate_ids(self, q: FeatureVector) -> dict[int, int]:
+        """Union of the buckets addressed by the query's signature.
+
+        A new dict that maps each candidate id to its row of ``_matrix``.
+        """
+        cands: dict[int, int] = {}
+        for table, key in zip(self._tables, self.signature(q)):
+            bucket = table.get(key)
+            if bucket:
+                cands.update(bucket)
+        return cands
 
     def query(self, q: FeatureVector) -> list[tuple[int, float]]:
         """The nearest candidate from the addressed buckets.
@@ -158,13 +156,12 @@ class LshIndex:
         n = len(cands)
         if not n:
             return []
-        arr = self._coerce(q)
-        ids = np.fromiter(cands, np.int64, n)
-        rows = np.fromiter(map(self._row_of.__getitem__, cands), np.intp, n)
+        ids = np.fromiter(cands.keys(), np.int64, n)
+        rows = np.fromiter(cands.values(), np.intp, n)
         # in place, but the same elementwise steps (hence the same floats) as
-        # sqrt(((stacked - arr) ** 2).sum(axis=1))
+        # sqrt(((stacked - q) ** 2).sum(axis=1)); ``signature`` checked q's shape
         diff = self._matrix.take(rows, axis=0)
-        diff -= arr
+        diff -= q._array
         diff *= diff
         dists = diff.sum(axis=1)
         np.sqrt(dists, out=dists)

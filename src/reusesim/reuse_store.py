@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .core import FeatureVector, require_finite
+from .core import FeatureVector, require_dimension, require_finite
 from .lsh import LshIndex, LshSettings
 
 
@@ -208,7 +208,7 @@ class ReuseStore:
             return
         for table in self._tables.values():
             for entry in table.entries.values():
-                # halving past f.bit_length() leaves 0 (or -1) unchanged
+                # halving past f.bit_length() leaves 0 unchanged
                 entry.frequency >>= int(min(k, entry.frequency.bit_length()))
             table.heap = None
         self._last_decay += k * interval
@@ -218,8 +218,11 @@ class ReuseStore:
 
         A full or partial hit increments the matched entry's frequency and
         stamps its last use; a miss (including an unknown service) leaves the
-        store untouched apart from the miss counter.
+        store untouched apart from the miss counter.  A vector of the wrong
+        dimension raises ``DimensionMismatch`` before anything changes: no
+        decay is applied and no service is recorded.
         """
+        require_dimension(q, self.dimension)
         self._advance(now)
         table = self._table(service)
         nearest = table.index.query(q)
@@ -245,9 +248,11 @@ class ReuseStore:
     ) -> int:
         """Admit a freshly computed result, evicting LFU first if at capacity.
 
-        Returns the new entry's id.  A vector the index rejects leaves no
-        entry behind and consumes no id.
+        Returns the new entry's id.  A vector of the wrong dimension raises
+        ``DimensionMismatch`` before anything changes: no decay is applied,
+        no service is recorded, nothing is evicted and no id is consumed.
         """
+        require_dimension(features, self.dimension)
         self._advance(now)
         table = self._table(service)
         capacity = self.settings.capacity
@@ -408,17 +413,22 @@ def _parse_entry(parts: list[str]) -> ReuseEntry:
     """One snapshot row, already split on commas, as an entry."""
     if len(parts) < 8:
         raise ValueError("too few fields")
-    service, entry_id, freq, inserted, used, label, size = parts[:7]
+    service, raw_id, raw_freq, inserted, used, label, size = parts[:7]
+    entry_id, frequency = int(raw_id), int(raw_freq)
+    if entry_id < 0:
+        raise ValueError(f"entry id must be >= 0, got {entry_id}")
+    if frequency < 0:
+        raise ValueError(f"frequency must be >= 0, got {frequency}")
     inserted_at, last_used_at, output_size = float(inserted), float(used), float(size)
     require_finite("inserted_at", inserted_at)
     require_finite("last_used_at", last_used_at)
     require_finite("output_size", output_size)
     return ReuseEntry(
-        id=int(entry_id),
+        id=entry_id,
         service=service,
-        features=FeatureVector(tuple(float(v) for v in parts[7:])),
+        features=FeatureVector(parts[7:]),
         output=ResultPayload(label=label, output_size=output_size),
-        frequency=int(freq),
+        frequency=frequency,
         inserted_at=inserted_at,
         last_used_at=last_used_at,
     )

@@ -184,6 +184,11 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
                 raise WorkloadFileError(f"line {lineno}: non-finite feature value")
             labels.append(label)
             rows.append(values)
-    features = np.array(rows, dtype=np.float64).reshape(len(rows), spec.dimension)
+    # a matrix that owns its data, so the read-only flag tasks_from_columns
+    # sets covers it (a reshape view would leave its owner writable)
+    if rows:
+        features = np.array(rows, dtype=np.float64)
+    else:
+        features = np.empty((0, spec.dimension))
     _, _, sizes, arrival = _draw(spec, len(rows), observe=False)
     return tasks_from_columns(spec.service, labels, features, *sizes.T, arrival)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from reusesim import CostParams, FeatureVector, Task
@@ -43,3 +44,20 @@ def make_task(
 @pytest.fixture
 def task_factory():
     return make_task
+
+
+def assert_rows_of_one_matrix(tasks):
+    """The tasks' vectors are read-only views of the consecutive rows of one
+    C-contiguous float64 matrix, and their ``values`` are plain floats equal
+    to those rows."""
+    first = tasks[0].features._array
+    for i, task in enumerate(tasks):
+        row = task.features._array
+        assert row.dtype == np.float64 and row.flags.c_contiguous
+        assert row.base is first.base is not None
+        assert row.ctypes.data == first.ctypes.data + i * first.nbytes
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+        values = task.features.values
+        assert {type(v) for v in values} == {float}
+        assert values == tuple(row.tolist())

@@ -9,7 +9,7 @@ from reusesim import CostParams, FeatureVector, Outcome, OutcomeKind, Task
 from reusesim.core import tasks_from_columns
 from reusesim.reuse_store import ResultPayload, ReuseEntry
 
-from conftest import make_task
+from conftest import assert_rows_of_one_matrix, make_task
 
 
 @pytest.mark.parametrize("bad", [(), (float("nan"), 1.0), (float("inf"),)])
@@ -132,6 +132,34 @@ def test_tasks_from_columns_raise_the_constructors_error(column, value):
         _checked_task(1, columns)
     with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
         tasks_from_columns("s", ["obj-0", "obj-1", "obj-2"], **columns)
+
+
+def test_tasks_from_columns_give_rows_of_the_feature_matrix():
+    columns = _columns()
+    features = columns["features"]
+    tasks = tasks_from_columns("s", ["obj-0", "obj-1", "obj-2"], **columns)
+    assert_rows_of_one_matrix(tasks)
+    assert not features.flags.writeable
+    assert np.shares_memory(tasks[0].features._array, features)
+    # a matrix that is not C-contiguous float64 is copied; the copy is shared
+    ints = np.asfortranarray(np.arange(6).reshape(3, 2))
+    tasks = tasks_from_columns("s", ["a", "b", "c"], **{**columns, "features": ints})
+    assert_rows_of_one_matrix(tasks)
+    assert ints.flags.writeable and tasks[2].features.values == (4.0, 5.0)
+
+
+def test_feature_vector_holds_a_read_only_copy():
+    source = np.array([1.0, 2.0])
+    v = FeatureVector(source)
+    source[0] = 9.0
+    assert v.values == (1.0, 2.0) and v == FeatureVector((1, 2))
+    assert hash(v) == hash(FeatureVector([1.0, 2.0]))
+    with pytest.raises(ValueError, match="read-only"):
+        v._array[0] = 5.0
+    with pytest.raises(AttributeError):
+        v.values = (3.0, 4.0)
+    with pytest.raises(AttributeError):
+        v._array = np.zeros(2)
 
 
 def test_tasks_from_columns_need_dimension_one():

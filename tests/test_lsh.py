@@ -125,7 +125,7 @@ def test_identical_vectors_share_buckets():
     v = FeatureVector(np.arange(8, dtype=float))
     idx.insert(1, v)
     idx.insert(2, FeatureVector(v.values))
-    assert idx.candidate_ids(v) == frozenset({1, 2})
+    assert idx.candidate_ids(v).keys() == frozenset({1, 2})
 
 
 def test_insert_duplicate_id_rejected():
@@ -205,7 +205,7 @@ def test_candidate_set_is_exact_bucket_union():
             for i in range(500)
             if any(a == b for a, b in zip(idx.signature(vectors[i]), kq))
         }
-        assert idx.candidate_ids(q) == expected
+        assert idx.candidate_ids(q).keys() == expected
 
 
 def test_candidate_scan_scaling_reported():
@@ -530,5 +530,7 @@ def test_read_path_matches_reference(scenario):
         else:
             q = pool[args[0]]
             assert idx.signature(q) == ref.signature(q)
-            assert idx.candidate_ids(q) == ref.candidate_ids(q)
+            cands = idx.candidate_ids(q)
+            assert cands.keys() == ref.candidate_ids(q)
+            assert cands == {i: idx._row_of[i] for i in cands}
             assert idx.query(q) == ref.query(q)[:1]

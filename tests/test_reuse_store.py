@@ -15,7 +15,7 @@ from reusesim import (
     ReuseStore,
     StoreSettings,
 )
-from reusesim.reuse_store import ResultPayload
+from reusesim.reuse_store import ResultPayload, ServiceStats
 
 
 def axis_vector(i, d=4, spacing=10.0):
@@ -149,7 +149,36 @@ def test_lookup_of_wrong_dimension_raises_and_counts_no_miss(stored):
         store.place("svc", axis_vector(i), ResultPayload("a"), now=0.0)
     with pytest.raises(DimensionMismatch):
         store.lookup("svc", FeatureVector((1.0, 2.0)), now=1.0)
-    assert all(s.misses == 0 for s in store.stats().values())
+    assert store.stats() == ({"svc": ServiceStats(1, 0, 0)} if stored else {})
+
+
+@pytest.mark.parametrize("op", ["lookup", "place"])
+def test_call_of_wrong_dimension_applies_no_decay(op):
+    store = small_store(decay_interval=1.0)
+    store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
+    store.lookup("svc", axis_vector(0), now=0.5)
+    wrong = FeatureVector((1.0, 2.0))
+    with pytest.raises(DimensionMismatch):
+        if op == "lookup":
+            store.lookup("svc", wrong, now=5.0)
+        else:
+            store.place("svc", wrong, ResultPayload("b"), now=5.0)
+    # the decay due by 5.0 would have halved the frequency to 0
+    assert [e.frequency for e in store.entries("svc")] == [1]
+
+
+@pytest.mark.parametrize("stored", [0, 1], ids=["empty", "non-empty"])
+def test_place_of_wrong_dimension_raises_and_stores_nothing(stored):
+    # at capacity, the check comes before the eviction that makes room
+    store = small_store(capacity=1)
+    for i in range(stored):
+        store.place("svc", axis_vector(i), ResultPayload("a"), now=0.0)
+    with pytest.raises(DimensionMismatch):
+        store.place("svc", FeatureVector((1.0, 2.0)), ResultPayload("b"), now=1.0)
+    assert store.stats() == ({"svc": ServiceStats(1, 0, 0)} if stored else {})
+    assert [e.id for e in store.entries("svc")] == list(range(stored))
+    assert store.eviction_log == []
+    assert store.place("other", axis_vector(5), ResultPayload("c"), now=2.0) == stored
 
 
 def _state_fingerprint(store, service):
@@ -328,7 +357,7 @@ def test_decay_cost_is_independent_of_elapsed_time():
 
 @pytest.mark.parametrize("intervals", [0, 1, 2, 3, 7, 64, 65, 200])
 def test_decay_shift_equals_repeated_halving(tmp_path, intervals):
-    freqs = [0, 1, 2, 5, 1000, 2**63 - 1, 2**70 + 3, -1, -5]
+    freqs = [0, 1, 2, 5, 1000, 2**63 - 1, 2**70 + 3]
     path = tmp_path / "store.snapshot"
     path.write_text(
         f"#reusesim-snapshot dimension=2 next_id={len(freqs)} last_decay=0.0\n"
@@ -607,6 +636,8 @@ def test_snapshot_row_of_wrong_dimension_names_line(tmp_path):
         ("svc,1,0,0.0,0.0,b,inf", 2, "feature vector values must be finite"),
         ("svc,1,0,0.0,0.0,b", 2, "too few fields"),
         (",1,0,0.0,0.0,b,1.0", 2, "service name must be non-empty"),
+        ("svc,-7,0,0.0,0.0,b,1.0", 2, "entry id must be >= 0, got -7$"),
+        ("svc,1,-3,0.0,0.0,b,1.0", 2, "frequency must be >= 0, got -3$"),
     ],
 )
 def test_snapshot_parse_errors_name_line(tmp_path, row, lineno, detail):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,6 +20,8 @@ from reusesim import (
 )
 from reusesim.sim import workload_digest
 from reusesim.workload import BASE_NORM
+
+from conftest import assert_rows_of_one_matrix
 
 
 def test_generate_deterministic():
@@ -159,6 +162,32 @@ def test_ingest_valid_file(tmp_path):
     assert [t.id for t in tasks] == [0, 1, 2]
     arrivals = [t.arrival_time for t in tasks]
     assert arrivals == sorted(arrivals) and arrivals[0] > 0
+
+
+def test_generated_and_ingested_vectors_are_rows_of_one_matrix(tmp_path):
+    path = _dump(tmp_path, ["cat,1.0,2.0,3.0", "dog,4.0,5.0,6.0"])
+    for tasks in (
+        generate(WorkloadSpec(num_tasks=20, dimension=3, seed=5)),
+        ingest(path, WorkloadSpec(dimension=3, seed=5)),
+    ):
+        assert_rows_of_one_matrix(tasks)
+        # the matrix that owns the rows is read-only too
+        assert not tasks[0].features._array.base.flags.writeable
+
+
+def test_generated_tasks_hold_under_1000_bytes_each():
+    # a 32-d float64 row is 256 bytes of the budget; a tuple of 32 Python
+    # floats per task would take ~1000 more
+    spec = WorkloadSpec(num_tasks=8000, dimension=32)
+    generate(replace(spec, num_tasks=10))  # first-call allocations are not held
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tasks = generate(spec)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(tasks) <= 1000
 
 
 def test_ingest_skips_header(tmp_path):
