@@ -83,9 +83,6 @@ class LshIndex:
     def __len__(self) -> int:
         return len(self._row_of)
 
-    def __contains__(self, entry_id: int) -> bool:
-        return entry_id in self._row_of
-
     def _project(self, arr: np.ndarray) -> tuple[int, ...]:
         bits = (self._proj @ arr) >= 0.0
         return tuple((bits.reshape(self._key_shape) @ self._bit_weights).tolist())

@@ -102,9 +102,6 @@ class LookupResult:
 
 MISS = LookupResult(LookupKind.MISS)
 
-_SNAPSHOT_MAGIC = "#reusesim-snapshot"
-_HEADER_FIELDS = {"dimension", "next_id", "last_decay"}
-
 
 @dataclass(frozen=True)
 class ServiceStats:
@@ -139,12 +136,6 @@ class _ServiceTable:
     heap: Optional[list[tuple[int, float, int]]] = None
     hits: int = 0
     misses: int = 0
-
-    def admit(self, entry: ReuseEntry) -> None:
-        """Index, store and key one entry; a vector the index rejects stores nothing."""
-        self.index.insert(entry.id, entry.features)
-        self.entries[entry.id] = entry
-        self.push_key(entry)
 
     def push_key(self, entry: ReuseEntry) -> None:
         """Record an entry's new LFU key in the heap, if there is one."""
@@ -182,11 +173,9 @@ class ReuseStore:
         return self.settings.capacity
 
     def _table(self, service: str) -> _ServiceTable:
-        """The service's table, made at first use; the one check of a service name."""
+        """The service's table, made at first use; callers check the name first."""
         table = self._tables.get(service)
         if table is None:
-            if not service:
-                raise ValueError("service name must be non-empty")
             seed = _service_seed(self.seed, service)
             table = _ServiceTable(LshIndex(self.lsh, self.dimension, seed))
             self._tables[service] = table
@@ -219,10 +208,13 @@ class ReuseStore:
         A full or partial hit increments the matched entry's frequency and
         stamps its last use; a miss (including an unknown service) leaves the
         store untouched apart from the miss counter.  A vector of the wrong
-        dimension raises ``DimensionMismatch`` before anything changes: no
-        decay is applied and no service is recorded.
+        dimension raises ``DimensionMismatch`` and an empty service name
+        ``ValueError`` before anything changes: no decay is applied and no
+        service is recorded.
         """
         require_dimension(q, self.dimension)
+        if not service:
+            raise ValueError("service name must be non-empty")
         self._advance(now)
         table = self._table(service)
         nearest = table.index.query(q)
@@ -249,10 +241,13 @@ class ReuseStore:
         """Admit a freshly computed result, evicting LFU first if at capacity.
 
         Returns the new entry's id.  A vector of the wrong dimension raises
-        ``DimensionMismatch`` before anything changes: no decay is applied,
-        no service is recorded, nothing is evicted and no id is consumed.
+        ``DimensionMismatch`` and an empty service name ``ValueError`` before
+        anything changes: no decay is applied, no service is recorded,
+        nothing is evicted and no id is consumed.
         """
         require_dimension(features, self.dimension)
+        if not service:
+            raise ValueError("service name must be non-empty")
         self._advance(now)
         table = self._table(service)
         capacity = self.settings.capacity
@@ -261,7 +256,9 @@ class ReuseStore:
         entry = ReuseEntry(
             self._next_id, service, features, output, inserted_at=now, last_used_at=now
         )
-        table.admit(entry)
+        table.index.insert(entry.id, features)  # a rejected vector stores nothing
+        table.entries[entry.id] = entry
+        table.push_key(entry)
         self._next_id += 1
         return entry.id
 
@@ -301,134 +298,3 @@ class ReuseStore:
             service: ServiceStats(len(t.entries), t.hits, t.misses)
             for service, t in sorted(self._tables.items())
         }
-
-    # -- snapshot/restore -------------------------------------------------
-    #
-    # Flat text format: a header line
-    #   #reusesim-snapshot dimension=<d> next_id=<n> last_decay=<t>
-    # then one entry per line:
-    #   service,id,frequency,inserted_at,last_used_at,label,output_size,v1,...,vd
-    # Lines end with "\n" alone, so a service name or label round-trips with
-    # any character but "\n" and ",", "\r" and leading spaces included.
-    # Hit/miss counters are not part of the snapshot.
-
-    def save(self, path) -> None:
-        """Write the store's entries, ids and decay clock to ``path``.
-
-        A service name or label holding a comma or a line break raises
-        ``ValueError`` naming the field: the row could not be read back.
-        """
-        lines = [
-            f"{_SNAPSHOT_MAGIC} dimension={self.dimension} next_id={self._next_id} "
-            f"last_decay={self._last_decay!r}"
-        ]
-        for service, table in sorted(self._tables.items()):
-            _check_snapshot_text("service names", service)
-            for entry_id in sorted(table.entries):
-                e = table.entries[entry_id]
-                _check_snapshot_text("labels", e.output.label)
-                values = ",".join(repr(v) for v in e.features.values)
-                lines.append(
-                    f"{service},{e.id},{e.frequency},{e.inserted_at!r},"
-                    f"{e.last_used_at!r},{e.output.label},{e.output.output_size!r},"
-                    f"{values}"
-                )
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(
-        cls,
-        path,
-        settings: StoreSettings = StoreSettings(),
-        lsh: LshSettings = LshSettings(),
-        seed: int = 0,
-    ) -> "ReuseStore":
-        """Rebuild a store from a snapshot under the given settings and seed.
-
-        The feature dimension, the next id to hand out and the decay clock
-        come from the header.  A malformed header or row raises
-        ``ValueError`` naming its line, and a service with more entries than
-        ``settings.capacity`` raises one naming the service.
-        """
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            dim, next_id, last_decay = _parse_header(fh.readline().removesuffix("\n"))
-            store = cls(dim, settings, lsh, seed)
-            store._next_id, store._last_decay = next_id, last_decay
-            seen: set[int] = set()  # ids are unique across the whole store
-            for lineno, raw in enumerate(fh, start=2):
-                line = raw.removesuffix("\n")
-                if not line:
-                    continue
-                try:
-                    entry = _parse_entry(line.split(","))
-                    if entry.features.dimension != dim:
-                        raise ValueError(
-                            f"expected {dim} feature values, "
-                            f"got {entry.features.dimension}"
-                        )
-                    if entry.id in seen:
-                        raise ValueError(f"duplicate entry id {entry.id}")
-                    if entry.id >= next_id:
-                        raise ValueError(
-                            f"entry id {entry.id} is not below "
-                            f"the header's next_id {next_id}"
-                        )
-                    store._table(entry.service).admit(entry)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-                seen.add(entry.id)
-        capacity = settings.capacity
-        for service, table in store._tables.items():
-            if capacity is not None and len(table.entries) > capacity:
-                raise ValueError(
-                    f"service {service!r} holds {len(table.entries)} entries, "
-                    f"more than the capacity {capacity}"
-                )
-        return store
-
-
-def _check_snapshot_text(field_name: str, text: str) -> None:
-    if "," in text or "\n" in text:
-        raise ValueError(f"{field_name} must not contain commas or line breaks")
-
-
-def _parse_header(line: str) -> tuple[int, int, float]:
-    """``(dimension, next_id, last_decay)`` from a snapshot's header (line 1)."""
-    magic, *pairs = line.split(" ")
-    fields = dict(pair.partition("=")[::2] for pair in pairs)
-    try:
-        if magic == _SNAPSHOT_MAGIC and fields.keys() == _HEADER_FIELDS:
-            dim, next_id = int(fields["dimension"]), int(fields["next_id"])
-            last_decay = float(fields["last_decay"])
-            require_finite("last_decay", last_decay)
-            if dim >= 1 and next_id >= 0:
-                return dim, next_id, last_decay
-    except ValueError:
-        pass
-    raise ValueError(f"line 1: malformed snapshot header {line!r}")
-
-
-def _parse_entry(parts: list[str]) -> ReuseEntry:
-    """One snapshot row, already split on commas, as an entry."""
-    if len(parts) < 8:
-        raise ValueError("too few fields")
-    service, raw_id, raw_freq, inserted, used, label, size = parts[:7]
-    entry_id, frequency = int(raw_id), int(raw_freq)
-    if entry_id < 0:
-        raise ValueError(f"entry id must be >= 0, got {entry_id}")
-    if frequency < 0:
-        raise ValueError(f"frequency must be >= 0, got {frequency}")
-    inserted_at, last_used_at, output_size = float(inserted), float(used), float(size)
-    require_finite("inserted_at", inserted_at)
-    require_finite("last_used_at", last_used_at)
-    require_finite("output_size", output_size)
-    return ReuseEntry(
-        id=entry_id,
-        service=service,
-        features=FeatureVector(parts[7:]),
-        output=ResultPayload(label=label, output_size=output_size),
-        frequency=frequency,
-        inserted_at=inserted_at,
-        last_used_at=last_used_at,
-    )
