@@ -18,7 +18,6 @@ import argparse
 import math
 import sys
 from dataclasses import MISSING, fields, is_dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -41,6 +40,7 @@ SCENARIOS = ("completion", "computation", "waiting", "utilization", "load", "gai
 
 # tasks.csv has one column per TaskRecord field, in declaration order
 _TASK_COLUMNS = tuple(f.name for f in fields(TaskRecord))
+_TASK_TYPES = tuple(get_type_hints(TaskRecord)[name] for name in _TASK_COLUMNS)
 TASKS_HEADER = ",".join(_TASK_COLUMNS)
 # (column, value of one run) for every metric column of summary.csv and the
 # sweep files; a gain is None, a blank cell, when the run has no baseline.
@@ -200,11 +200,42 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# the ``%`` conversion that writes a value of exactly this type as ``_fmt`` does
+_CONVERSION_OF = {float: "%.10g", int: "%s", str: "%s"}
+
+
+def _task_column(values: list, kind: type) -> tuple[str, list]:
+    """The ``%`` conversion of one ``tasks.csv`` column, and the values it takes.
+
+    A column of a float, int or str field that holds only values of exactly
+    that type is converted as ``_fmt`` converts them; any other column (a
+    bool field, or an int in a float field) gets ``_fmt`` cell by cell.
+    """
+    conversion = _CONVERSION_OF.get(kind)
+    if conversion is not None and set(map(type, values)) <= {kind}:
+        return conversion, values
+    return "%s", list(map(_fmt, values))
+
+
+def tasks_csv_text(report: MetricsReport) -> str:
+    """The ``tasks.csv`` text of a report: ``_fmt`` of every cell.
+
+    Each row is formatted by one ``%`` template, whose conversions
+    ``_task_column`` picks once per column from ``TaskRecord``'s field types.
+    """
+    records = report.records
+    conversions, columns = zip(
+        *(
+            _task_column([getattr(r, name) for r in records], kind)
+            for name, kind in zip(_TASK_COLUMNS, _TASK_TYPES)
+        )
+    )
+    template = ",".join(conversions)
+    return "\n".join((TASKS_HEADER, *map(template.__mod__, zip(*columns)), ""))
+
+
 def write_tasks_csv(path, report: MetricsReport) -> None:
-    row = attrgetter(*_TASK_COLUMNS)
-    lines = [TASKS_HEADER]
-    lines.extend(",".join(map(_fmt, row(r))) for r in report.records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(tasks_csv_text(report), encoding="utf-8")
 
 
 def _metrics(report: MetricsReport, gain: Optional[ReuseGain]) -> list[Optional[float]]:
@@ -239,11 +270,9 @@ def cmd_run(config_path, overrides, outdir) -> int:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [SUMMARY_HEADER]
-    first: Optional[MetricsReport] = None
+    tasks_text = ""
     for trial in range(config.trials):
         report = run(config, trial)
-        if first is None:
-            first = report
         rows.append(
             summary_row(
                 report,
@@ -252,7 +281,11 @@ def cmd_run(config_path, overrides, outdir) -> int:
                 trial,
             )
         )
-    write_tasks_csv(outdir / "tasks.csv", first)
+        if trial == 0:  # tasks.csv holds trial 0's records
+            tasks_text = tasks_csv_text(report)
+        del report  # one trial's records at a time
+    # written only once every trial has run, so a failed trial leaves no CSV
+    (outdir / "tasks.csv").write_text(tasks_text, encoding="utf-8")
     (outdir / "summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(rows[1])
     return 0

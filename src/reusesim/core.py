@@ -27,6 +27,30 @@ if TYPE_CHECKING:
 _set_field = object.__setattr__
 
 
+def _refuse_assignment(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen_slots(cls: type) -> type:
+    """``@dataclass(frozen=True, slots=True)``, refusing every assignment as frozen.
+
+    ``slots=True`` returns a new class, but the ``__setattr__`` and
+    ``__delattr__`` that ``frozen=True`` generates still test for the class it
+    replaced, so for a name that is not a field they raise ``TypeError`` from
+    ``super()`` (Python 3.10 to 3.13).  The class gets guards that raise
+    ``FrozenInstanceError`` for any name, as a frozen dataclass without slots
+    does.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
+
+
 class DimensionMismatch(ValueError):
     """Raised when two feature vectors live in incompatible feature spaces."""
 
@@ -75,11 +99,8 @@ class FeatureVector:
         _set_field(self, "_array", array)
         _set_field(self, "_lsh_keys", None)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
 
     def __reduce__(self):
         # rebuilt from its values alone: a copy or an unpickled vector owns
@@ -125,7 +146,7 @@ _TASK_FLOATS = ("input_size", "output_size", "complexity", "arrival_time")
 _task_floats = attrgetter(*_TASK_FLOATS)
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Task:
     """One service invocation.
 
@@ -273,7 +294,7 @@ class OutcomeKind(Enum):
 _REUSE_KINDS = (OutcomeKind.FULL_REUSE, OutcomeKind.PARTIAL_REUSE)
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Outcome:
     """How a task was satisfied, plus the matched store entry when reused."""
 

@@ -23,12 +23,15 @@ since two reads of one vector write the same keys.  ``insert``/``remove``
 need exclusive access.
 
 Each bucket maps the ids it holds to their rows of the index's matrix, so
-a query gathers its candidates' ids and rows from one dict.
+a query gathers its candidates' rows from one dict.  It reads their ids only
+when the smallest distance is tied; otherwise the winner's id is the key at
+its row's position in that dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Iterable
 
 import numpy as np
@@ -38,6 +41,9 @@ from .core import FeatureVector, require_dimension
 INITIAL_ROWS = 64
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+# what an unaddressed bucket contributes to a candidate set; never written
+_NO_BUCKET: dict[int, int] = {}
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,11 @@ class LshIndex:
         self._row_of[entry_id] = row
         self._keys_of[entry_id] = keys
         for table, key in zip(self._tables, keys):
-            table.setdefault(key, {})[entry_id] = row
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = {entry_id: row}
+            else:
+                bucket[entry_id] = row
 
     def remove(self, entry_id: int) -> None:
         if entry_id not in self._row_of:
@@ -136,10 +146,10 @@ class LshIndex:
         A new dict that maps each candidate id to its row of ``_matrix``.
         """
         cands: dict[int, int] = {}
-        for table, key in zip(self._tables, self.signature(q)):
-            bucket = table.get(key)
-            if bucket:
-                cands.update(bucket)
+        add = cands.update
+        keys = self.signature(q)
+        for bucket in map(dict.get, self._tables, keys, repeat(_NO_BUCKET)):
+            add(bucket)
         return cands
 
     def query(self, q: FeatureVector) -> list[tuple[int, float]]:
@@ -153,19 +163,22 @@ class LshIndex:
         n = len(cands)
         if not n:
             return []
-        ids = np.fromiter(cands.keys(), np.int64, n)
-        rows = np.fromiter(cands.values(), np.intp, n)
         # in place, but the same elementwise steps (hence the same floats) as
-        # sqrt(((stacked - q) ** 2).sum(axis=1)); ``signature`` checked q's shape
-        diff = self._matrix.take(rows, axis=0)
+        # sqrt(((stacked - q) ** 2).sum(axis=1)): ``ndarray.sum`` is
+        # ``np.add.reduce``; ``signature`` checked q's shape
+        diff = self._matrix.take(np.fromiter(cands.values(), np.intp, n), axis=0)
         diff -= q._array
         diff *= diff
-        dists = diff.sum(axis=1)
+        dists = np.add.reduce(diff, axis=1)
         np.sqrt(dists, out=dists)
         best = dists.argmin()
-        tied = dists == dists[best]
-        best_id = ids[tied].min() if np.count_nonzero(tied) > 1 else ids[best]
-        return [(int(best_id), float(dists[best]))]
+        dist = dists[best]
+        tied = dists == dist
+        if np.count_nonzero(tied) > 1:
+            best_id = int(np.fromiter(cands.keys(), np.int64, n)[tied].min())
+        else:  # the winner's id sits at its row's position among the candidates
+            best_id = next(islice(cands, best, None))
+        return [(best_id, float(dist))]
 
     def bucket_sizes(self) -> Iterable[int]:
         for table in self._tables:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .core import FeatureVector, require_dimension, require_finite
+from .core import FeatureVector, frozen_slots, require_dimension, require_finite
 from .lsh import LshIndex, LshSettings
 
 
@@ -62,15 +62,23 @@ class StoreSettings:
             raise ValueError("decay_interval must be > 0 when set")
 
 
-@dataclass
+def _reduce_to_fields(self):
+    # dataclasses gives a slotted class pickle state only when it is frozen,
+    # and pickle protocols 0 and 1 need one: rebuild from the field values
+    return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+@dataclass(slots=True)
 class ResultPayload:
     """Opaque computed output: the produced label and its size in megabits."""
 
     label: str
     output_size: float = 0.0
 
+    __reduce__ = _reduce_to_fields
 
-@dataclass
+
+@dataclass(slots=True)
 class ReuseEntry:
     id: int
     service: str
@@ -80,6 +88,8 @@ class ReuseEntry:
     inserted_at: float = 0.0
     last_used_at: float = 0.0
 
+    __reduce__ = _reduce_to_fields
+
 
 class LookupKind(Enum):
     FULL = "full"
@@ -87,7 +97,7 @@ class LookupKind(Enum):
     MISS = "miss"
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class LookupResult:
     """The lookup's class, the matched entry and the share of the task it covers.
 

@@ -40,11 +40,20 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import CLOUD_OFFLOAD, CostParams, Outcome, OutcomeKind, Task, require_finite
+from .core import (
+    CLOUD_OFFLOAD,
+    CostParams,
+    Outcome,
+    OutcomeKind,
+    Task,
+    frozen_slots,
+    require_finite,
+)
 from .cost import delivered_at, execution_cost, received_at, reuse_cost
 from .forwarding import EdgeNode
 from .lsh import LshSettings
@@ -89,7 +98,7 @@ class SimConfig:
             raise ValueError("max_queue_delay must be > 0 when set")
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class TaskRecord:
     task_id: int
     service: str
@@ -196,19 +205,21 @@ def _record(
     computation: float,
 ) -> TaskRecord:
     """Record of a task served under ``outcome``: its kind, place and correctness."""
+    # positional, in field order: task_id, service, label, outcome, location,
+    # arrival_s, start_s, finish_s, waiting_s, computation_s, completion_s, correct
     return TaskRecord(
-        task_id=task.id,
-        service=task.service,
-        label=task.object_label,
-        outcome=outcome.kind.value,
-        location="edge" if outcome.at_edge else "cloud",
-        arrival_s=task.arrival_time,
-        start_s=start,
-        finish_s=finish,
-        waiting_s=waiting,
-        computation_s=computation,
-        completion_s=finish - task.arrival_time,
-        correct=task_correct(outcome, task),
+        task.id,
+        task.service,
+        task.object_label,
+        outcome.kind.value,
+        "edge" if outcome.at_edge else "cloud",
+        task.arrival_time,
+        start,
+        finish,
+        waiting,
+        computation,
+        finish - task.arrival_time,
+        task_correct(outcome, task),
     )
 
 
@@ -265,7 +276,7 @@ def simulate(
         heapq.heappush(heap, (when, seq, kind, payload))
         seq += 1
 
-    for t in sorted(tasks, key=lambda t: (t.arrival_time, t.id)):
+    for t in sorted(tasks, key=attrgetter("arrival_time", "id")):
         push(received_at(t.arrival_time, t, True, cost), _RECV, t)
 
     running = 0

@@ -3,21 +3,31 @@ import math
 import os
 import subprocess
 import sys
+import weakref
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reusesim import CostParams, TaskRecord, cli, run, simulate
 from reusesim.cli import (
     CONFIG_SCHEMA,
     SUMMARY_HEADER,
     TASKS_HEADER,
     ConfigError,
+    _fmt,
     apply_overrides,
     build_config,
     main,
     parse_config_file,
+    write_tasks_csv,
 )
 from reusesim.sim import Mode
+
+from conftest import make_task
 
 MINIMAL = "mode = edge_with_reuse\nworkload.num_tasks = 40\n"
 
@@ -374,3 +384,98 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
     assert _sha256(out / "sweep_completion.csv") == (
         "5b3f4be299743c872c8a16ddbfe1b04721c3b5e43fad408ca170eef110b7678c"
     )
+
+
+def _fmt_tasks_csv(records):
+    """``tasks.csv`` as ``_fmt`` writes it, one cell at a time."""
+    lines = [TASKS_HEADER]
+    for r in records:
+        lines.append(",".join(_fmt(getattr(r, f.name)) for f in fields(TaskRecord)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _edge_case_records():
+    # an int in a float field, from a task that arrives at 10**16 (an int):
+    # _fmt writes it as 10000000000000000, where "%.10g" writes 1e+16
+    cost = CostParams()
+    (late,) = simulate([make_task(arrival=10**16)], Mode.CLOUD_ONLY, cost).records
+    assert type(late.arrival_s) is int
+    return [
+        late,
+        TaskRecord(
+            1, "s", "a", "full_reuse", "edge", -0.0, 5e-324, 1e16, 0.0, 0.5, 1.5, True
+        ),
+        TaskRecord(
+            2, "s", "b", "edge_compute", "edge", 1e16, 2.0, 3.0, 0.0, 1.0, 2.0, False
+        ),
+    ]
+
+
+# each cell is mostly of its field's type, sometimes of another type a field
+# could be given, so a column may hold one type or several
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=4)
+_OF_TYPE = {
+    int: st.integers(),
+    str: _TEXT,
+    float: st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16])),
+    bool: st.booleans(),
+}
+_ANY_CELL = st.one_of(st.integers(), st.floats(), st.booleans(), _TEXT)
+
+
+@st.composite
+def _task_records(draw):
+    hints = get_type_hints(TaskRecord)
+    foreign = draw(st.sets(st.sampled_from([f.name for f in fields(TaskRecord)])))
+    return [
+        TaskRecord(
+            *(
+                draw(_ANY_CELL if f.name in foreign else _OF_TYPE[hints[f.name]])
+                for f in fields(TaskRecord)
+            )
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_task_records())
+@example(records=_edge_case_records())
+def test_tasks_csv_rows_equal_fmt_of_every_cell(records, tmp_path_factory):
+    report = simulate([make_task()], Mode.CLOUD_ONLY, CostParams())
+    report = replace(report, records=tuple(records))
+    path = tmp_path_factory.mktemp("tasks") / "tasks.csv"
+    write_tasks_csv(path, report)
+    assert path.read_bytes() == _fmt_tasks_csv(records)
+
+
+def test_a_failed_trial_leaves_no_csv(tmp_path, monkeypatch):
+    def run_failing_trial_1(config, trial=0):
+        if trial == 1:
+            raise ValueError("trial 1 failed")
+        return run(config, trial)
+
+    monkeypatch.setattr(cli, "run", run_failing_trial_1)
+    cfg = write_config(tmp_path, MINIMAL + "trials = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-d", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_run_holds_one_trial_report_at_a_time(tmp_path, monkeypatch):
+    alive = []
+
+    def tracking_run(config, trial=0):
+        # by the time trial i starts, every earlier trial's report is gone
+        assert [ref() for ref in alive] == [None] * trial
+        report = run(config, trial)
+        alive.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(cli, "run", tracking_run)
+    cfg = write_config(tmp_path, MINIMAL + "trials = 3\n")
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-d", str(out)]) == 0
+    assert len(alive) == 3
+    report = run(build_config(parse_config_file(cfg)), 0)
+    assert (out / "tasks.csv").read_bytes() == _fmt_tasks_csv(report.records)

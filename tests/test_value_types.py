@@ -1,0 +1,162 @@
+"""The per-task value types are slotted dataclasses that keep their contracts.
+
+``Task``, ``TaskRecord``, ``Outcome``, ``LookupResult``, ``ReuseEntry`` and
+``ResultPayload`` are made once or more per task, so they hold their fields
+in slots rather than an instance ``__dict__``.  Slots must change nothing
+else: the field order, ``==`` and ``hash``, ``dataclasses.replace``, pickling
+and deep copies behave as for a plain dataclass.
+"""
+
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+
+import pytest
+
+from reusesim import (
+    FeatureVector,
+    LookupKind,
+    LookupResult,
+    Outcome,
+    OutcomeKind,
+    ResultPayload,
+    ReuseEntry,
+    Task,
+    TaskRecord,
+)
+
+from conftest import make_task
+
+
+def _entry():
+    features = FeatureVector((1.0, -0.0))
+    return ReuseEntry(3, "s", features, ResultPayload("a", 1.5), 2, 0.5, 1.5)
+
+
+# (class, a factory of equal instances, its fields in declaration order,
+# a field to change with ``replace`` and its new value)
+CASES = {
+    "Task": (
+        Task,
+        lambda: make_task(values=(1.0, -0.0), arrival=0.25),
+        ("id", "service", "object_label", "features", "input_size", "output_size",
+         "complexity", "arrival_time"),
+        ("arrival_time", 2.0),
+    ),
+    "TaskRecord": (
+        TaskRecord,
+        lambda: TaskRecord(7, "s", "a", "full_reuse", "edge", 0.0, 0.1, 0.3, 0.0, 0.001,
+                           0.3, True),
+        ("task_id", "service", "label", "outcome", "location", "arrival_s", "start_s",
+         "finish_s", "waiting_s", "computation_s", "completion_s", "correct"),
+        ("completion_s", 0.5),
+    ),
+    "Outcome": (
+        Outcome,
+        lambda: Outcome(OutcomeKind.PARTIAL_REUSE, 0.5, _entry()),
+        ("kind", "reused_fraction", "matched_entry"),
+        ("reused_fraction", 0.25),
+    ),
+    "LookupResult": (
+        LookupResult,
+        lambda: LookupResult(LookupKind.FULL, _entry(), 1.0),
+        ("kind", "entry", "reused_fraction"),
+        ("kind", LookupKind.PARTIAL),
+    ),
+    "ReuseEntry": (
+        ReuseEntry,
+        _entry,
+        ("id", "service", "features", "output", "frequency", "inserted_at",
+         "last_used_at"),
+        ("frequency", 5),
+    ),
+    "ResultPayload": (
+        ResultPayload,
+        lambda: ResultPayload("a", 1.5),
+        ("label", "output_size"),
+        ("output_size", 2.5),
+    ),
+}
+FROZEN = {"Task", "TaskRecord", "Outcome", "LookupResult"}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    return request.param, *CASES[request.param]
+
+
+def _values(obj, names):
+    return tuple(getattr(obj, name) for name in names)
+
+
+def test_fields_are_slots_in_declaration_order(case):
+    name, cls, make, names, _ = case
+    assert is_dataclass(cls)
+    assert tuple(f.name for f in fields(cls)) == names
+    assert cls.__slots__ == names
+    obj = make()
+    assert not hasattr(obj, "__dict__")
+    # a frozen type refuses the name as frozen, whether or not it is a field
+    refusal = FrozenInstanceError if name in FROZEN else AttributeError
+    with pytest.raises(refusal):
+        obj.undeclared = 1
+    with pytest.raises(AttributeError):
+        object.__setattr__(obj, "undeclared", 1)
+    assert not hasattr(obj, "undeclared")
+
+
+def test_frozen_types_stay_frozen_and_the_others_mutable(case):
+    name, cls, make, names, (field, value) = case
+    obj = make()
+    if name in FROZEN:
+        with pytest.raises(FrozenInstanceError, match=f"assign to field '{field}'"):
+            setattr(obj, field, value)
+        with pytest.raises(FrozenInstanceError, match=f"delete field '{field}'"):
+            delattr(obj, field)
+    else:
+        setattr(obj, field, value)
+        assert getattr(obj, field) == value
+
+
+def test_equality_and_hash_go_by_the_fields_in_order(case):
+    name, cls, make, names, (field, value) = case
+    a, b = make(), make()
+    assert a == b and a is not b
+    assert a != replace(a, **{field: value})
+    if cls.__hash__ is None:
+        assert name not in FROZEN
+        with pytest.raises(TypeError):
+            hash(a)
+        return
+    try:
+        want = hash(_values(a, names))
+    except TypeError:  # a field holds an unhashable value (a ReuseEntry)
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == want
+
+
+def test_replace_changes_one_field(case):
+    name, cls, make, names, (field, value) = case
+    obj = make()
+    new = replace(obj, **{field: value})
+    assert type(new) is cls and getattr(new, field) == value
+    assert all(getattr(new, n) == getattr(obj, n) for n in names if n != field)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_round_trips(case, protocol):
+    name, cls, make, names, _ = case
+    obj = make()
+    back = pickle.loads(pickle.dumps(obj, protocol))
+    assert type(back) is cls and back == obj
+    assert repr(back) == repr(obj)
+
+
+def test_deepcopy_round_trips(case):
+    name, cls, make, names, _ = case
+    obj = make()
+    back = copy.deepcopy(obj)
+    assert type(back) is cls and back == obj and back is not obj
+    assert repr(back) == repr(obj)
