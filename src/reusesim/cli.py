@@ -148,6 +148,8 @@ def parse_config_file(path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"line {lineno}: unknown field {key!r}")
+        if key in raw:
+            raise ConfigError(f"line {lineno}: duplicate field {key!r}")
         raw[key] = value
     return raw
 

@@ -8,11 +8,16 @@ repeats an already-seen object with probability ``redundancy_rate`` (chosen
 uniformly among seen labels), otherwise it introduces a new one.  Arrivals
 form a Poisson process.
 
-All randomness flows from one seeded generator consumed in a fixed per-task
-order (redundancy coin, then a seen object's index or a new base vector,
-noise, input size, output size, complexity, inter-arrival gap), so a given
-spec is bit-reproducible.  The draws fill numpy columns, and the tasks are
-built from the columns at the end.
+All randomness flows from one seeded generator, drawn one quantity at a time
+as a numpy block: the sizes (input size, output size, complexity per task),
+the inter-arrival gaps, the redundancy coins of tasks 1..n-1, the noise, the
+new objects' base vectors in order of first appearance, and last each
+repeat's object index among the objects seen before it.  A given spec is
+therefore bit-reproducible.  The sizes and arrivals come first, so they
+depend only on the seed, the task count, the ranges and the arrival rate:
+specs that differ in redundancy, noise, dimension or service draw the same
+ones (common random numbers), and raising ``redundancy_rate`` only turns new
+tasks into repeats.
 """
 
 from __future__ import annotations
@@ -72,62 +77,46 @@ class WorkloadSpec:
             raise ValueError("seed must be >= 0")
 
 
-def _draw(
-    spec: WorkloadSpec, n: int, observe: bool
-) -> tuple[Optional[list[str]], Optional[np.ndarray], np.ndarray, np.ndarray]:
-    """Draw ``n`` tasks' random columns, one task at a time.
+def _sizes_and_arrivals(
+    spec: WorkloadSpec, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first two draw blocks: ``n`` tasks' sizes, then their arrivals.
 
-    Returns ``(labels, features, sizes, arrival)``: ``sizes`` has columns
-    input size, output size and complexity.  With ``observe``, each task
-    first draws its object and its noisy observation, in the module's draw
-    order; otherwise ``labels`` and ``features`` are ``None``.  Each value
-    is the float the matching scalar ``Generator`` call returns (``uniform``
-    is ``lo + (hi - lo) * random()``, ``exponential`` is ``scale *
-    standard_exponential()``), and arrivals are the running sum of the gaps.
+    ``sizes`` has columns input size, output size and complexity, each
+    ``lo + (hi - lo) * u``; arrivals are the running sum of
+    ``gap / arrival_rate``.
     """
-    rng = np.random.default_rng(spec.seed)
-    random, normal = rng.random, rng.standard_normal
-    integers, exponential = rng.integers, rng.standard_exponential
-    uniforms = np.empty((n, 3))
-    gaps = np.empty(n)
-    if observe:
-        raw_bases = np.empty((n, spec.dimension))
-        noise = np.empty((n, spec.dimension))
-        objects: list[int] = []
-        minted = 0
-    for i in range(n):
-        if observe:
-            # the first task has no seen object to repeat, so it draws no coin
-            if i and random() < spec.redundancy_rate:
-                objects.append(int(integers(0, minted)))
-            else:
-                normal(out=raw_bases[minted])
-                objects.append(minted)
-                minted += 1
-            normal(out=noise[i])
-        random(out=uniforms[i])
-        gaps[i] = exponential()
-
     ranges = (spec.input_size_range, spec.output_size_range, spec.complexity_range)
     lo = np.array([r[0] for r in ranges])
-    sizes = lo + np.array([r[1] - r[0] for r in ranges]) * uniforms
-    arrival = np.cumsum((1.0 / spec.arrival_rate) * gaps)
-    if not observe:
-        return None, None, sizes, arrival
-    bases = raw_bases[:minted]
-    norms = np.array([math.sqrt(g @ g) for g in bases]).reshape(minted, 1)
-    bases *= BASE_NORM
-    bases /= norms
-    features = noise
-    features *= spec.noise_sigma
-    features += bases[objects]
-    names = [f"obj-{k:05d}" for k in range(minted)]
-    return [names[k] for k in objects], features, sizes, arrival
+    sizes = lo + np.array([r[1] - r[0] for r in ranges]) * rng.random((n, 3))
+    return sizes, np.cumsum(rng.standard_exponential(n) / spec.arrival_rate)
 
 
 def generate(spec: WorkloadSpec) -> list[Task]:
     """Generate the task list for a spec; deterministic given the seed."""
-    labels, features, sizes, arrival = _draw(spec, spec.num_tasks, observe=True)
+    n = spec.num_tasks
+    rng = np.random.default_rng(spec.seed)
+    sizes, arrival = _sizes_and_arrivals(spec, rng, n)
+    # the first task has no seen object to repeat, so it draws no coin
+    new = np.ones(n, dtype=bool)
+    new[1:] = rng.random(max(n - 1, 0)) >= spec.redundancy_rate
+    features = rng.standard_normal((n, spec.dimension))
+    # objects are numbered in order of first appearance: a new task's number
+    # is the count of new tasks before it
+    objects = np.cumsum(new) - 1
+    minted = int(np.count_nonzero(new))
+    bases = rng.standard_normal((minted, spec.dimension))
+    repeats = ~new
+    # each repeat picks among the objects minted before it
+    objects[repeats] = rng.integers(0, objects[repeats] + 1)
+    # each base's norm is sqrt(g @ g): the stacked 1 x d by d x 1 products
+    norms = np.sqrt(bases[:, None, :] @ bases[:, :, None]).reshape(minted, 1)
+    bases *= BASE_NORM
+    bases /= norms
+    features *= spec.noise_sigma
+    features += bases[objects]
+    names = [f"obj-{k:05d}" for k in range(minted)]
+    labels = [names[k] for k in objects.tolist()]
     return tasks_from_columns(spec.service, labels, features, *sizes.T, arrival)
 
 
@@ -150,13 +139,22 @@ def redundancy_ramp(
     ]
 
 
+def _parses(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def ingest(path, spec: WorkloadSpec) -> list[Task]:
     """Build tasks from an externally produced feature dump.
 
     File format: one record per line, ``label,v1,...,vd`` with an optional
-    ``label,f1,...,fd`` header.  Labels and features come from the file;
-    arrival times, sizes, and complexities are drawn from the spec exactly
-    as in ``generate``.
+    ``label,f1,...,fd`` header.  Line 1 is the header when none of its
+    feature fields parses as a float, and a record otherwise.  Labels and
+    features come from the file; arrival times, sizes, and complexities are
+    the ones ``generate`` draws for the spec with the file's record count.
     """
     labels: list[str] = []
     rows: list[tuple[float, ...]] = []
@@ -170,7 +168,7 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
             try:
                 values = tuple(float(p) for p in parts[1:])
             except ValueError:
-                if lineno == 1:
+                if lineno == 1 and not any(map(_parses, parts[1:])):
                     continue  # header row
                 raise WorkloadFileError(
                     f"line {lineno}: non-numeric feature value"
@@ -190,5 +188,6 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
         features = np.array(rows, dtype=np.float64)
     else:
         features = np.empty((0, spec.dimension))
-    _, _, sizes, arrival = _draw(spec, len(rows), observe=False)
+    rng = np.random.default_rng(spec.seed)
+    sizes, arrival = _sizes_and_arrivals(spec, rng, len(rows))
     return tasks_from_columns(spec.service, labels, features, *sizes.T, arrival)

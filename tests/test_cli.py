@@ -75,6 +75,17 @@ def test_config_unknown_field(tmp_path):
         parse_config_file(write_config(tmp_path, "mode = cloud_only\nnope = 1\n"))
 
 
+def test_config_duplicate_field_names_its_line(tmp_path):
+    text = "mode = cloud_only\nseed = 1\n\nseed = 2\n"
+    with pytest.raises(ConfigError, match="^line 4: duplicate field 'seed'$"):
+        parse_config_file(write_config(tmp_path, text))
+
+
+def test_set_overrides_a_field_of_the_file(tmp_path):
+    raw = parse_config_file(write_config(tmp_path, "mode = cloud_only\nseed = 1\n"))
+    assert build_config(apply_overrides(raw, ["seed = 2"])).seed == 2
+
+
 def test_config_bad_value(tmp_path):
     with pytest.raises(ConfigError, match="cost.edge_bandwidth"):
         build_config(
@@ -371,10 +382,10 @@ def test_run_csv_bytes_are_pinned(tmp_path):
         "full_reuse", "partial_reuse", "edge_compute", "cloud_offload"
     }
     assert _sha256(out / "summary.csv") == (
-        "798488fb3130221f888a8c15ee055b92844f0dd47f9efe1bf2fb4678f4681b5a"
+        "4c24ff40df3b566cf5e1bd6029761afb8d7260f6f140ae30211ec937d523266d"
     )
     assert _sha256(out / "tasks.csv") == (
-        "cebe9824d60088ef89c742d1d4b7e3d84b7056dda5455ab34b5df39cc343599d"
+        "16617a7ef7b74d9586d571748dd1fa643d201ceed013c99eb82d6ed352412522"
     )
 
 
@@ -382,7 +393,7 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "completion", "-d", str(out), "--trials", "1"]) == 0
     assert _sha256(out / "sweep_completion.csv") == (
-        "5b3f4be299743c872c8a16ddbfe1b04721c3b5e43fad408ca170eef110b7678c"
+        "e93a1265a0dbd4e7b0b1c87924dd07acb8bab06c965537870313cde06ecfb92d"
     )
 
 

@@ -53,7 +53,7 @@ def test_churn_shaped_run_is_pinned(monkeypatch):
     assert store.eviction_log  # LFU evictions happened
     assert report.n_cloud > 0  # and tasks reneged to the cloud
     assert digest == (
-        "2d5539d89ca68ea4aa5295841ad4c4f3293d935a7dfe398e0f81b19d0cdb50ce"
+        "f7e5c75e3c5a23fce546cd23a471d778e25e801a286a3894a873320a91c6c218"
     )
 
 
@@ -70,7 +70,7 @@ def test_hot_shaped_run_is_pinned(monkeypatch):
     assert not store.eviction_log
     assert report.n_full_reuse > 0 and report.n_partial_reuse > 0
     assert digest == (
-        "959d7d4236852646be6aad7babdb428315289f4c57f355ae45ae30111bfda1ae"
+        "0a922e6039db780cc59e376294ae29067a4ce3a42031a99d365c57e9848e5c09"
     )
 
 
@@ -94,8 +94,8 @@ def test_sweep_is_pinned(monkeypatch, tmp_path):
     csv = (out / "sweep_completion.csv").read_text(encoding="utf-8")
     assert csv.count(",p90,") == 30
     assert h.hexdigest() == (
-        "361e56d8e0a09f2f016be0ab1d3cbd39b6dfe44f9e5ca9d39ed22a6fa19461d1"
+        "b02a24c937643ec0610ef47fdffd24d969876fc19a943def8264024b16b2a4b9"
     )
     assert hashlib.sha256(csv.encode()).hexdigest() == (
-        "43a9b7b1c9682d27bd38c7b5ffc828622eb476b7e6ddc48e63c514bebd3dc46b"
+        "7f67cc2c2ea324c2d6d04ef5c5154d6c5dd46ec10373e89aee10f6307c551050"
     )

@@ -1,7 +1,7 @@
 import hashlib
 import math
 import tracemalloc
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,43 +228,27 @@ def test_ingest_missing_file(tmp_path):
         ingest(tmp_path / "missing.csv", WorkloadSpec())
 
 
-# --- the per-task generator the columnar one replaced, kept as its oracle ---
+# --- an independent scalar model of the block draw order, kept as its oracle:
+# one scalar Generator call per value, per-row norms and a running-sum clock ---
 
 
-@dataclass
-class ObjectCatalog:
-    """Labelled base vectors; observations of one label differ only by noise."""
-
-    dimension: int
-    noise_sigma: float
-    objects: dict[str, np.ndarray] = field(default_factory=dict)
-    labels: list[str] = field(default_factory=list)
-
-    def mint(self, rng: np.random.Generator) -> str:
-        label = f"obj-{len(self.labels):05d}"
-        g = rng.standard_normal(self.dimension)
-        self.objects[label] = BASE_NORM * g / np.linalg.norm(g)
-        self.labels.append(label)
-        return label
-
-    def observe(self, label: str, rng: np.random.Generator) -> FeatureVector:
-        base = self.objects[label]
-        noisy = base + self.noise_sigma * rng.standard_normal(self.dimension)
-        return FeatureVector(tuple(noisy.tolist()))
+def _reference_sizes_and_arrivals(
+    spec: WorkloadSpec, rng: np.random.Generator, n: int
+) -> list[tuple[float, float, float, float]]:
+    """The first two blocks: every task's three sizes, then every gap."""
+    ranges = (spec.input_size_range, spec.output_size_range, spec.complexity_range)
+    sizes = [
+        tuple(lo + (hi - lo) * rng.random() for lo, hi in ranges) for _ in range(n)
+    ]
+    rows, clock = [], 0.0
+    for size in sizes:
+        clock += rng.standard_exponential() / spec.arrival_rate
+        rows.append((*size, clock))
+    return rows
 
 
-def _draw_task(
-    spec: WorkloadSpec,
-    rng: np.random.Generator,
-    task_id: int,
-    label: str,
-    features: FeatureVector,
-    clock: float,
-) -> Task:
-    """One task arriving after ``clock``; draws sizes, complexity, inter-arrival."""
-    input_size = float(rng.uniform(*spec.input_size_range))
-    output_size = float(rng.uniform(*spec.output_size_range))
-    complexity = float(rng.uniform(*spec.complexity_range))
+def _reference_task(spec, task_id, label, features, row) -> Task:
+    input_size, output_size, complexity, arrival = row
     return Task(
         id=task_id,
         service=spec.service,
@@ -273,65 +257,68 @@ def _draw_task(
         input_size=input_size,
         output_size=output_size,
         complexity=complexity,
-        arrival_time=clock + float(rng.exponential(1.0 / spec.arrival_rate)),
+        arrival_time=arrival,
     )
 
 
 def reference_generate(spec: WorkloadSpec) -> list[Task]:
-    """Generate the task list for a spec; deterministic given the seed."""
+    n, d = spec.num_tasks, spec.dimension
     rng = np.random.default_rng(spec.seed)
-    catalog = ObjectCatalog(dimension=spec.dimension, noise_sigma=spec.noise_sigma)
-    tasks: list[Task] = []
-    clock = 0.0
-    for i in range(spec.num_tasks):
-        if catalog.labels and rng.random() < spec.redundancy_rate:
-            label = catalog.labels[int(rng.integers(0, len(catalog.labels)))]
+    rows = _reference_sizes_and_arrivals(spec, rng, n)
+    # task 0 draws no coin
+    repeats = [i > 0 and rng.random() < spec.redundancy_rate for i in range(n)]
+    noise = [[rng.standard_normal() for _ in range(d)] for _ in range(n)]
+    bases = []
+    for _ in range(repeats.count(False)):
+        g = np.array([rng.standard_normal() for _ in range(d)])
+        bases.append(BASE_NORM * g / math.sqrt(g @ g))
+    tasks, minted = [], 0
+    for i, repeat in enumerate(repeats):
+        if repeat:
+            obj = int(rng.integers(0, minted))
         else:
-            label = catalog.mint(rng)
-        task = _draw_task(spec, rng, i, label, catalog.observe(label, rng), clock)
-        tasks.append(task)
-        clock = task.arrival_time
+            obj, minted = minted, minted + 1
+        values = tuple(
+            float(b + spec.noise_sigma * z) for b, z in zip(bases[obj], noise[i])
+        )
+        label = f"obj-{obj:05d}"
+        tasks.append(_reference_task(spec, i, label, FeatureVector(values), rows[i]))
     return tasks
 
 
 def reference_ingest(path, spec: WorkloadSpec) -> list[Task]:
-    """Build tasks from an externally produced feature dump.
-
-    File format: one record per line, ``label,v1,...,vd`` with an optional
-    ``label,f1,...,fd`` header.  Labels and features come from the file;
-    arrival times, sizes, and complexities are drawn from the spec exactly
-    as in ``generate``.
-    """
+    """Labels and features from the file, then the first two draw blocks."""
     records: list[tuple[str, tuple[float, ...]]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            label = parts[0]
-            try:
-                values = tuple(float(p) for p in parts[1:])
-            except ValueError:
-                if lineno == 1:
+            label, *fields = line.split(",")
+            parsed = []
+            for text in fields:
+                try:
+                    parsed.append(float(text))
+                except ValueError:
+                    parsed.append(None)
+            if None in parsed:
+                if lineno == 1 and parsed.count(None) == len(parsed):
                     continue  # header row
-                raise WorkloadFileError(
-                    f"line {lineno}: non-numeric feature value"
-                ) from None
-            if len(values) != spec.dimension:
+                raise WorkloadFileError(f"line {lineno}: non-numeric feature value")
+            if len(parsed) != spec.dimension:
                 raise WorkloadFileError(
                     f"line {lineno}: expected {spec.dimension} feature values, "
-                    f"got {len(values)}"
+                    f"got {len(parsed)}"
                 )
-            records.append((label, values))
+            if not all(map(math.isfinite, parsed)):
+                raise WorkloadFileError(f"line {lineno}: non-finite feature value")
+            records.append((label, tuple(parsed)))
     rng = np.random.default_rng(spec.seed)
-    tasks: list[Task] = []
-    clock = 0.0
-    for i, (label, values) in enumerate(records):
-        task = _draw_task(spec, rng, i, label, FeatureVector(values), clock)
-        tasks.append(task)
-        clock = task.arrival_time
-    return tasks
+    rows = _reference_sizes_and_arrivals(spec, rng, len(records))
+    return [
+        _reference_task(spec, i, label, FeatureVector(values), row)
+        for i, ((label, values), row) in enumerate(zip(records, rows))
+    ]
 
 
 def _size_range(lo_min):
@@ -364,17 +351,86 @@ def test_generate_matches_the_per_task_reference(spec):
     assert workload_digest(tasks) == workload_digest(expected)
 
 
+def _repr_dump(tmp_path_factory, spec, tasks):
+    """A feature dump of ``tasks`` with a header row, each float as its repr."""
+    path = tmp_path_factory.mktemp("dump") / "features.csv"
+    lines = ["label," + ",".join(f"f{k}" for k in range(spec.dimension))]
+    for t in tasks:
+        lines.append(",".join([t.object_label, *map(repr, t.features.values)]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 @settings(max_examples=100, deadline=None)
 @given(spec=specs)
 def test_ingest_matches_the_per_task_reference(tmp_path_factory, spec):
-    path = tmp_path_factory.mktemp("dump") / "features.csv"
-    lines = ["label," + ",".join(f"f{k}" for k in range(spec.dimension))]
-    for t in generate(spec):
-        lines.append(",".join([t.object_label, *map(repr, t.features.values)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = _repr_dump(tmp_path_factory, spec, generate(spec))
     tasks, expected = ingest(path, spec), reference_ingest(path, spec)
     assert tasks == expected
     assert workload_digest(tasks) == workload_digest(expected)
+
+
+@pytest.mark.parametrize("ingest_", [ingest, reference_ingest])
+@pytest.mark.parametrize(
+    "first", ["obj-a,1.0,abc", "label,1.0,f2", "obj-a,abc,def,1.0"]
+)
+def test_ingest_rejects_a_malformed_first_record(tmp_path, ingest_, first):
+    # line 1 is a header only when none of its feature fields parses
+    spec = WorkloadSpec(dimension=2, seed=5)
+    path = _dump(tmp_path, [first, "obj-b,2.0,3.0"])
+    with pytest.raises(WorkloadFileError, match="^line 1: non-numeric feature value$"):
+        ingest_(path, spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=specs)
+def test_ingest_of_a_repr_dump_is_generate(tmp_path_factory, spec):
+    # ingest draws the same first two blocks as generate, and repr round-trips
+    generated = generate(spec)
+    tasks = ingest(_repr_dump(tmp_path_factory, spec, generated), spec)
+    assert tasks == generated
+    assert workload_digest(tasks) == workload_digest(generated)
+
+
+def _columns(tasks):
+    return [(t.input_size, t.output_size, t.complexity, t.arrival_time) for t in tasks]
+
+
+def _repeated_ids(tasks):
+    seen, repeated = set(), set()
+    for t in tasks:
+        if t.object_label in seen:
+            repeated.add(t.id)
+        seen.add(t.object_label)
+    return repeated
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=specs,
+    rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+    noise_sigma=st.floats(0.0, 5.0),
+    dimension=st.integers(1, 8),
+)
+def test_draws_are_paired_across_redundancy_noise_dimension_and_service(
+    spec, rates, noise_sigma, dimension
+):
+    # sizes and arrivals are drawn first, so only the seed, the task count,
+    # the ranges and the arrival rate set them (common random numbers)
+    low, high = (replace(spec, redundancy_rate=r) for r in rates)
+    variants = [
+        low,
+        high,
+        replace(spec, noise_sigma=noise_sigma),
+        replace(spec, dimension=dimension),
+        replace(spec, service="other"),
+    ]
+    columns = _columns(generate(spec))
+    for variant in variants:
+        assert _columns(generate(variant)) == columns
+    # each repeat coin is compared with the rate, so a higher rate only turns
+    # new tasks into repeats
+    assert _repeated_ids(generate(low)) <= _repeated_ids(generate(high))
 
 
 def test_generated_tasks_hold_plain_floats():
@@ -384,8 +440,8 @@ def test_generated_tasks_hold_plain_floats():
     assert type(task.arrival_time) is float and type(task.complexity) is float
 
 
-# the benchmark's specs at seed 301 (perfbench/workloads.py), digested before
-# generation moved to columns; sweep pins the hash of its 100 run digests
+# the benchmark's specs at seed 301 (perfbench/workloads.py), digested in the
+# block draw order; sweep pins the hash of its 100 run digests
 def test_workload_digests_are_pinned():
     churn = WorkloadSpec(
         num_tasks=3000, redundancy_rate=0.2, arrival_rate=17.0, seed=301
@@ -398,9 +454,9 @@ def test_workload_digests_are_pinned():
         for s in redundancy_ramp(range(10, 101, 10), WorkloadSpec())
         for trial in range(10)
     ]
-    assert workload_digest(generate(churn)) == "6ff9e704aa975f7151320a4b1fbbbf06"
-    assert workload_digest(generate(hot)) == "ec88a2b1e220b4ef5135a0952859cbd1"
+    assert workload_digest(generate(churn)) == "d50a487dfdec51f908502bf5837f33af"
+    assert workload_digest(generate(hot)) == "69fb4d66f7f4a98c4e1b4fdd2491895c"
     digests = "".join(workload_digest(generate(s)) for s in sweep)
     assert hashlib.sha256(digests.encode()).hexdigest() == (
-        "ab3a9c77c5b31e2b5eb2020e195520aa896d6459f5a18460737405052326d3af"
+        "6bea15da10462b34b5bc8be5761901397168c18ba62f66ad2a22a328074e2ece"
     )
