@@ -175,6 +175,11 @@ class Task:
             raise ValueError("task arrival time must be >= 0")
 
 
+def _slot_setters(cls: type, *names: str) -> list:
+    """The ``__set__`` of each named slot: it writes past a frozen ``__setattr__``."""
+    return [vars(cls)[name].__set__ for name in names]
+
+
 def tasks_from_columns(
     service: str,
     labels: Sequence[str],
@@ -222,8 +227,12 @@ def tasks_from_columns(
             float(arrival[i]),
         )
     # fields are set as the constructors set them, minus the checks made
-    # above for the whole column
-    new, set_field = object.__new__, _set_field
+    # above for the whole column, through the classes' slot descriptors
+    new = object.__new__
+    set_array, set_keys = _slot_setters(FeatureVector, "_array", "_lsh_keys")
+    set_id, set_service, set_label, set_features, set_in, set_out, set_work, set_at = (
+        _slot_setters(Task, "id", "service", "object_label", "features", *_TASK_FLOATS)
+    )
     tasks: list[Task] = []
     for i, label, row, size_in, size_out, work, at in zip(
         count(),
@@ -235,17 +244,17 @@ def tasks_from_columns(
         arrival.tolist(),
     ):
         fv = new(FeatureVector)
-        set_field(fv, "_array", row)
-        set_field(fv, "_lsh_keys", None)
+        set_array(fv, row)
+        set_keys(fv, None)
         task = new(Task)
-        set_field(task, "id", i)
-        set_field(task, "service", service)
-        set_field(task, "object_label", label)
-        set_field(task, "features", fv)
-        set_field(task, "input_size", size_in)
-        set_field(task, "output_size", size_out)
-        set_field(task, "complexity", work)
-        set_field(task, "arrival_time", at)
+        set_id(task, i)
+        set_service(task, service)
+        set_label(task, label)
+        set_features(task, fv)
+        set_in(task, size_in)
+        set_out(task, size_out)
+        set_work(task, work)
+        set_at(task, at)
         tasks.append(task)
     return tasks
 

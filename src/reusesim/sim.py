@@ -153,13 +153,39 @@ def task_correct(outcome: Outcome, task: Task) -> bool:
     )
 
 
+_task_id = attrgetter("id")
+_task_label = attrgetter("object_label")
+# the float fields in the order the digest packs them
+_DIGEST_FLOATS = tuple(
+    map(attrgetter, ("input_size", "output_size", "complexity", "arrival_time"))
+)
+
+
 def workload_digest(tasks: Sequence[Task]) -> str:
+    """A 128-bit BLAKE2b hex digest of the tasks' ids, labels and float fields.
+
+    It hashes the task list as columns, in this order:
+
+    1. the ids as decimal text: ``str`` of the list of ids and a newline;
+    2. each label's length in code points, as little-endian int64s;
+    3. the labels, concatenated, in UTF-8 (lone surrogates pass through);
+    4. the input sizes, output sizes, complexities and arrival times, each
+       column as ``n`` little-endian float64s.
+
+    The id list gives ``n``, hence the widths of parts 2 and 4, and the
+    lengths split the decoded labels, so two different task lists never feed
+    the same bytes.  The digest covers values, not Python types: an ``int``
+    size digests as its float, and ``0.0`` and ``-0.0`` differ.  Services
+    and feature vectors are not covered.
+    """
+    n = len(tasks)
+    labels = list(map(_task_label, tasks))
     h = hashlib.blake2b(digest_size=16)
-    for t in tasks:
-        h.update(
-            f"{t.id},{t.object_label},{t.arrival_time!r},{t.input_size!r},"
-            f"{t.output_size!r},{t.complexity!r}|".encode()
-        )
+    h.update(f"{list(map(_task_id, tasks))}\n".encode())
+    h.update(np.fromiter(map(len, labels), "<i8", n).tobytes())
+    h.update("".join(labels).encode("utf-8", "surrogatepass"))
+    for field_of in _DIGEST_FLOATS:
+        h.update(np.fromiter(map(field_of, tasks), "<f8", n).tobytes())
     return h.hexdigest()
 
 
@@ -334,6 +360,15 @@ def simulate(
     return _aggregate(mode, records, busy, edge_slots, peak, time_avg, mean_tis, digest)
 
 
+_record_id = attrgetter("task_id")
+_record_completion = attrgetter("completion_s")
+_record_computation = attrgetter("computation_s")
+_record_waiting = attrgetter("waiting_s")
+_record_finish = attrgetter("finish_s")
+_record_outcome = attrgetter("outcome")
+_record_correct = attrgetter("correct")
+
+
 def _aggregate(
     mode: Mode,
     records: list[TaskRecord],
@@ -344,14 +379,14 @@ def _aggregate(
     mean_tis: float,
     digest: str,
 ) -> MetricsReport:
-    records = sorted(records, key=lambda r: r.task_id)
+    records = sorted(records, key=_record_id)
     n = len(records)
-    completion_s = [r.completion_s for r in records]
+    completion_s = list(map(_record_completion, records))
     completion = np.array(completion_s)
-    computation = np.array([r.computation_s for r in records])
-    waiting = np.array([r.waiting_s for r in records])
-    makespan = float(max(r.finish_s for r in records))
-    counts = Counter(r.outcome for r in records)
+    computation = np.fromiter(map(_record_computation, records), np.float64, n)
+    waiting = np.fromiter(map(_record_waiting, records), np.float64, n)
+    makespan = float(max(map(_record_finish, records)))
+    counts = Counter(map(_record_outcome, records))
     n_full = counts[OutcomeKind.FULL_REUSE.value]
     n_partial = counts[OutcomeKind.PARTIAL_REUSE.value]
     n_edge = counts[OutcomeKind.EDGE_COMPUTE.value]
@@ -368,7 +403,7 @@ def _aggregate(
         load_cloud=n_cloud / n,
         load_edge=n_edge / n,
         load_reuse=(n_full + n_partial) / n,
-        correctness_rate=sum(r.correct for r in records) / n,
+        correctness_rate=sum(map(_record_correct, records)) / n,
         busy_slot_time=busy,
         makespan=makespan,
         edge_slots=edge_slots,

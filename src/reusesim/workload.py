@@ -151,28 +151,36 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
     """Build tasks from an externally produced feature dump.
 
     File format: one record per line, ``label,v1,...,vd`` with an optional
-    ``label,f1,...,fd`` header.  Line 1 is the header when none of its
-    feature fields parses as a float, and a record otherwise.  Labels and
-    features come from the file; arrival times, sizes, and complexities are
-    the ones ``generate`` draws for the spec with the file's record count.
+    ``label,f1,...,fd`` header; blank lines are skipped.  The first non-blank
+    line is the header when it has feature fields and none of them parses
+    as a float, and a record otherwise.  A header must name ``dimension``
+    features.  Labels and features come from the file; arrival times, sizes,
+    and complexities are the ones ``generate`` draws for the spec with the
+    file's record count.
     """
     labels: list[str] = []
     rows: list[tuple[float, ...]] = []
+    first = True
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            label = parts[0]
+            may_be_header, first = first, False
+            label, *fields = line.split(",")
             try:
-                values = tuple(float(p) for p in parts[1:])
+                values = tuple(map(float, fields))
             except ValueError:
-                if lineno == 1 and not any(map(_parses, parts[1:])):
-                    continue  # header row
-                raise WorkloadFileError(
-                    f"line {lineno}: non-numeric feature value"
-                ) from None
+                if not may_be_header or any(map(_parses, fields)):
+                    raise WorkloadFileError(
+                        f"line {lineno}: non-numeric feature value"
+                    ) from None
+                if len(fields) != spec.dimension:
+                    raise WorkloadFileError(
+                        f"line {lineno}: header names {len(fields)} features, "
+                        f"expected {spec.dimension}"
+                    ) from None
+                continue  # header row
             if len(values) != spec.dimension:
                 raise WorkloadFileError(
                     f"line {lineno}: expected {spec.dimension} feature values, "

@@ -53,7 +53,7 @@ def test_churn_shaped_run_is_pinned(monkeypatch):
     assert store.eviction_log  # LFU evictions happened
     assert report.n_cloud > 0  # and tasks reneged to the cloud
     assert digest == (
-        "f7e5c75e3c5a23fce546cd23a471d778e25e801a286a3894a873320a91c6c218"
+        "477192a83469c7884d8021f42b681152a4ef26fd4840c4bf72ff519b55cc3b2e"
     )
 
 
@@ -70,7 +70,7 @@ def test_hot_shaped_run_is_pinned(monkeypatch):
     assert not store.eviction_log
     assert report.n_full_reuse > 0 and report.n_partial_reuse > 0
     assert digest == (
-        "0a922e6039db780cc59e376294ae29067a4ce3a42031a99d365c57e9848e5c09"
+        "bc2d3e5ae181f600e9338f51486c192baf221573e1dbbaa1414a2573c0da121c"
     )
 
 
@@ -94,7 +94,7 @@ def test_sweep_is_pinned(monkeypatch, tmp_path):
     csv = (out / "sweep_completion.csv").read_text(encoding="utf-8")
     assert csv.count(",p90,") == 30
     assert h.hexdigest() == (
-        "b02a24c937643ec0610ef47fdffd24d969876fc19a943def8264024b16b2a4b9"
+        "47464e1d18e64929343279982b1a44099e3e15ec8b1493ffbc3af66a37acdfed"
     )
     assert hashlib.sha256(csv.encode()).hexdigest() == (
         "7f67cc2c2ea324c2d6d04ef5c5154d6c5dd46ec10373e89aee10f6307c551050"

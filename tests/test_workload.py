@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -289,11 +290,13 @@ def reference_generate(spec: WorkloadSpec) -> list[Task]:
 def reference_ingest(path, spec: WorkloadSpec) -> list[Task]:
     """Labels and features from the file, then the first two draw blocks."""
     records: list[tuple[str, tuple[float, ...]]] = []
+    nonblank = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
+            nonblank += 1
             label, *fields = line.split(",")
             parsed = []
             for text in fields:
@@ -302,7 +305,12 @@ def reference_ingest(path, spec: WorkloadSpec) -> list[Task]:
                 except ValueError:
                     parsed.append(None)
             if None in parsed:
-                if lineno == 1 and parsed.count(None) == len(parsed):
+                if nonblank == 1 and parsed.count(None) == len(parsed):
+                    if len(parsed) != spec.dimension:
+                        raise WorkloadFileError(
+                            f"line {lineno}: header names {len(parsed)} features, "
+                            f"expected {spec.dimension}"
+                        )
                     continue  # header row
                 raise WorkloadFileError(f"line {lineno}: non-numeric feature value")
             if len(parsed) != spec.dimension:
@@ -382,6 +390,41 @@ def test_ingest_rejects_a_malformed_first_record(tmp_path, ingest_, first):
         ingest_(path, spec)
 
 
+@pytest.mark.parametrize("ingest_", [ingest, reference_ingest])
+@pytest.mark.parametrize("blanks", [0, 1, 2])
+def test_ingest_takes_the_first_nonblank_line_as_the_header(tmp_path, ingest_, blanks):
+    spec = WorkloadSpec(dimension=2, seed=5)
+    path = _dump(tmp_path, [""] * blanks + ["label,f1,f2", "cat,1.0,2.0"])
+    tasks = ingest_(path, spec)
+    assert [t.object_label for t in tasks] == ["cat"]
+    assert tasks[0].features.values == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("ingest_", [ingest, reference_ingest])
+@pytest.mark.parametrize("names", [["f1"], ["f1", "f2", "f3"]])
+@pytest.mark.parametrize("blanks", [0, 1])
+def test_ingest_rejects_a_header_of_another_dimension(tmp_path, ingest_, names, blanks):
+    spec = WorkloadSpec(dimension=2, seed=5)
+    path = _dump(tmp_path, [""] * blanks + [",".join(["label", *names]), "cat,1.0,2.0"])
+    line = blanks + 1
+    with pytest.raises(
+        WorkloadFileError,
+        match=f"^line {line}: header names {len(names)} features, expected 2$",
+    ):
+        ingest_(path, spec)
+
+
+@pytest.mark.parametrize("ingest_", [ingest, reference_ingest])
+@pytest.mark.parametrize(
+    "lines", [["cat,1.0,2.0", "label,f1,f2"], ["label,f1,f2", "label,f1,f2"]]
+)
+def test_ingest_takes_no_header_after_the_first_nonblank_line(tmp_path, ingest_, lines):
+    spec = WorkloadSpec(dimension=2, seed=5)
+    path = _dump(tmp_path, lines)
+    with pytest.raises(WorkloadFileError, match="^line 2: non-numeric feature value$"):
+        ingest_(path, spec)
+
+
 @settings(max_examples=100, deadline=None)
 @given(spec=specs)
 def test_ingest_of_a_repr_dump_is_generate(tmp_path_factory, spec):
@@ -440,23 +483,121 @@ def test_generated_tasks_hold_plain_floats():
     assert type(task.arrival_time) is float and type(task.complexity) is float
 
 
+def repr_digest(tasks) -> str:
+    """The workload digest as the program took it before it hashed columns.
+
+    One line per task of its id, its label and the ``repr`` of its four float
+    fields.  It is the oracle that keeps the generated-workload pins below:
+    ``repr`` round-trips every float, so these pins hold every bit of each
+    task's sizes, complexity and arrival time.
+    """
+    h = hashlib.blake2b(digest_size=16)
+    for t in tasks:
+        h.update(
+            f"{t.id},{t.object_label},{t.arrival_time!r},{t.input_size!r},"
+            f"{t.output_size!r},{t.complexity!r}|".encode()
+        )
+    return h.hexdigest()
+
+
 # the benchmark's specs at seed 301 (perfbench/workloads.py), digested in the
-# block draw order; sweep pins the hash of its 100 run digests
+# block draw order, by the repr oracle and by the program: churn, hot, and the
+# hash of sweep's 100 run digests
+PINS = {
+    repr_digest: (
+        "d50a487dfdec51f908502bf5837f33af",
+        "69fb4d66f7f4a98c4e1b4fdd2491895c",
+        "6bea15da10462b34b5bc8be5761901397168c18ba62f66ad2a22a328074e2ece",
+    ),
+    workload_digest: (
+        "17945b4b22eaf5fba28567ba283b93c8",
+        "4fe65b45c12034f59be707258575b7cb",
+        "c023dfbf4948de718a466d6a639ab986200f470debf008f9b0dc732021170036",
+    ),
+}
+
+
 def test_workload_digests_are_pinned():
-    churn = WorkloadSpec(
-        num_tasks=3000, redundancy_rate=0.2, arrival_rate=17.0, seed=301
+    churn = generate(
+        WorkloadSpec(num_tasks=3000, redundancy_rate=0.2, arrival_rate=17.0, seed=301)
     )
-    hot = WorkloadSpec(
-        num_tasks=8000, redundancy_rate=0.9, noise_sigma=0.12, seed=301
+    hot = generate(
+        WorkloadSpec(num_tasks=8000, redundancy_rate=0.9, noise_sigma=0.12, seed=301)
     )
     sweep = [
-        replace(s, seed=301 + trial)
+        generate(replace(s, seed=301 + trial))
         for s in redundancy_ramp(range(10, 101, 10), WorkloadSpec())
         for trial in range(10)
     ]
-    assert workload_digest(generate(churn)) == "d50a487dfdec51f908502bf5837f33af"
-    assert workload_digest(generate(hot)) == "69fb4d66f7f4a98c4e1b4fdd2491895c"
-    digests = "".join(workload_digest(generate(s)) for s in sweep)
-    assert hashlib.sha256(digests.encode()).hexdigest() == (
-        "6bea15da10462b34b5bc8be5761901397168c18ba62f66ad2a22a328074e2ece"
+    for digest, pins in PINS.items():
+        digests = "".join(map(digest, sweep))
+        assert (
+            digest(churn),
+            digest(hot),
+            hashlib.sha256(digests.encode()).hexdigest(),
+        ) == pins, digest.__name__
+
+
+# --- the digest's byte layout, built field by field with struct ---
+
+
+def packed_digest(tasks) -> str:
+    """``workload_digest`` from its documented layout, one value at a time."""
+    ids = "[" + ", ".join("%d" % t.id for t in tasks) + "]\n"
+    lengths = b"".join(struct.pack("<q", len(t.object_label)) for t in tasks)
+    labels = b"".join(t.object_label.encode("utf-8", "surrogatepass") for t in tasks)
+    floats = b"".join(
+        struct.pack("<d", getattr(t, name))
+        for name in ("input_size", "output_size", "complexity", "arrival_time")
+        for t in tasks
+    )
+    return hashlib.blake2b(
+        ids.encode() + lengths + labels + floats, digest_size=16
+    ).hexdigest()
+
+
+def _task(
+    task_id=0, label="a", input_size=1.0, output_size=0.5, complexity=2.0, arrival=0.0
+) -> Task:
+    return Task(
+        task_id, "svc", label, FeatureVector([0.0]),
+        input_size, output_size, complexity, arrival,
+    )
+
+
+HAND_MADE = [
+    [],
+    [_task()],
+    [
+        _task(7, "ab", 4.25, arrival=0.1),
+        _task(-3, "", 0.0, complexity=1e-300, arrival=0.1),
+        _task(2**70, "猫-é", 5, arrival=2.5),  # an id outside int64, an int size
+        _task(1, "\ud800,|", 5e-324, output_size=-0.0, arrival=1e16),
+    ],
+    generate(WorkloadSpec(num_tasks=30, dimension=2, seed=4)),
+]
+
+
+@pytest.mark.parametrize("tasks", HAND_MADE, ids=["empty", "one", "mixed", "generated"])
+def test_workload_digest_is_its_documented_layout(tasks):
+    assert workload_digest(tasks) == packed_digest(tasks)
+
+
+def test_workload_digest_tells_apart_near_task_lists():
+    assert workload_digest([_task(input_size=0.0)]) != workload_digest(
+        [_task(input_size=-0.0)]
+    )
+    split = [_task(0, "ab"), _task(1, "c")]
+    assert workload_digest(split) != workload_digest([_task(0, "a"), _task(1, "bc")])
+    # a label that holds a second task's text: the repr oracle merges the one
+    # task with the two, the packed columns do not
+    one = [_task(0, "x,0.0,1.0,0.5,2.0|1,y")]
+    two = [_task(0, "x"), _task(1, "y")]
+    assert repr_digest(one) == repr_digest(two)
+    assert workload_digest(one) != workload_digest(two)
+
+
+def test_workload_digest_covers_values_not_types():
+    assert workload_digest([_task(input_size=5)]) == workload_digest(
+        [_task(input_size=5.0)]
     )
