@@ -38,7 +38,7 @@ import hashlib
 import heapq
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
@@ -46,11 +46,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    CLOUD_OFFLOAD,
     CostParams,
     Outcome,
     OutcomeKind,
     Task,
+    _slot_setters,
     frozen_slots,
     require_finite,
 )
@@ -65,6 +65,13 @@ class Mode(Enum):
     CLOUD_ONLY = "cloud_only"
     EDGE_NO_REUSE = "edge_no_reuse"
     EDGE_WITH_REUSE = "edge_with_reuse"
+
+
+def _check_max_queue_delay(max_queue_delay: Optional[float]) -> None:
+    """Raise ``ValueError`` unless ``max_queue_delay`` is None, or finite and > 0."""
+    require_finite("max_queue_delay", max_queue_delay)
+    if max_queue_delay is not None and max_queue_delay <= 0:
+        raise ValueError("max_queue_delay must be > 0 when set")
 
 
 @dataclass
@@ -87,15 +94,13 @@ class SimConfig:
     features_file: Optional[str] = None
 
     def __post_init__(self) -> None:
-        require_finite("max_queue_delay", self.max_queue_delay)
+        _check_max_queue_delay(self.max_queue_delay)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.edge_slots < 1:
             raise ValueError("edge_slots must be >= 1")
-        if self.max_queue_delay is not None and self.max_queue_delay <= 0:
-            raise ValueError("max_queue_delay must be > 0 when set")
 
 
 @frozen_slots
@@ -215,38 +220,55 @@ def p90(values: Iterable[float]) -> float:
     return a + (b - a) * gamma
 
 
-def _service_duration(outcome: Outcome, task: Task, cost: CostParams) -> float:
-    """Time a task holds an edge slot, given its outcome."""
-    if outcome.is_reuse:
-        return reuse_cost(task, outcome.reused_fraction, cost)
-    return execution_cost(task, True, cost)
+# each outcome kind's ``outcome`` and ``location`` cells in a record
+_OUTCOME_CELLS = {
+    kind: (kind.value, "cloud" if kind is OutcomeKind.CLOUD_OFFLOAD else "edge")
+    for kind in OutcomeKind
+}
+_CLOUD_CELLS = _OUTCOME_CELLS[OutcomeKind.CLOUD_OFFLOAD]
+_new = object.__new__
+(
+    _set_task_id,
+    _set_service,
+    _set_label,
+    _set_outcome,
+    _set_location,
+    _set_arrival,
+    _set_start,
+    _set_finish,
+    _set_waiting,
+    _set_computation,
+    _set_completion,
+    _set_correct,
+) = _slot_setters(TaskRecord, *(f.name for f in fields(TaskRecord)))
 
 
 def _record(
     task: Task,
-    outcome: Outcome,
+    cells: tuple[str, str],
     start: float,
     finish: float,
     waiting: float,
     computation: float,
+    correct: bool,
 ) -> TaskRecord:
-    """Record of a task served under ``outcome``: its kind, place and correctness."""
-    # positional, in field order: task_id, service, label, outcome, location,
-    # arrival_s, start_s, finish_s, waiting_s, computation_s, completion_s, correct
-    return TaskRecord(
-        task.id,
-        task.service,
-        task.object_label,
-        outcome.kind.value,
-        "edge" if outcome.at_edge else "cloud",
-        task.arrival_time,
-        start,
-        finish,
-        waiting,
-        computation,
-        finish - task.arrival_time,
-        task_correct(outcome, task),
-    )
+    """Record of a task, given its ``outcome`` and ``location`` cells."""
+    # fields are set as TaskRecord's constructor sets them, through the
+    # class's slot descriptors
+    record = _new(TaskRecord)
+    _set_task_id(record, task.id)
+    _set_service(record, task.service)
+    _set_label(record, task.object_label)
+    _set_outcome(record, cells[0])
+    _set_location(record, cells[1])
+    _set_arrival(record, task.arrival_time)
+    _set_start(record, start)
+    _set_finish(record, finish)
+    _set_waiting(record, waiting)
+    _set_computation(record, computation)
+    _set_completion(record, finish - task.arrival_time)
+    _set_correct(record, correct)
+    return record
 
 
 def _cloud_record(
@@ -256,10 +278,11 @@ def _cloud_record(
     start = received_at(depart, task, False, cost)
     computation = execution_cost(task, False, cost)
     finish = delivered_at(start + computation, task, False, cost)
-    return _record(task, CLOUD_OFFLOAD, start, finish, waiting, computation)
+    # computed from scratch, so correct by definition
+    return _record(task, _CLOUD_CELLS, start, finish, waiting, computation, True)
 
 
-_RECV, _FINISH, _RENEGE = 0, 1, 2
+_RECV, _FINISH = 0, 1
 
 
 def simulate(
@@ -273,6 +296,7 @@ def simulate(
     """Run one trial over a fixed task list and return its metrics."""
     if edge_slots < 1:
         raise ValueError("edge_slots must be >= 1")
+    _check_max_queue_delay(max_queue_delay)
     if mode is Mode.EDGE_WITH_REUSE and store is None:
         raise ValueError("EDGE_WITH_REUSE needs a reuse store")
     if not tasks:
@@ -285,26 +309,27 @@ def simulate(
         records = [_cloud_record(t, t.arrival_time, 0.0, cost) for t in tasks]
         return _aggregate(mode, records, 0.0, edge_slots, 0, 0.0, 0.0, digest)
 
-    node = EdgeNode(
-        offloaded_services=frozenset(t.service for t in tasks),
-        store=store if mode is Mode.EDGE_WITH_REUSE else None,
-    )
+    if mode is not Mode.EDGE_WITH_REUSE:
+        store = None
+    node = EdgeNode(offloaded_services=frozenset(t.service for t in tasks), store=store)
+    decide = node.decide
+    # bound here, not at import, so that a stand-in for ``heapq`` set on this
+    # module (the traced benchmark counts pops through one) sees every call
+    heappush, heappop = heapq.heappush, heapq.heappop
     patience = math.inf if max_queue_delay is None else max_queue_delay
+    # (when, seq, kind, payload): receptions and finishes.  The seqs of the
+    # receptions follow (arrival, id), and every (when, seq) is unique, so
+    # heapifying them pops them in the order pushing them one by one would.
+    heap: list[tuple[float, int, int, object]] = [
+        (received_at(t.arrival_time, t, True, cost), seq, _RECV, t)
+        for seq, t in enumerate(sorted(tasks, key=attrgetter("arrival_time", "id")))
+    ]
+    heapq.heapify(heap)
+    seq = len(heap)
     # (deadline, seq at reception, task, receive time) in reception order:
     # every task has the same patience, so the keys grow along the queue and
-    # only the head can renege next; the heap holds receptions and finishes
+    # only the head can renege next
     queue: deque[tuple[float, int, Task, float]] = deque()
-    heap: list[tuple[float, int, int, object]] = []
-    seq = 0
-
-    def push(when: float, kind: int, payload) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (when, seq, kind, payload))
-        seq += 1
-
-    for t in sorted(tasks, key=attrgetter("arrival_time", "id")):
-        push(received_at(t.arrival_time, t, True, cost), _RECV, t)
-
     running = 0
     peak = 0
     busy = 0.0
@@ -313,46 +338,59 @@ def simulate(
     first_event = last_event = heap[0][0]
     sum_time_in_system = 0.0
 
-    def dispatch(now: float) -> None:
-        nonlocal running, peak
-        while running < edge_slots and queue:
-            _, _, task, recv = queue.popleft()
-            outcome = node.decide(task, now)
-            duration = _service_duration(outcome, task, cost)
-            running += 1
-            peak = max(peak, running)
-            push(now + duration, _FINISH, (task, recv, outcome, now, duration))
-
     while heap:
         if queue and queue[0][:2] < heap[0][:2]:
-            now, kind, payload = queue[0][0], _RENEGE, None
-        else:
-            now, _, kind, payload = heapq.heappop(heap)
-        # the interval up to ``now`` counts whoever leaves at ``now``
+            # the head's patience ran out: it leaves for the cloud
+            now, _, task, recv = queue[0]
+            # the interval up to ``now`` counts whoever leaves at ``now``
+            area += (len(queue) + running) * (now - last_event)
+            last_event = now
+            queue.popleft()
+            records.append(_cloud_record(task, now, now - recv, cost))
+            sum_time_in_system += now - recv
+            continue
+        now, _, kind, payload = heappop(heap)
         area += (len(queue) + running) * (now - last_event)
         last_event = now
-
         if kind == _RECV:
             queue.append((now + patience, seq, payload, now))
             seq += 1
-            dispatch(now)
-        elif kind == _FINISH:
+        else:
             task, recv, outcome, start, duration = payload
             running -= 1
             busy += duration
-            node.complete(
-                task, outcome, ResultPayload(task.object_label, task.output_size), now
-            )
+            if store is not None:
+                node.complete(
+                    task, outcome, ResultPayload(task.object_label, task.output_size), now
+                )
             finish = delivered_at(now, task, True, cost)
             records.append(
-                _record(task, outcome, start, finish, start - recv, duration)
+                _record(
+                    task,
+                    _OUTCOME_CELLS[outcome.kind],
+                    start,
+                    finish,
+                    start - recv,
+                    duration,
+                    task_correct(outcome, task),
+                )
             )
             sum_time_in_system += now - recv
-            dispatch(now)
-        else:  # the head's patience ran out
+        # dispatch: fill the free slots from the head of the queue
+        while running < edge_slots and queue:
             _, _, task, recv = queue.popleft()
-            records.append(_cloud_record(task, now, now - recv, cost))
-            sum_time_in_system += now - recv
+            outcome = decide(task, now)
+            if outcome.is_reuse:
+                duration = reuse_cost(task, outcome.reused_fraction, cost)
+            else:
+                duration = execution_cost(task, True, cost)
+            running += 1
+            if running > peak:
+                peak = running
+            heappush(
+                heap, (now + duration, seq, _FINISH, (task, recv, outcome, now, duration))
+            )
+            seq += 1
 
     span = last_event - first_event
     time_avg = area / span if span > 0 else 0.0
@@ -455,7 +493,11 @@ def reuse_gain(report_reuse: MetricsReport, report_plain: MetricsReport) -> Reus
     """Relative delay/resource savings of reuse versus from-scratch at the edge.
 
     Both reports must come from the same workload (same seed and spec) with
-    modes EDGE_WITH_REUSE and EDGE_NO_REUSE respectively.
+    modes EDGE_WITH_REUSE and EDGE_NO_REUSE respectively.  The pairing check
+    compares the reports' workload digests, which cover the tasks' ids,
+    labels, sizes, complexities and arrival times only: workloads that differ
+    only in their services or feature vectors (say, in ``noise_sigma``) pass
+    it.
     """
     if report_reuse.mode is not Mode.EDGE_WITH_REUSE:
         raise ValueError("first report must be an EDGE_WITH_REUSE run")

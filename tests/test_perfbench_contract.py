@@ -65,3 +65,18 @@ def test_query_returns_int_float_pairs():
     ((entry_id, dist),) = result
     assert type(entry_id) is int and type(dist) is float
     assert (entry_id, dist) == (7, 0.5)
+
+
+def test_counting_heapq_sees_every_pop(monkeypatch):
+    # traced runs count events through a stand-in for ``heapq`` set on
+    # ``reusesim.sim`` after import, so simulate must look its heap
+    # functions up there on each call: a reception and a finish per task
+    import reusesim.sim as sim
+
+    counters = layers.LayerCounters()
+    monkeypatch.setattr(sim, "heapq", layers._CountingHeapq(counters))
+    tasks = sim.generate(WorkloadSpec(num_tasks=50, seed=5))
+    cost = SimConfig(mode=Mode.EDGE_NO_REUSE).cost
+    report = sim.simulate(tasks, Mode.EDGE_NO_REUSE, cost)
+    assert all(r.location == "edge" for r in report.records)
+    assert counters.events == 2 * len(tasks)

@@ -336,6 +336,27 @@ def test_simulate_rejects_zero_edge_slots(flat_cost, mode):
         simulate([make_task()], mode, flat_cost, edge_slots=0, store=store)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+def test_simulate_rejects_a_bad_max_queue_delay_before_any_work(
+    flat_cost, mode, value, monkeypatch
+):
+    import reusesim.sim as sim
+
+    def no_work(tasks):
+        raise AssertionError("simulate started work before checking its arguments")
+
+    monkeypatch.setattr(sim, "workload_digest", no_work)
+    store = ReuseStore(dimension=2, seed=0)
+    with pytest.raises(ValueError, match="^max_queue_delay must be") as from_simulate:
+        simulate([make_task()], mode, flat_cost, store=store, max_queue_delay=value)
+    assert store.stats() == {}
+    # the same rule, with the same message, as the config's
+    with pytest.raises(ValueError) as from_config:
+        SimConfig(mode=mode, max_queue_delay=value)
+    assert str(from_simulate.value) == str(from_config.value)
+
+
 def test_simulate_defaults_to_the_config_edge_slots(flat_cost):
     report = simulate([make_task()], Mode.EDGE_NO_REUSE, flat_cost)
     assert report.edge_slots == SimConfig(mode=Mode.EDGE_NO_REUSE).edge_slots
