@@ -33,6 +33,10 @@ class EdgeNode:
 
     ``store`` may be None to model an edge without reuse; every lookup then
     degrades to a from-scratch computation.
+
+    ``simulate`` offloads every service of its task list, so only direct
+    callers reach the cloud branch of ``decide``; acceptance criterion 04
+    covers it, with a service the node does not offload.
     """
 
     offloaded_services: frozenset[str]

@@ -31,16 +31,13 @@ its row's position in that dict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
-from typing import Iterable
+from itertools import compress, islice, repeat
 
 import numpy as np
 
 from .core import FeatureVector, require_dimension
 
 INITIAL_ROWS = 64
-
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # what an unaddressed bucket contributes to a candidate set; never written
 _NO_BUCKET: dict[int, int] = {}
@@ -109,8 +106,6 @@ class LshIndex:
     def insert(self, entry_id: int, v: FeatureVector) -> None:
         if entry_id in self._row_of:
             raise ValueError(f"entry id {entry_id} already present")
-        if not _INT64_MIN <= entry_id <= _INT64_MAX:  # query ranks ids as int64
-            raise ValueError(f"entry id {entry_id} is outside the int64 range")
         keys = self.signature(v)  # v's shape is checked where its keys are computed
         if self._free_rows:
             row = self._free_rows.pop()
@@ -175,12 +170,7 @@ class LshIndex:
         dist = dists[best]
         tied = dists == dist
         if np.count_nonzero(tied) > 1:
-            best_id = int(np.fromiter(cands.keys(), np.int64, n)[tied].min())
+            best_id = min(compress(cands, tied.tolist()))
         else:  # the winner's id sits at its row's position among the candidates
             best_id = next(islice(cands, best, None))
         return [(best_id, float(dist))]
-
-    def bucket_sizes(self) -> Iterable[int]:
-        for table in self._tables:
-            for bucket in table.values():
-                yield len(bucket)

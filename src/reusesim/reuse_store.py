@@ -182,8 +182,31 @@ class ReuseStore:
     def capacity(self) -> Optional[int]:
         return self.settings.capacity
 
-    def _table(self, service: str) -> _ServiceTable:
-        """The service's table, made at first use; callers check the name first."""
+    def _open(self, service: str, v: FeatureVector, now: float) -> _ServiceTable:
+        """Check a ``lookup`` or ``place`` call; return the service's table.
+
+        The checks run in this order: ``v`` must have the store's dimension
+        (``DimensionMismatch``), the service name must be non-empty and
+        ``now`` finite (``ValueError``).  A refused call changes nothing: no
+        decay is applied, no service is recorded, nothing is evicted and no
+        id is consumed.  An accepted call first applies the decay due by
+        ``now``: every frequency is halved once per whole interval since the
+        last decay, as one shift of ``k`` halvings, so the cost does not
+        depend on how much simulated time has passed.  The table is made at
+        the service's first call.
+        """
+        require_dimension(v, self.dimension)
+        if not service:
+            raise ValueError("service name must be non-empty")
+        require_finite("now", now)
+        interval = self.settings.decay_interval
+        if interval is not None and (k := (now - self._last_decay) // interval) >= 1:
+            for table in self._tables.values():
+                for entry in table.entries.values():
+                    # halving past f.bit_length() leaves 0 unchanged
+                    entry.frequency >>= int(min(k, entry.frequency.bit_length()))
+                table.heap = None
+            self._last_decay += k * interval
         table = self._tables.get(service)
         if table is None:
             seed = _service_seed(self.seed, service)
@@ -191,42 +214,14 @@ class ReuseStore:
             self._tables[service] = table
         return table
 
-    def _advance(self, now: float) -> None:
-        """Check ``now``, then apply the decay due by then.
-
-        Every frequency is halved once per whole interval since the last
-        decay.  ``k`` halvings are applied as one shift, so the cost does not
-        depend on how much simulated time has passed.
-        """
-        require_finite("now", now)
-        interval = self.settings.decay_interval
-        if interval is None:
-            return
-        k = (now - self._last_decay) // interval
-        if k < 1:
-            return
-        for table in self._tables.values():
-            for entry in table.entries.values():
-                # halving past f.bit_length() leaves 0 unchanged
-                entry.frequency >>= int(min(k, entry.frequency.bit_length()))
-            table.heap = None
-        self._last_decay += k * interval
-
     def lookup(self, service: str, q: FeatureVector, now: float) -> LookupResult:
         """Classify the nearest stored input for ``service`` against the thresholds.
 
         A full or partial hit increments the matched entry's frequency and
         stamps its last use; a miss (including an unknown service) leaves the
-        store untouched apart from the miss counter.  A vector of the wrong
-        dimension raises ``DimensionMismatch`` and an empty service name
-        ``ValueError`` before anything changes: no decay is applied and no
-        service is recorded.
+        store untouched apart from the miss counter.
         """
-        require_dimension(q, self.dimension)
-        if not service:
-            raise ValueError("service name must be non-empty")
-        self._advance(now)
-        table = self._table(service)
+        table = self._open(service, q, now)
         nearest = table.index.query(q)
         if not nearest or nearest[0][1] > self.settings.tau_partial:
             table.misses += 1
@@ -250,16 +245,9 @@ class ReuseStore:
     ) -> int:
         """Admit a freshly computed result, evicting LFU first if at capacity.
 
-        Returns the new entry's id.  A vector of the wrong dimension raises
-        ``DimensionMismatch`` and an empty service name ``ValueError`` before
-        anything changes: no decay is applied, no service is recorded,
-        nothing is evicted and no id is consumed.
+        Returns the new entry's id.
         """
-        require_dimension(features, self.dimension)
-        if not service:
-            raise ValueError("service name must be non-empty")
-        self._advance(now)
-        table = self._table(service)
+        table = self._open(service, features, now)
         capacity = self.settings.capacity
         if capacity is not None and len(table.entries) >= capacity:
             self.evict_lfu(service)

@@ -32,6 +32,9 @@ from .core import Task, require_finite, tasks_from_columns
 
 BASE_NORM = 10.0
 
+# what a tasks.csv cell cannot hold: the separator, the quote and line ends
+CSV_UNSAFE = frozenset(',"\r\n')
+
 
 class WorkloadFileError(ValueError):
     """A feature-dump file failed to parse; the message names the line."""
@@ -55,8 +58,8 @@ class WorkloadSpec:
             require_finite(name, getattr(self, name))
         for name in ("input_size_range", "output_size_range", "complexity_range"):
             require_finite(name, *getattr(self, name))
-        if not self.service or "," in self.service:
-            raise ValueError("service must be a non-empty name without commas")
+        if not self.service or not CSV_UNSAFE.isdisjoint(self.service):
+            raise ValueError('service must be a non-empty name without , " CR or LF')
         if self.num_tasks < 0:
             raise ValueError("num_tasks must be >= 0")
         if not 0.0 <= self.redundancy_rate <= 1.0:
@@ -154,9 +157,10 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
     ``label,f1,...,fd`` header; blank lines are skipped.  The first non-blank
     line is the header when it has feature fields and none of them parses
     as a float, and a record otherwise.  A header must name ``dimension``
-    features.  Labels and features come from the file; arrival times, sizes,
-    and complexities are the ones ``generate`` draws for the spec with the
-    file's record count.
+    features.  A record's label must not hold a double quote, which would
+    corrupt ``tasks.csv``.  Labels and features come from the file; arrival
+    times, sizes, and complexities are the ones ``generate`` draws for the
+    spec with the file's record count.
     """
     labels: list[str] = []
     rows: list[tuple[float, ...]] = []
@@ -188,6 +192,10 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
                 )
             if not all(map(math.isfinite, values)):
                 raise WorkloadFileError(f"line {lineno}: non-finite feature value")
+            if not CSV_UNSAFE.isdisjoint(label):
+                raise WorkloadFileError(
+                    f'line {lineno}: label must not hold , " CR or LF'
+                )
             labels.append(label)
             rows.append(values)
     # a matrix that owns its data, so the read-only flag tasks_from_columns

@@ -126,9 +126,12 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
         ("cost.edge_bandwidth", "0", "bandwidths"),
         ("workload.dimension", "0", "dimension"),
         # an empty service would fail mid-run only where a store is built,
-        # and a comma would add a field to every tasks.csv row
+        # and a comma, a quote or a line end would break every tasks.csv row
         ("workload.service", "", "service"),
         ("workload.service", "a,b", "service"),
+        ("workload.service", "a\rb", "service"),
+        ("workload.service", "a\nb", "service"),
+        ("workload.service", '"a', "service"),
     ],
 )
 @pytest.mark.parametrize("mode", ["edge_no_reuse", "edge_with_reuse"])

@@ -165,22 +165,47 @@ def test_call_of_wrong_dimension_applies_no_decay(op):
     assert [e.frequency for e in store.entries("svc")] == [1]
 
 
+WRONG_DIMENSION = FeatureVector((1.0, 2.0))
+BAD_DIMENSION = "^expected a vector of dimension 4,"
+BAD_NAME = "^service name must be non-empty$"
+BAD_NOW = "^now must be finite"
+
+# (service, vector, now, error, message): an empty name and each other kind
+# of refused call, then one that is bad in all three ways, where the
+# dimension is checked first.  A bad ``now`` comes with an unseen service,
+# whose table a late check would leave behind.
+REFUSED_CALLS = [
+    ("svc", WRONG_DIMENSION, 5.0, DimensionMismatch, BAD_DIMENSION),
+    ("", axis_vector(1), 5.0, ValueError, BAD_NAME),
+    ("new", axis_vector(1), float("nan"), ValueError, BAD_NOW),
+    ("new", axis_vector(1), float("inf"), ValueError, BAD_NOW),
+    ("", WRONG_DIMENSION, float("nan"), DimensionMismatch, BAD_DIMENSION),
+]
+
+
 @pytest.mark.parametrize("op", ["lookup", "place"])
 def test_call_of_empty_service_name_changes_nothing(op):
-    store = small_store(decay_interval=1.0)
+    # at capacity, so a place that got past its checks would evict
+    store = small_store(capacity=1, decay_interval=1.0)
     store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
     for now in (0.25, 0.5):
         store.lookup("svc", axis_vector(0), now)
-    before = store.stats()
-    with pytest.raises(ValueError, match="^service name must be non-empty$"):
-        if op == "lookup":
-            store.lookup("", axis_vector(0), now=5.0)
-        else:
-            store.place("", axis_vector(1), ResultPayload("b"), now=5.0)
-    # the decay due by 5.0 would have halved the frequency of 2 to 0
-    assert [e.frequency for e in store.entries("svc")] == [2]
-    assert store._last_decay == 0.0
-    assert store.stats() == before
+
+    def state():
+        frequencies = [e.frequency for e in store.entries("svc")]
+        return store.stats(), frequencies, store._last_decay, store.eviction_log[:]
+
+    before = state()
+    for service, v, now, error, message in REFUSED_CALLS:
+        with pytest.raises(error, match=message):
+            if op == "lookup":
+                store.lookup(service, v, now)
+            else:
+                store.place(service, v, ResultPayload("b"), now)
+        # the decay due by 5.0 would have halved the frequency of 2 to 0
+        assert state() == before
+    # and no refused place consumed an id
+    assert store.place("other", axis_vector(2), ResultPayload("c"), now=0.75) == 1
 
 
 @pytest.mark.parametrize("stored", [0, 1], ids=["empty", "non-empty"])
@@ -315,15 +340,6 @@ def test_store_dimension_must_be_positive():
 def test_constructor_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         StoreSettings(**{field: value})
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_operations_reject_non_finite_now(value):
-    store = small_store()
-    with pytest.raises(ValueError, match="^now must be finite"):
-        store.place("svc", axis_vector(0), ResultPayload("a"), now=value)
-    with pytest.raises(ValueError, match="^now must be finite"):
-        store.lookup("svc", axis_vector(0), now=value)
 
 
 def test_decay_cost_is_independent_of_elapsed_time():

@@ -320,6 +320,10 @@ def reference_ingest(path, spec: WorkloadSpec) -> list[Task]:
                 )
             if not all(map(math.isfinite, parsed)):
                 raise WorkloadFileError(f"line {lineno}: non-finite feature value")
+            if '"' in label:  # the only cell breaker a split line can leave
+                raise WorkloadFileError(
+                    f'line {lineno}: label must not hold , " CR or LF'
+                )
             records.append((label, tuple(parsed)))
     rng = np.random.default_rng(spec.seed)
     rows = _reference_sizes_and_arrivals(spec, rng, len(records))
@@ -387,6 +391,24 @@ def test_ingest_rejects_a_malformed_first_record(tmp_path, ingest_, first):
     spec = WorkloadSpec(dimension=2, seed=5)
     path = _dump(tmp_path, [first, "obj-b,2.0,3.0"])
     with pytest.raises(WorkloadFileError, match="^line 1: non-numeric feature value$"):
+        ingest_(path, spec)
+
+
+@pytest.mark.parametrize("ingest_", [ingest, reference_ingest])
+@pytest.mark.parametrize(
+    "lines,line",
+    [
+        (['"cat,1.0,2.0', "dog,3.0,4.0", '"cat,1.1,2.0'], 1),
+        (["label,f1,f2", "cat,1.0,2.0", 'd"og,3.0,4.0'], 3),
+    ],
+)
+def test_ingest_rejects_a_label_holding_a_quote(tmp_path, ingest_, lines, line):
+    # a quoted tasks.csv cell would swallow the separators up to the next quote
+    spec = WorkloadSpec(dimension=2, seed=5)
+    path = _dump(tmp_path, lines)
+    with pytest.raises(
+        WorkloadFileError, match=f'^line {line}: label must not hold , " CR or LF$'
+    ):
         ingest_(path, spec)
 
 
