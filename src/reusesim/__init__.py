@@ -26,7 +26,6 @@ from .lsh import LshIndex, LshSettings
 from .reuse_store import (
     LookupKind,
     LookupResult,
-    ResultPayload,
     ReuseEntry,
     ReuseStore,
     StoreSettings,
@@ -66,7 +65,6 @@ __all__ = [
     "Mode",
     "Outcome",
     "OutcomeKind",
-    "ResultPayload",
     "ReuseEntry",
     "ReuseGain",
     "ReuseStore",

@@ -191,8 +191,9 @@ def tasks_from_columns(
 ) -> list[Task]:
     """Tasks ``0..n-1`` of one service, task ``i`` from row ``i`` of each column.
 
-    ``features`` has shape ``(n, dimension)``; the other columns have shape
-    ``(n,)``.  The conditions of ``FeatureVector`` and ``Task`` are checked
+    ``features`` has shape ``(n, dimension)``; ``labels`` and the other
+    columns have ``n`` entries, or ``ValueError`` names the one that does
+    not.  The conditions of ``FeatureVector`` and ``Task`` are checked
     once per column.  A row that breaks one goes through those constructors,
     which raise the error, naming the field, that they raise one task at a
     time; the rows that pass are built without checking each again.
@@ -201,6 +202,16 @@ def tasks_from_columns(
     when it is one), is made read-only, and task ``i``'s vector is a view of
     its row ``i``.
     """
+    n = len(features)
+    for name, column in (
+        ("labels", labels),
+        ("input_size", input_size),
+        ("output_size", output_size),
+        ("complexity", complexity),
+        ("arrival", arrival),
+    ):
+        if len(column) != n:
+            raise ValueError(f"{name} has {len(column)} entries for {n} feature rows")
     features = np.ascontiguousarray(features, dtype=np.float64)
     features.setflags(write=False)
     ok = (

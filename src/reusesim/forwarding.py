@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import CLOUD_OFFLOAD, EDGE_COMPUTE, Outcome, OutcomeKind, Task
-from .reuse_store import LookupKind, ResultPayload, ReuseStore
+from .reuse_store import LookupKind, ReuseStore
 
 _OUTCOME_OF = {
     LookupKind.FULL: OutcomeKind.FULL_REUSE,
@@ -55,10 +55,8 @@ class EdgeNode:
             return EDGE_COMPUTE
         return Outcome(_OUTCOME_OF[result.kind], result.reused_fraction, result.entry)
 
-    def complete(
-        self, task: Task, outcome: Outcome, result: ResultPayload, now: float
-    ) -> None:
-        """Record a finished task; stores the result when it was computed here."""
+    def complete(self, task: Task, outcome: Outcome, label: str, now: float) -> None:
+        """Record a finished task; stores its label when it was computed here."""
         if outcome.kind in (OutcomeKind.EDGE_COMPUTE, OutcomeKind.PARTIAL_REUSE):
             if self.store is not None:
-                self.store.place(task.service, task.features, result, now)
+                self.store.place(task.service, task.features, label, now)

@@ -74,17 +74,16 @@ class LshIndex:
         self._proj = planes.reshape(-1, dimension)
         self._bit_weights = 1 << np.arange(bits, dtype=np.int64)
         # Stored vectors are rows of one matrix that doubles when full; rows
-        # freed by ``remove`` are reused.  Each id maps to its row and to the
-        # per-table keys computed at insert, and each bucket maps the ids it
-        # holds to their rows.
+        # freed by ``remove`` are reused.  Each id maps to the per-table keys
+        # computed at insert, and each bucket maps the ids it holds to their
+        # rows.
         self._tables: list[dict[int, dict[int, int]]] = [{} for _ in range(tables)]
         self._matrix = np.empty((INITIAL_ROWS, dimension))
         self._free_rows: list[int] = []
-        self._row_of: dict[int, int] = {}
         self._keys_of: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self._row_of)
+        return len(self._keys_of)
 
     def _project(self, arr: np.ndarray) -> tuple[int, ...]:
         bits = (self._proj @ arr) >= 0.0
@@ -104,19 +103,18 @@ class LshIndex:
         return keys
 
     def insert(self, entry_id: int, v: FeatureVector) -> None:
-        if entry_id in self._row_of:
+        if entry_id in self._keys_of:
             raise ValueError(f"entry id {entry_id} already present")
         keys = self.signature(v)  # v's shape is checked where its keys are computed
         if self._free_rows:
             row = self._free_rows.pop()
         else:
-            row = len(self._row_of)
+            row = len(self._keys_of)  # every row below is in use
             if row == len(self._matrix):
                 grown = np.empty((2 * row, self.dimension))
                 grown[:row] = self._matrix
                 self._matrix = grown
         self._matrix[row] = v._array
-        self._row_of[entry_id] = row
         self._keys_of[entry_id] = keys
         for table, key in zip(self._tables, keys):
             bucket = table.get(key)
@@ -126,14 +124,15 @@ class LshIndex:
                 bucket[entry_id] = row
 
     def remove(self, entry_id: int) -> None:
-        if entry_id not in self._row_of:
+        keys = self._keys_of.pop(entry_id, None)
+        if keys is None:
             raise KeyError(f"unknown entry id {entry_id}")
-        self._free_rows.append(self._row_of.pop(entry_id))
-        for table, key in zip(self._tables, self._keys_of.pop(entry_id)):
+        for table, key in zip(self._tables, keys):
             bucket = table[key]
-            del bucket[entry_id]
+            row = bucket.pop(entry_id)  # the same row in every bucket
             if not bucket:
                 del table[key]
+        self._free_rows.append(row)
 
     def candidate_ids(self, q: FeatureVector) -> dict[int, int]:
         """Union of the buckets addressed by the query's signature.

@@ -69,23 +69,13 @@ def _reduce_to_fields(self):
 
 
 @dataclass(slots=True)
-class ResultPayload:
-    """Opaque computed output: the produced label and its size in megabits."""
-
-    label: str
-    output_size: float = 0.0
-
-    __reduce__ = _reduce_to_fields
-
-
-@dataclass(slots=True)
 class ReuseEntry:
+    """A stored result: the input it was computed from and the label it produced."""
+
     id: int
-    service: str
     features: FeatureVector
-    output: ResultPayload
+    output: str
     frequency: int = 0
-    inserted_at: float = 0.0
     last_used_at: float = 0.0
 
     __reduce__ = _reduce_to_fields
@@ -218,8 +208,11 @@ class ReuseStore:
         """Classify the nearest stored input for ``service`` against the thresholds.
 
         A full or partial hit increments the matched entry's frequency and
-        stamps its last use; a miss (including an unknown service) leaves the
-        store untouched apart from the miss counter.
+        stamps its last use; a miss changes no entry and counts one miss.  As
+        in every accepted call, ``_open`` first applies the decay due and
+        records a service it has not seen: a miss for a new service builds
+        its table and index, so ``stats()`` lists it with 0 entries, 0 hits
+        and 1 miss.
         """
         table = self._open(service, q, now)
         nearest = table.index.query(q)
@@ -237,23 +230,18 @@ class ReuseStore:
         return LookupResult(LookupKind.PARTIAL, entry, self.settings.partial_fraction)
 
     def place(
-        self,
-        service: str,
-        features: FeatureVector,
-        output: ResultPayload,
-        now: float,
+        self, service: str, features: FeatureVector, output: str, now: float
     ) -> int:
         """Admit a freshly computed result, evicting LFU first if at capacity.
 
-        Returns the new entry's id.
+        ``output`` is the label the computation produced.  Returns the new
+        entry's id.
         """
         table = self._open(service, features, now)
         capacity = self.settings.capacity
         if capacity is not None and len(table.entries) >= capacity:
             self.evict_lfu(service)
-        entry = ReuseEntry(
-            self._next_id, service, features, output, inserted_at=now, last_used_at=now
-        )
+        entry = ReuseEntry(self._next_id, features, output, last_used_at=now)
         table.index.insert(entry.id, features)  # a rejected vector stores nothing
         table.entries[entry.id] = entry
         table.push_key(entry)

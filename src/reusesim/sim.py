@@ -57,7 +57,7 @@ from .core import (
 from .cost import delivered_at, execution_cost, received_at, reuse_cost
 from .forwarding import EdgeNode
 from .lsh import LshSettings
-from .reuse_store import ResultPayload, ReuseStore, StoreSettings
+from .reuse_store import ReuseStore, StoreSettings
 from .workload import WorkloadSpec, generate, ingest
 
 
@@ -153,9 +153,7 @@ def task_correct(outcome: Outcome, task: Task) -> bool:
     object.  For a partial hit the residual is computed from scratch, but the
     reused fraction still has to match.
     """
-    return not outcome.is_reuse or (
-        outcome.matched_entry.output.label == task.object_label
-    )
+    return not outcome.is_reuse or outcome.matched_entry.output == task.object_label
 
 
 _task_id = attrgetter("id")
@@ -360,9 +358,7 @@ def simulate(
             running -= 1
             busy += duration
             if store is not None:
-                node.complete(
-                    task, outcome, ResultPayload(task.object_label, task.output_size), now
-                )
+                node.complete(task, outcome, task.object_label, now)
             finish = delivered_at(now, task, True, cost)
             records.append(
                 _record(

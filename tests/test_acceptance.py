@@ -32,7 +32,7 @@ from reusesim import (
     simulate,
 )
 from reusesim.cli import main as cli_main
-from reusesim.reuse_store import ResultPayload, ReuseEntry
+from reusesim.reuse_store import ReuseEntry
 
 from conftest import make_task
 from test_forwarding import trace_pair
@@ -45,9 +45,7 @@ def _report(num, name, ok, detail=""):
 
 
 def _entry():
-    return ReuseEntry(
-        id=0, service="s", features=FeatureVector((0.0,)), output=ResultPayload("x")
-    )
+    return ReuseEntry(id=0, features=FeatureVector((0.0,)), output="x")
 
 
 def test_criterion_01_cost_model_exactness(flat_cost):
@@ -178,7 +176,7 @@ def test_criterion_03_lfu_oracle_equivalence():
                     victim = min(model.values(), key=lambda e: (e[0], e[1], e[2]))
                     del model[victim[2]]
                     model_evictions.append(victim[2])
-                store.place("svc", v, ResultPayload("x"), now)
+                store.place("svc", v, "x", now)
                 model[i] = [0, now, i]
                 placed.append(i)
         return [eid for _, eid in store.eviction_log] == model_evictions

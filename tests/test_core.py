@@ -7,7 +7,7 @@ import pytest
 
 from reusesim import CostParams, FeatureVector, Outcome, OutcomeKind, Task
 from reusesim.core import tasks_from_columns
-from reusesim.reuse_store import ResultPayload, ReuseEntry
+from reusesim.reuse_store import ReuseEntry
 
 from conftest import assert_rows_of_one_matrix, make_task
 
@@ -134,6 +134,23 @@ def test_tasks_from_columns_raise_the_constructors_error(column, value):
         tasks_from_columns("s", ["obj-0", "obj-1", "obj-2"], **columns)
 
 
+@pytest.mark.parametrize("length", [1, 4])
+@pytest.mark.parametrize(
+    "column", ["labels", "input_size", "output_size", "complexity", "arrival"]
+)
+def test_tasks_from_columns_reject_a_column_of_another_length(column, length):
+    # three feature rows; the named column alone has ``length`` entries
+    columns = {"labels": ["obj-0", "obj-1", "obj-2", "obj-3"], **_columns(n=4)}
+    columns = {
+        name: values[: length if name == column else 3]
+        for name, values in columns.items()
+    }
+    with pytest.raises(
+        ValueError, match=f"^{column} has {length} entries for 3 feature rows$"
+    ):
+        tasks_from_columns("s", **columns)
+
+
 def test_tasks_from_columns_give_rows_of_the_feature_matrix():
     columns = _columns()
     features = columns["features"]
@@ -168,12 +185,7 @@ def test_tasks_from_columns_need_dimension_one():
 
 
 def _entry():
-    return ReuseEntry(
-        id=0,
-        service="s",
-        features=FeatureVector((1.0, 2.0)),
-        output=ResultPayload("obj"),
-    )
+    return ReuseEntry(id=0, features=FeatureVector((1.0, 2.0)), output="obj")
 
 
 def test_outcome_valid_combinations():

@@ -10,16 +10,14 @@ from reusesim import (
     execution_cost,
     reuse_cost,
 )
-from reusesim.reuse_store import ResultPayload, ReuseEntry
+from reusesim.reuse_store import ReuseEntry
 from reusesim.core import FeatureVector
 
 from conftest import make_task
 
 
 def _entry():
-    return ReuseEntry(
-        id=0, service="s", features=FeatureVector((0.0,)), output=ResultPayload("x")
-    )
+    return ReuseEntry(id=0, features=FeatureVector((0.0,)), output="x")
 
 
 FULL = Outcome(OutcomeKind.FULL_REUSE, reused_fraction=1.0, matched_entry=_entry())

@@ -13,7 +13,6 @@ from reusesim import (
     Task,
 )
 from reusesim.core import CLOUD_OFFLOAD, EDGE_COMPUTE
-from reusesim.reuse_store import ResultPayload
 
 from conftest import make_task
 
@@ -50,11 +49,11 @@ def test_repeat_input_full_reuse():
     node = fresh_node()
     t0 = svc_task(0, (1.0, 0.0, 0.0, 0.0), label="same")
     o0 = node.decide(t0, 0.0)
-    node.complete(t0, o0, ResultPayload("same"), 0.1)
+    node.complete(t0, o0, "same", 0.1)
     t1 = svc_task(1, (1.0, 0.0, 0.0, 0.0), label="same")
     o1 = node.decide(t1, 1.0)
     assert o1.kind is OutcomeKind.FULL_REUSE
-    assert o1.matched_entry.output.label == "same"
+    assert o1.matched_entry.output == "same"
     assert o1.reused_fraction == 1.0
 
 
@@ -62,18 +61,18 @@ def test_complete_places_only_computed_results():
     node = fresh_node()
     t0 = svc_task(0, (1.0, 0.0, 0.0, 0.0))
     o0 = node.decide(t0, 0.0)
-    node.complete(t0, o0, ResultPayload("r"), 0.1)
+    node.complete(t0, o0, "r", 0.1)
     assert node.store.entry_count("svc") == 1
 
     t1 = svc_task(1, (1.0, 0.0, 0.0, 0.0))
     o1 = node.decide(t1, 1.0)
     assert o1.kind is OutcomeKind.FULL_REUSE
-    node.complete(t1, o1, ResultPayload("r"), 1.1)
+    node.complete(t1, o1, "r", 1.1)
     assert node.store.entry_count("svc") == 1  # full hits are not re-stored
 
     t2 = svc_task(2, (9.0, 9.0, 9.0, 9.0), service="elsewhere")
     o2 = node.decide(t2, 2.0)
-    node.complete(t2, o2, ResultPayload("c"), 2.1)
+    node.complete(t2, o2, "c", 2.1)
     assert node.store.entry_count("elsewhere") == 0  # cloud results not cached
 
 
@@ -87,12 +86,12 @@ def test_partial_reuse_places_residual_result():
         ),
     )
     t0 = make_task(task_id=0, service="svc", values=(10.0, 0.0))
-    node.complete(t0, node.decide(t0, 0.0), ResultPayload("a"), 0.1)
+    node.complete(t0, node.decide(t0, 0.0), "a", 0.1)
     t1 = make_task(task_id=1, service="svc", values=(13.0, 0.0))  # distance 3
     o1 = node.decide(t1, 1.0)
     assert o1.kind is OutcomeKind.PARTIAL_REUSE
     assert o1.reused_fraction == pytest.approx(0.5)
-    node.complete(t1, o1, ResultPayload("b"), 1.1)
+    node.complete(t1, o1, "b", 1.1)
     assert node.store.entry_count("svc") == 2
 
 
@@ -109,7 +108,7 @@ def test_partial_reuse_carries_configured_fraction_exactly(fraction):
         ),
     )
     t0 = make_task(task_id=0, service="svc", values=(10.0, 0.0))
-    node.complete(t0, node.decide(t0, 0.0), ResultPayload("a"), 0.1)
+    node.complete(t0, node.decide(t0, 0.0), "a", 0.1)
     t1 = make_task(task_id=1, service="svc", values=(13.0, 0.0))  # distance 3
     o1 = node.decide(t1, 1.0)
     assert o1.kind is OutcomeKind.PARTIAL_REUSE
@@ -125,7 +124,7 @@ def test_store_disabled_never_reuses():
         t = svc_task(i, values)
         o = node.decide(t, float(i))
         kinds.add(o.kind)
-        node.complete(t, o, ResultPayload("x"), float(i))
+        node.complete(t, o, "x", float(i))
     assert kinds == {OutcomeKind.EDGE_COMPUTE}
 
 
@@ -133,7 +132,7 @@ def _replay(tasks, node):
     outcomes = []
     for i, t in enumerate(tasks):
         o = node.decide(t, float(i))
-        node.complete(t, o, ResultPayload(t.object_label), float(i))
+        node.complete(t, o, t.object_label, float(i))
         outcomes.append(o.kind)
     return outcomes
 
@@ -181,7 +180,7 @@ def test_decide_exhaustive_over_kinds():
     for i, t in enumerate(tasks):
         o = node.decide(t, float(i))
         assert o.kind in OutcomeKind
-        node.complete(t, o, ResultPayload(t.object_label), float(i))
+        node.complete(t, o, t.object_label, float(i))
 
 
 def test_decide_is_label_blind():
@@ -295,7 +294,7 @@ def trace_pair(seed, n=40, dimension=32):
             arrival_time=float(i),
         )
         o = node.decide(t, float(i))
-        node.complete(t, o, ResultPayload(t.object_label), float(i))
+        node.complete(t, o, t.object_label, float(i))
         real.append((o.kind.value, o.matched_entry.id if o.matched_entry else None))
         model.append(interp.process(t, float(i)))
     return real, model

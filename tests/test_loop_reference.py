@@ -31,7 +31,6 @@ from reusesim import (
 )
 from reusesim.core import CLOUD_OFFLOAD
 from reusesim.cost import delivered_at, execution_cost, received_at, reuse_cost
-from reusesim.reuse_store import ResultPayload
 from reusesim.sim import (
     MetricsReport,
     TaskRecord,
@@ -134,9 +133,7 @@ def reference_simulate(tasks, mode, cost, edge_slots, store=None, max_queue_dela
             task, recv, outcome, start, duration = payload
             running -= 1
             busy += duration
-            node.complete(
-                task, outcome, ResultPayload(task.object_label, task.output_size), now
-            )
+            node.complete(task, outcome, task.object_label, now)
             finish = delivered_at(now, task, True, cost)
             records.append(
                 _record(task, outcome, start, finish, start - recv, duration)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from reusesim import DimensionMismatch, FeatureVector, LshIndex, LshSettings, ReuseStore
 from reusesim.core import tasks_from_columns
 from reusesim.lsh import INITIAL_ROWS
-from reusesim.reuse_store import ResultPayload
 
 
 def collision_rate(theta, bits, builds, tables, d=8, seed0=0):
@@ -238,15 +237,25 @@ def test_candidate_scan_scaling_reported():
     assert math.isfinite(exponent)
 
 
+def _row(idx, entry_id):
+    """The row of ``idx``'s matrix that holds ``entry_id``, read from its buckets.
+
+    Every bucket that holds the id must give the same row.
+    """
+    keys = idx._keys_of[entry_id]
+    (row,) = {table[key][entry_id] for table, key in zip(idx._tables, keys)}
+    return row
+
+
 def test_removed_rows_are_reused():
     idx, vectors = _filled_index(n=10)
     rows = idx._matrix.shape[0]
-    freed = {idx._row_of[3], idx._row_of[7]}
+    freed = {_row(idx, 3), _row(idx, 7)}
     idx.remove(3)
     idx.remove(7)
     idx.insert(100, vectors[3])
     idx.insert(101, vectors[7])
-    assert {idx._row_of[100], idx._row_of[101]} == freed
+    assert {_row(idx, 100), _row(idx, 101)} == freed
     assert idx._matrix.shape[0] == rows
     assert idx.query(vectors[3]) == [(100, 0.0)]
     assert idx.query(vectors[7]) == [(101, 0.0)]
@@ -355,9 +364,9 @@ def test_each_vector_is_projected_once_per_index(projections, signature_calls):
 def test_a_place_reuses_its_lookups_keys(projections):
     store = ReuseStore(3, seed=1)
     first, second = FeatureVector([1.0, 2.0, 3.0]), FeatureVector([60.0, 0.0, 0.0])
-    store.place("s", first, ResultPayload("a"), 0.0)  # an empty table needs no lookup
+    store.place("s", first, "a", 0.0)  # an empty table needs no lookup
     assert store.lookup("s", second, 1.0).kind.value == "miss"
-    store.place("s", second, ResultPayload("b"), 1.0)
+    store.place("s", second, "b", 1.0)
     assert len(projections) == 2
     assert store.lookup("s", FeatureVector([60.0, 0.0, 0.0]), 2.0).entry.id == 1
 
@@ -540,5 +549,5 @@ def test_read_path_matches_reference(scenario):
             assert idx.signature(q) == ref.signature(q)
             cands = idx.candidate_ids(q)
             assert cands.keys() == ref.candidate_ids(q)
-            assert cands == {i: idx._row_of[i] for i in cands}
+            assert cands == {i: _row(idx, i) for i in cands}
             assert idx.query(q) == ref.query(q)[:1]

@@ -13,7 +13,7 @@ from reusesim import (
     ReuseStore,
     StoreSettings,
 )
-from reusesim.reuse_store import ResultPayload, ServiceStats
+from reusesim.reuse_store import ServiceStats
 
 
 def axis_vector(i, d=4, spacing=10.0):
@@ -40,7 +40,7 @@ def test_lookup_on_empty_store_is_miss():
 
 def test_exact_match_is_full_and_bumps_frequency():
     store = small_store()
-    store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
+    store.place("svc", axis_vector(0), "a", now=0.0)
     res = store.lookup("svc", axis_vector(0), now=2.0)
     assert res.kind is LookupKind.FULL
     assert res.entry.frequency == 1
@@ -53,7 +53,7 @@ def test_mid_distance_is_partial_with_remaining_fraction():
         settings=StoreSettings(tau_full=1.0, tau_partial=5.0, partial_fraction=0.25),
         seed=1,
     )
-    store.place("svc", FeatureVector((10.0, 0.0)), ResultPayload("a"), now=0.0)
+    store.place("svc", FeatureVector((10.0, 0.0)), "a", now=0.0)
     res = store.lookup("svc", FeatureVector((13.0, 0.0)), now=1.0)  # distance 3
     assert res.kind is LookupKind.PARTIAL
     assert res.reused_fraction == 0.25
@@ -62,7 +62,7 @@ def test_mid_distance_is_partial_with_remaining_fraction():
 
 def test_place_then_lookup_roundtrip():
     store = small_store()
-    store.place("svc", axis_vector(7), ResultPayload("x"), now=0.0)
+    store.place("svc", axis_vector(7), "x", now=0.0)
     assert store.entry_count("svc") == 1
     assert store.lookup("svc", axis_vector(7), now=1.0).kind is LookupKind.FULL
 
@@ -70,7 +70,7 @@ def test_place_then_lookup_roundtrip():
 def test_place_beyond_capacity_evicts_exactly_once():
     store = small_store(capacity=3)
     for i in range(4):
-        store.place("svc", axis_vector(i), ResultPayload(f"o{i}"), now=float(i))
+        store.place("svc", axis_vector(i), f"o{i}", now=float(i))
     assert store.entry_count("svc") == 3
     assert len(store.eviction_log) == 1
 
@@ -80,7 +80,7 @@ def test_evict_minimum_frequency():
     ids = {}
     for name, bumps in (("a", 5), ("b", 1), ("c", 3)):
         i = len(ids)
-        ids[name] = store.place("svc", axis_vector(i), ResultPayload(name), now=0.0)
+        ids[name] = store.place("svc", axis_vector(i), name, now=0.0)
         for k in range(bumps):
             store.lookup("svc", axis_vector(i), now=float(k + 1))
     assert store.evict_lfu("svc") == ids["b"]
@@ -88,8 +88,8 @@ def test_evict_minimum_frequency():
 
 def test_evict_ties_break_by_least_recent_use():
     store = small_store(capacity=10)
-    id_a = store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
-    id_b = store.place("svc", axis_vector(1), ResultPayload("b"), now=0.0)
+    id_a = store.place("svc", axis_vector(0), "a", now=0.0)
+    id_b = store.place("svc", axis_vector(1), "b", now=0.0)
     store.lookup("svc", axis_vector(0), now=10.0)
     store.lookup("svc", axis_vector(0), now=10.5)
     store.lookup("svc", axis_vector(1), now=4.0)
@@ -99,7 +99,7 @@ def test_evict_ties_break_by_least_recent_use():
 
 def test_evict_single_entry():
     store = small_store()
-    only = store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
+    only = store.place("svc", axis_vector(0), "a", now=0.0)
     assert store.evict_lfu("svc") == only
     assert store.entry_count("svc") == 0
 
@@ -113,7 +113,7 @@ def test_evict_empty_service_raises():
 def test_stats_counters():
     store = small_store()
     assert store.stats() == {}
-    store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
+    store.place("svc", axis_vector(0), "a", now=0.0)
     store.lookup("svc", axis_vector(0), now=1.0)
     s = store.stats()["svc"]
     assert (s.entries, s.hits, s.misses) == (1, 1, 0)
@@ -135,16 +135,16 @@ def test_lookup_requires_service_name():
 def test_place_requires_service_name():
     store = small_store()
     with pytest.raises(ValueError, match="^service name must be non-empty$"):
-        store.place("", axis_vector(0), ResultPayload("a"), now=0.0)
+        store.place("", axis_vector(0), "a", now=0.0)
     assert store.stats() == {}
-    assert store.place("svc", axis_vector(0), ResultPayload("a"), now=1.0) == 0
+    assert store.place("svc", axis_vector(0), "a", now=1.0) == 0
 
 
 @pytest.mark.parametrize("stored", [0, 1], ids=["empty", "non-empty"])
 def test_lookup_of_wrong_dimension_raises_and_counts_no_miss(stored):
     store = small_store()
     for i in range(stored):
-        store.place("svc", axis_vector(i), ResultPayload("a"), now=0.0)
+        store.place("svc", axis_vector(i), "a", now=0.0)
     with pytest.raises(DimensionMismatch):
         store.lookup("svc", FeatureVector((1.0, 2.0)), now=1.0)
     assert store.stats() == ({"svc": ServiceStats(1, 0, 0)} if stored else {})
@@ -153,14 +153,14 @@ def test_lookup_of_wrong_dimension_raises_and_counts_no_miss(stored):
 @pytest.mark.parametrize("op", ["lookup", "place"])
 def test_call_of_wrong_dimension_applies_no_decay(op):
     store = small_store(decay_interval=1.0)
-    store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
+    store.place("svc", axis_vector(0), "a", now=0.0)
     store.lookup("svc", axis_vector(0), now=0.5)
     wrong = FeatureVector((1.0, 2.0))
     with pytest.raises(DimensionMismatch):
         if op == "lookup":
             store.lookup("svc", wrong, now=5.0)
         else:
-            store.place("svc", wrong, ResultPayload("b"), now=5.0)
+            store.place("svc", wrong, "b", now=5.0)
     # the decay due by 5.0 would have halved the frequency to 0
     assert [e.frequency for e in store.entries("svc")] == [1]
 
@@ -187,7 +187,7 @@ REFUSED_CALLS = [
 def test_call_of_empty_service_name_changes_nothing(op):
     # at capacity, so a place that got past its checks would evict
     store = small_store(capacity=1, decay_interval=1.0)
-    store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
+    store.place("svc", axis_vector(0), "a", now=0.0)
     for now in (0.25, 0.5):
         store.lookup("svc", axis_vector(0), now)
 
@@ -201,11 +201,11 @@ def test_call_of_empty_service_name_changes_nothing(op):
             if op == "lookup":
                 store.lookup(service, v, now)
             else:
-                store.place(service, v, ResultPayload("b"), now)
+                store.place(service, v, "b", now)
         # the decay due by 5.0 would have halved the frequency of 2 to 0
         assert state() == before
     # and no refused place consumed an id
-    assert store.place("other", axis_vector(2), ResultPayload("c"), now=0.75) == 1
+    assert store.place("other", axis_vector(2), "c", now=0.75) == 1
 
 
 @pytest.mark.parametrize("stored", [0, 1], ids=["empty", "non-empty"])
@@ -213,19 +213,19 @@ def test_place_of_wrong_dimension_raises_and_stores_nothing(stored):
     # at capacity, the check comes before the eviction that makes room
     store = small_store(capacity=1)
     for i in range(stored):
-        store.place("svc", axis_vector(i), ResultPayload("a"), now=0.0)
+        store.place("svc", axis_vector(i), "a", now=0.0)
     with pytest.raises(DimensionMismatch):
-        store.place("svc", FeatureVector((1.0, 2.0)), ResultPayload("b"), now=1.0)
+        store.place("svc", FeatureVector((1.0, 2.0)), "b", now=1.0)
     assert store.stats() == ({"svc": ServiceStats(1, 0, 0)} if stored else {})
     assert [e.id for e in store.entries("svc")] == list(range(stored))
     assert store.eviction_log == []
-    assert store.place("other", axis_vector(5), ResultPayload("c"), now=2.0) == stored
+    assert store.place("other", axis_vector(5), "c", now=2.0) == stored
 
 
 def _state_fingerprint(store, service):
     return tuple(
         sorted(
-            (e.id, e.frequency, e.last_used_at, e.inserted_at, e.output.label)
+            (e.id, e.frequency, e.last_used_at, e.output)
             for e in store.entries(service)
         )
     )
@@ -233,7 +233,7 @@ def _state_fingerprint(store, service):
 
 def test_miss_does_not_mutate_state():
     store = small_store()
-    store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
+    store.place("svc", axis_vector(0), "a", now=0.0)
     store.lookup("svc", axis_vector(0), now=1.0)
     before = _state_fingerprint(store, "svc")
     assert store.lookup("svc", axis_vector(5), now=2.0).kind is LookupKind.MISS
@@ -248,7 +248,7 @@ def test_capacity_invariant_under_random_ops():
         placed = 0
         for step in range(60):
             if placed == 0 or rng.random() < 0.5:
-                store.place("svc", axis_vector(placed), ResultPayload("x"), float(step))
+                store.place("svc", axis_vector(placed), "x", float(step))
                 placed += 1
             else:
                 store.lookup("svc", axis_vector(rng.randrange(placed)), float(step))
@@ -279,7 +279,7 @@ def test_eviction_sequence_matches_bruteforce_replay():
                     victim = min(model.values(), key=lambda e: (e[0], e[1], e[2]))
                     del model[victim[2]]
                     model_evictions.append(victim[2])
-                store.place("svc", axis_vector(next_id), ResultPayload("x"), now)
+                store.place("svc", axis_vector(next_id), "x", now)
                 model[next_id] = [0, now, next_id]
                 placed.append(next_id)
                 next_id += 1
@@ -298,7 +298,7 @@ def test_frequency_conservation_on_live_entries():
             if res.kind is not LookupKind.MISS:
                 bumps[res.entry.id] = bumps.get(res.entry.id, 0) + 1
         else:
-            eid = store.place("svc", axis_vector(len(placed)), ResultPayload("x"), now)
+            eid = store.place("svc", axis_vector(len(placed)), "x", now)
             placed.append(len(placed))
             bumps[eid] = 0
     live = store.entries("svc")
@@ -307,14 +307,14 @@ def test_frequency_conservation_on_live_entries():
 
 def test_frequency_decay_halves_counts():
     store = small_store(capacity=10, decay_interval=100.0)
-    store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
-    store.place("svc", axis_vector(1), ResultPayload("b"), now=0.0)
+    store.place("svc", axis_vector(0), "a", now=0.0)
+    store.place("svc", axis_vector(1), "b", now=0.0)
     for k in range(4):
         store.lookup("svc", axis_vector(0), now=1.0 + k)
     store.lookup("svc", axis_vector(1), now=6.0)
     # crossing the interval halves 4 -> 2 and 1 -> 0 before the op applies
     res = store.lookup("svc", axis_vector(1), now=150.0)
-    freqs = {e.output.label: e.frequency for e in store.entries("svc")}
+    freqs = {e.output: e.frequency for e in store.entries("svc")}
     assert freqs["a"] == 2
     assert freqs["b"] == 1  # halved to 0, then bumped by this hit
 
@@ -345,7 +345,7 @@ def test_constructor_rejects_non_finite(field, value):
 def test_decay_cost_is_independent_of_elapsed_time():
     store = small_store(capacity=None, decay_interval=1.0)
     for i in range(200):
-        store.place("svc", axis_vector(i), ResultPayload(f"o{i}"), now=0.0)
+        store.place("svc", axis_vector(i), f"o{i}", now=0.0)
     for k in range(3):
         store.lookup("svc", axis_vector(0), now=0.5)
     start = time.perf_counter()
@@ -362,7 +362,7 @@ def test_decay_shift_equals_repeated_halving(intervals):
     store = ReuseStore(2, StoreSettings(decay_interval=2.0), seed=3)
     for i in range(len(freqs)):
         vector = FeatureVector((10.0 * (i + 1), 0.0))
-        store.place("svc", vector, ResultPayload(f"o{i}"), now=0.0)
+        store.place("svc", vector, f"o{i}", now=0.0)
     # no entry has been evicted, so there is no LFU heap whose keys a direct
     # write of the counts could leave stale
     for entry in store.entries("svc"):
@@ -434,7 +434,7 @@ def test_heap_eviction_matches_full_scan_oracle(capacity, decay_interval, operat
             model_decay(now)
             if capacity is not None and len(model) >= capacity:
                 model_evict()
-            entry_id = store.place("svc", axis_vector(placed), ResultPayload("x"), now)
+            entry_id = store.place("svc", axis_vector(placed), "x", now)
             model[entry_id] = [0, now, entry_id]
             live_vector[placed] = entry_id
             placed += 1
@@ -463,7 +463,7 @@ def test_heap_eviction_matches_full_scan_oracle(capacity, decay_interval, operat
 def test_lfu_heap_stays_bounded_under_many_hits():
     store = small_store(capacity=3)
     for i in range(4):  # the fourth place evicts and builds the heap
-        store.place("svc", axis_vector(i), ResultPayload("x"), now=float(i))
+        store.place("svc", axis_vector(i), "x", now=float(i))
     for step in range(1000):
         store.lookup("svc", axis_vector(1 + step % 3), now=10.0 + step)
         assert len(store._tables["svc"].heap or ()) <= 2 * 3 + 17
@@ -474,13 +474,13 @@ def test_lfu_heap_stays_bounded_under_many_hits():
 
 def test_decay_reorders_lfu_victims():
     store = small_store(capacity=None, decay_interval=100.0)
-    id_a = store.place("svc", axis_vector(0), ResultPayload("a"), now=0.0)
-    id_b = store.place("svc", axis_vector(1), ResultPayload("b"), now=0.0)
+    id_a = store.place("svc", axis_vector(0), "a", now=0.0)
+    id_b = store.place("svc", axis_vector(1), "b", now=0.0)
     for k in range(4):
         store.lookup("svc", axis_vector(0), now=1.0 + k)
     for k in range(2):
         store.lookup("svc", axis_vector(1), now=5.0 + k)
-    id_c = store.place("svc", axis_vector(2), ResultPayload("c"), now=7.0)
+    id_c = store.place("svc", axis_vector(2), "c", now=7.0)
     assert store.evict_lfu("svc") == id_c  # builds the LFU heap
     # decay halves a 4 -> 2 and b 2 -> 1 before this hit bumps a to 3
     store.lookup("svc", axis_vector(0), now=150.0)
@@ -491,6 +491,6 @@ def test_decay_reorders_lfu_victims():
 def test_place_of_a_rejected_vector_stores_nothing():
     store = small_store()
     with pytest.raises(DimensionMismatch):
-        store.place("svc", FeatureVector((1.0, 2.0)), ResultPayload("a"), now=0.0)
+        store.place("svc", FeatureVector((1.0, 2.0)), "a", now=0.0)
     assert store.entries("svc") == []
-    assert store.place("svc", axis_vector(0), ResultPayload("b"), now=1.0) == 0
+    assert store.place("svc", axis_vector(0), "b", now=1.0) == 0

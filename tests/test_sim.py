@@ -17,7 +17,7 @@ from reusesim import (
 )
 from reusesim.core import FeatureVector, Outcome
 from reusesim.cost import received_at
-from reusesim.reuse_store import ResultPayload, ReuseEntry
+from reusesim.reuse_store import ReuseEntry
 from reusesim.workload import generate
 
 from conftest import make_task
@@ -96,9 +96,7 @@ def test_unqueued_records_match_cost_model():
     assert {r.outcome for r in unqueued} == {
         "full_reuse", "partial_reuse", "edge_compute"
     }
-    entry = ReuseEntry(
-        id=0, service="s", features=FeatureVector((0.0,)), output=ResultPayload("x")
-    )
+    entry = ReuseEntry(id=0, features=FeatureVector((0.0,)), output="x")
     outcomes = {
         "full_reuse": Outcome(OutcomeKind.FULL_REUSE, 1.0, entry),
         "partial_reuse": Outcome(OutcomeKind.PARTIAL_REUSE, 0.3, entry),

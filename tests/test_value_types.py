@@ -1,8 +1,8 @@
 """The per-task value types are slotted dataclasses that keep their contracts.
 
-``Task``, ``TaskRecord``, ``Outcome``, ``LookupResult``, ``ReuseEntry`` and
-``ResultPayload`` are made once or more per task, so they hold their fields
-in slots rather than an instance ``__dict__``.  Slots must change nothing
+``Task``, ``TaskRecord``, ``Outcome``, ``LookupResult`` and ``ReuseEntry``
+are made once or more per task, so they hold their fields in slots rather
+than an instance ``__dict__``.  Slots must change nothing
 else: the field order, ``==`` and ``hash``, ``dataclasses.replace``, pickling
 and deep copies behave as for a plain dataclass.
 """
@@ -19,7 +19,6 @@ from reusesim import (
     LookupResult,
     Outcome,
     OutcomeKind,
-    ResultPayload,
     ReuseEntry,
     Task,
     TaskRecord,
@@ -30,7 +29,7 @@ from conftest import make_task
 
 def _entry():
     features = FeatureVector((1.0, -0.0))
-    return ReuseEntry(3, "s", features, ResultPayload("a", 1.5), 2, 0.5, 1.5)
+    return ReuseEntry(3, features, "a", 2, 1.5)
 
 
 # (class, a factory of equal instances, its fields in declaration order,
@@ -66,15 +65,8 @@ CASES = {
     "ReuseEntry": (
         ReuseEntry,
         _entry,
-        ("id", "service", "features", "output", "frequency", "inserted_at",
-         "last_used_at"),
+        ("id", "features", "output", "frequency", "last_used_at"),
         ("frequency", 5),
-    ),
-    "ResultPayload": (
-        ResultPayload,
-        lambda: ResultPayload("a", 1.5),
-        ("label", "output_size"),
-        ("output_size", 2.5),
     ),
 }
 FROZEN = {"Task", "TaskRecord", "Outcome", "LookupResult"}
