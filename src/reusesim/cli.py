@@ -269,8 +269,6 @@ def summary_row(
 def cmd_run(config_path, overrides, outdir) -> int:
     raw = apply_overrides(parse_config_file(config_path), overrides)
     config = build_config(raw)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = [SUMMARY_HEADER]
     tasks_text = ""
     for trial in range(config.trials):
@@ -287,6 +285,9 @@ def cmd_run(config_path, overrides, outdir) -> int:
             tasks_text = tasks_csv_text(report)
         del report  # one trial's records at a time
     # written only once every trial has run, so a failed trial leaves no CSV
+    # and no directory
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "tasks.csv").write_text(tasks_text, encoding="utf-8")
     (outdir / "summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(rows[1])

@@ -17,7 +17,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from itertools import count
 from operator import attrgetter
-from typing import TYPE_CHECKING, Collection, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,24 @@ if TYPE_CHECKING:
     from .reuse_store import ReuseEntry
 
 _set_field = object.__setattr__
+
+
+def _slot_builder(cls: type) -> Callable:
+    """A function that builds a ``cls`` from one value per slot, in slot order.
+
+    Each value is written through its slot's descriptor, past a frozen
+    ``__setattr__``; neither ``__init__`` nor ``__post_init__`` runs, so the
+    caller vouches for the values.  The writes are unrolled in generated
+    source, as ``dataclasses`` generates ``__init__``; the globals it reads
+    start with ``__``, so no parameter named for a slot shadows them.
+    """
+    names = cls.__slots__
+    env = {"__new": object.__new__, "__cls": cls}
+    env.update((f"__set_{name}", vars(cls)[name].__set__) for name in names)
+    source = f"def build({', '.join(names)}):\n    __obj = __new(__cls)"
+    source += "".join(f"\n    __set_{name}(__obj, {name})" for name in names)
+    exec(source + "\n    return __obj", env)
+    return env["build"]
 
 
 def _refuse_assignment(self, name: str, value) -> None:
@@ -131,6 +149,9 @@ class FeatureVector:
         return f"{type(self).__qualname__}(values={self.values!r})"
 
 
+_build_vector = _slot_builder(FeatureVector)
+
+
 def require_dimension(v: FeatureVector, dimension: int) -> np.ndarray:
     """``v``'s array, after checking that its shape is ``(dimension,)``."""
     array = v._array
@@ -175,9 +196,7 @@ class Task:
             raise ValueError("task arrival time must be >= 0")
 
 
-def _slot_setters(cls: type, *names: str) -> list:
-    """The ``__set__`` of each named slot: it writes past a frozen ``__setattr__``."""
-    return [vars(cls)[name].__set__ for name in names]
+_build_task = _slot_builder(Task)
 
 
 def tasks_from_columns(
@@ -237,37 +256,20 @@ def tasks_from_columns(
             float(complexity[i]),
             float(arrival[i]),
         )
-    # fields are set as the constructors set them, minus the checks made
-    # above for the whole column, through the classes' slot descriptors
-    new = object.__new__
-    set_array, set_keys = _slot_setters(FeatureVector, "_array", "_lsh_keys")
-    set_id, set_service, set_label, set_features, set_in, set_out, set_work, set_at = (
-        _slot_setters(Task, "id", "service", "object_label", "features", *_TASK_FLOATS)
-    )
-    tasks: list[Task] = []
-    for i, label, row, size_in, size_out, work, at in zip(
-        count(),
-        labels,
-        features,
-        input_size.tolist(),
-        output_size.tolist(),
-        complexity.tolist(),
-        arrival.tolist(),
-    ):
-        fv = new(FeatureVector)
-        set_array(fv, row)
-        set_keys(fv, None)
-        task = new(Task)
-        set_id(task, i)
-        set_service(task, service)
-        set_label(task, label)
-        set_features(task, fv)
-        set_in(task, size_in)
-        set_out(task, size_out)
-        set_work(task, work)
-        set_at(task, at)
-        tasks.append(task)
-    return tasks
+    # the rows that pass are built as the constructors build them, minus the
+    # checks made above for the whole column
+    return [
+        _build_task(i, service, label, _build_vector(row, None), up, down, work, at)
+        for i, label, row, up, down, work, at in zip(
+            count(),
+            labels,
+            features,
+            input_size.tolist(),
+            output_size.tolist(),
+            complexity.tolist(),
+            arrival.tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,9 @@ import hashlib
 import heapq
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -50,7 +51,7 @@ from .core import (
     Outcome,
     OutcomeKind,
     Task,
-    _slot_setters,
+    _slot_builder,
     frozen_slots,
     require_finite,
 )
@@ -58,7 +59,7 @@ from .cost import delivered_at, execution_cost, received_at, reuse_cost
 from .forwarding import EdgeNode
 from .lsh import LshSettings
 from .reuse_store import ReuseStore, StoreSettings
-from .workload import WorkloadSpec, generate, ingest
+from .workload import WorkloadSpec, _dump_tasks, _read_dump, generate
 
 
 class Mode(Enum):
@@ -79,7 +80,8 @@ class SimConfig:
     """One experiment: mode, workload, costs, edge and store, trials and seed.
 
     ``run`` seeds trial *i*'s workload and store from ``seed + i``, whatever
-    ``workload.seed`` holds.
+    ``workload.seed`` holds.  ``features_file`` is read once per config, at
+    the first trial that needs it.
     """
 
     mode: Mode
@@ -101,6 +103,11 @@ class SimConfig:
             raise ValueError("seed must be >= 0")
         if self.edge_slots < 1:
             raise ValueError("edge_slots must be >= 1")
+
+    @cached_property
+    def _dump(self) -> tuple[list[str], np.ndarray]:
+        """The labels and feature matrix of ``features_file``."""
+        return _read_dump(self.features_file, self.workload.dimension)
 
 
 @frozen_slots
@@ -224,21 +231,7 @@ _OUTCOME_CELLS = {
     for kind in OutcomeKind
 }
 _CLOUD_CELLS = _OUTCOME_CELLS[OutcomeKind.CLOUD_OFFLOAD]
-_new = object.__new__
-(
-    _set_task_id,
-    _set_service,
-    _set_label,
-    _set_outcome,
-    _set_location,
-    _set_arrival,
-    _set_start,
-    _set_finish,
-    _set_waiting,
-    _set_computation,
-    _set_completion,
-    _set_correct,
-) = _slot_setters(TaskRecord, *(f.name for f in fields(TaskRecord)))
+_build_record = _slot_builder(TaskRecord)
 
 
 def _record(
@@ -251,22 +244,11 @@ def _record(
     correct: bool,
 ) -> TaskRecord:
     """Record of a task, given its ``outcome`` and ``location`` cells."""
-    # fields are set as TaskRecord's constructor sets them, through the
-    # class's slot descriptors
-    record = _new(TaskRecord)
-    _set_task_id(record, task.id)
-    _set_service(record, task.service)
-    _set_label(record, task.object_label)
-    _set_outcome(record, cells[0])
-    _set_location(record, cells[1])
-    _set_arrival(record, task.arrival_time)
-    _set_start(record, start)
-    _set_finish(record, finish)
-    _set_waiting(record, waiting)
-    _set_computation(record, computation)
-    _set_completion(record, finish - task.arrival_time)
-    _set_correct(record, correct)
-    return record
+    at = task.arrival_time
+    return _build_record(
+        task.id, task.service, task.object_label, cells[0], cells[1], at,
+        start, finish, waiting, computation, finish - at, correct,
+    )
 
 
 def _cloud_record(
@@ -395,12 +377,10 @@ def simulate(
 
 
 _record_id = attrgetter("task_id")
-_record_completion = attrgetter("completion_s")
-_record_computation = attrgetter("computation_s")
-_record_waiting = attrgetter("waiting_s")
-_record_finish = attrgetter("finish_s")
-_record_outcome = attrgetter("outcome")
-_record_correct = attrgetter("correct")
+# the record fields a report aggregates, read in one pass
+_record_columns = attrgetter(
+    "completion_s", "computation_s", "waiting_s", "finish_s", "outcome", "correct"
+)
 
 
 def _aggregate(
@@ -415,12 +395,13 @@ def _aggregate(
 ) -> MetricsReport:
     records = sorted(records, key=_record_id)
     n = len(records)
-    completion_s = list(map(_record_completion, records))
+    # one transpose into columns; ``simulate`` never aggregates an empty run
+    completion_s, computation, waiting, finish, outcomes, correct = zip(
+        *map(_record_columns, records)
+    )
     completion = np.array(completion_s)
-    computation = np.fromiter(map(_record_computation, records), np.float64, n)
-    waiting = np.fromiter(map(_record_waiting, records), np.float64, n)
-    makespan = float(max(map(_record_finish, records)))
-    counts = Counter(map(_record_outcome, records))
+    makespan = float(max(finish))
+    counts = Counter(outcomes)
     n_full = counts[OutcomeKind.FULL_REUSE.value]
     n_partial = counts[OutcomeKind.PARTIAL_REUSE.value]
     n_edge = counts[OutcomeKind.EDGE_COMPUTE.value]
@@ -431,13 +412,13 @@ def _aggregate(
         records=tuple(records),
         mean_completion_s=float(completion.mean()),
         p90_completion_s=p90(completion_s),
-        mean_computation_s=float(computation.mean()),
-        mean_waiting_s=float(waiting.mean()),
+        mean_computation_s=float(np.array(computation, np.float64).mean()),
+        mean_waiting_s=float(np.array(waiting, np.float64).mean()),
         utilization_pct=utilization,
         load_cloud=n_cloud / n,
         load_edge=n_edge / n,
         load_reuse=(n_full + n_partial) / n,
-        correctness_rate=sum(map(_record_correct, records)) / n,
+        correctness_rate=sum(correct) / n,
         busy_slot_time=busy,
         makespan=makespan,
         edge_slots=edge_slots,
@@ -465,7 +446,7 @@ def run(config: SimConfig, trial: int = 0) -> MetricsReport:
     seed = config.seed + trial
     spec = replace(config.workload, seed=seed)
     if config.features_file is not None:
-        tasks = ingest(config.features_file, spec)
+        tasks = _dump_tasks(*config._dump, spec)
     else:
         tasks = generate(spec)
     store = build_store(config, seed) if config.mode is Mode.EDGE_WITH_REUSE else None

@@ -162,6 +162,11 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
     times, sizes, and complexities are the ones ``generate`` draws for the
     spec with the file's record count.
     """
+    return _dump_tasks(*_read_dump(path, spec.dimension), spec)
+
+
+def _read_dump(path, dimension: int) -> tuple[list[str], np.ndarray]:
+    """The labels and feature matrix of a feature dump in ``ingest``'s format."""
     labels: list[str] = []
     rows: list[tuple[float, ...]] = []
     first = True
@@ -179,15 +184,15 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
                     raise WorkloadFileError(
                         f"line {lineno}: non-numeric feature value"
                     ) from None
-                if len(fields) != spec.dimension:
+                if len(fields) != dimension:
                     raise WorkloadFileError(
                         f"line {lineno}: header names {len(fields)} features, "
-                        f"expected {spec.dimension}"
+                        f"expected {dimension}"
                     ) from None
                 continue  # header row
-            if len(values) != spec.dimension:
+            if len(values) != dimension:
                 raise WorkloadFileError(
-                    f"line {lineno}: expected {spec.dimension} feature values, "
+                    f"line {lineno}: expected {dimension} feature values, "
                     f"got {len(values)}"
                 )
             if not all(map(math.isfinite, values)):
@@ -201,9 +206,14 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
     # a matrix that owns its data, so the read-only flag tasks_from_columns
     # sets covers it (a reshape view would leave its owner writable)
     if rows:
-        features = np.array(rows, dtype=np.float64)
-    else:
-        features = np.empty((0, spec.dimension))
+        return labels, np.array(rows, dtype=np.float64)
+    return labels, np.empty((0, dimension))
+
+
+def _dump_tasks(
+    labels: Sequence[str], features: np.ndarray, spec: WorkloadSpec
+) -> list[Task]:
+    """The tasks of a parsed dump, with the sizes and arrivals ``spec`` draws."""
     rng = np.random.default_rng(spec.seed)
-    sizes, arrival = _sizes_and_arrivals(spec, rng, len(rows))
+    sizes, arrival = _sizes_and_arrivals(spec, rng, len(labels))
     return tasks_from_columns(spec.service, labels, features, *sizes.T, arrival)

@@ -473,7 +473,7 @@ def test_a_failed_trial_leaves_no_csv(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, MINIMAL + "trials = 2\n")
     out = tmp_path / "out"
     assert main(["run", "-c", str(cfg), "-d", str(out)]) == 2
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_run_holds_one_trial_report_at_a_time(tmp_path, monkeypatch):
@@ -493,3 +493,17 @@ def test_run_holds_one_trial_report_at_a_time(tmp_path, monkeypatch):
     assert len(alive) == 3
     report = run(build_config(parse_config_file(cfg)), 0)
     assert (out / "tasks.csv").read_bytes() == _fmt_tasks_csv(report.records)
+
+
+def test_a_malformed_dump_leaves_no_output_directory(tmp_path):
+    dump = tmp_path / "features.csv"
+    dump.write_text('"a,1.0,2.0\n', encoding="utf-8")
+    cfg = write_config(
+        tmp_path,
+        "mode = edge_no_reuse\n"
+        f"features_file = {dump}\n"
+        "workload.dimension = 2\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-d", str(out)]) == 2
+    assert not out.exists()

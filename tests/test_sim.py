@@ -421,3 +421,39 @@ def test_store_settings_flow_through_run():
         )
     )
     assert rep.n_edge_compute >= rep_big.n_edge_compute
+
+
+def _dump_config(tmp_path, lines):
+    dump = tmp_path / "features.csv"
+    dump.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return dump, SimConfig(
+        mode=Mode.EDGE_NO_REUSE,
+        workload=WorkloadSpec(dimension=2),
+        trials=3,
+        features_file=str(dump),
+    )
+
+
+def test_run_reads_the_feature_dump_once_per_config(tmp_path, monkeypatch):
+    import reusesim.workload as workload
+
+    dump, config = _dump_config(tmp_path, ["a,1.0,2.0", "b,3.0,4.0"])
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(workload, "open", counting_open, raising=False)
+    reports = [run(config, trial) for trial in range(config.trials)]
+    assert opened == [str(dump)]
+    # each trial still draws its own sizes and arrivals
+    assert len({r.workload_digest for r in reports}) == 3
+
+
+def test_a_dump_rewritten_after_the_first_trial_changes_no_later_trial(tmp_path):
+    dump, config = _dump_config(tmp_path, ["a,1.0,2.0", "b,3.0,4.0"])
+    labels = [[r.label for r in run(config, 0).records]]
+    dump.write_text("x,1.0,2.0\ny,3.0,4.0\nz,5.0,6.0\n", encoding="utf-8")
+    labels += [[r.label for r in run(config, trial).records] for trial in (1, 2)]
+    assert labels == [["a", "b"]] * 3

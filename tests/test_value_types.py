@@ -23,6 +23,7 @@ from reusesim import (
     Task,
     TaskRecord,
 )
+from reusesim.core import _slot_builder
 
 from conftest import make_task
 
@@ -152,3 +153,32 @@ def test_deepcopy_round_trips(case):
     back = copy.deepcopy(obj)
     assert type(back) is cls and back == obj and back is not obj
     assert repr(back) == repr(obj)
+
+
+def _built_from_slots(obj):
+    cls = type(obj)
+    return _slot_builder(cls)(*(getattr(obj, name) for name in cls.__slots__))
+
+
+def test_the_slot_builder_builds_what_the_constructor_builds(case):
+    name, cls, make, names, _ = case
+    obj = make()
+    built = _built_from_slots(obj)
+    assert type(built) is cls
+    assert repr(built) == repr(obj)
+    assert built == obj and built is not obj
+
+
+def test_the_slot_builder_builds_a_feature_vector():
+    vector = FeatureVector((1.0, -0.0))
+    built = _built_from_slots(vector)
+    assert type(built) is FeatureVector
+    assert repr(built) == repr(vector)
+    assert built == vector
+    assert built._array is vector._array and built._lsh_keys is None
+
+
+def test_the_slot_builder_skips_the_checks():
+    # the caller vouches for the values: no __post_init__ refuses them
+    task = _slot_builder(Task)(0, "s", "a", FeatureVector((1.0,)), -1.0, 0.0, 0.0, -1.0)
+    assert task.complexity == 0.0 and task.arrival_time == -1.0
