@@ -40,7 +40,6 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -81,7 +80,8 @@ class SimConfig:
 
     ``run`` seeds trial *i*'s workload and store from ``seed + i``, whatever
     ``workload.seed`` holds.  ``features_file`` is read once per config, at
-    the first trial that needs it.
+    the first trial that needs it, and read again only after ``features_file``
+    or ``workload.dimension`` is changed.
     """
 
     mode: Mode
@@ -104,10 +104,13 @@ class SimConfig:
         if self.edge_slots < 1:
             raise ValueError("edge_slots must be >= 1")
 
-    @cached_property
     def _dump(self) -> tuple[list[str], np.ndarray]:
         """The labels and feature matrix of ``features_file``."""
-        return _read_dump(self.features_file, self.workload.dimension)
+        key = (self.features_file, self.workload.dimension)
+        cached = self.__dict__.get("_dump_cache")
+        if cached is None or cached[0] != key:
+            cached = self._dump_cache = (key, _read_dump(*key))
+        return cached[1]
 
 
 @frozen_slots
@@ -377,10 +380,12 @@ def simulate(
 
 
 _record_id = attrgetter("task_id")
-# the record fields a report aggregates, read in one pass
-_record_columns = attrgetter(
-    "completion_s", "computation_s", "waiting_s", "finish_s", "outcome", "correct"
-)
+_record_completion = attrgetter("completion_s")
+_record_computation = attrgetter("computation_s")
+_record_waiting = attrgetter("waiting_s")
+_record_finish = attrgetter("finish_s")
+_record_outcome = attrgetter("outcome")
+_record_correct = attrgetter("correct")
 
 
 def _aggregate(
@@ -395,13 +400,12 @@ def _aggregate(
 ) -> MetricsReport:
     records = sorted(records, key=_record_id)
     n = len(records)
-    # one transpose into columns; ``simulate`` never aggregates an empty run
-    completion_s, computation, waiting, finish, outcomes, correct = zip(
-        *map(_record_columns, records)
-    )
+    completion_s = list(map(_record_completion, records))
     completion = np.array(completion_s)
-    makespan = float(max(finish))
-    counts = Counter(outcomes)
+    computation = np.fromiter(map(_record_computation, records), np.float64, n)
+    waiting = np.fromiter(map(_record_waiting, records), np.float64, n)
+    makespan = float(max(map(_record_finish, records)))
+    counts = Counter(map(_record_outcome, records))
     n_full = counts[OutcomeKind.FULL_REUSE.value]
     n_partial = counts[OutcomeKind.PARTIAL_REUSE.value]
     n_edge = counts[OutcomeKind.EDGE_COMPUTE.value]
@@ -412,13 +416,13 @@ def _aggregate(
         records=tuple(records),
         mean_completion_s=float(completion.mean()),
         p90_completion_s=p90(completion_s),
-        mean_computation_s=float(np.array(computation, np.float64).mean()),
-        mean_waiting_s=float(np.array(waiting, np.float64).mean()),
+        mean_computation_s=float(computation.mean()),
+        mean_waiting_s=float(waiting.mean()),
         utilization_pct=utilization,
         load_cloud=n_cloud / n,
         load_edge=n_edge / n,
         load_reuse=(n_full + n_partial) / n,
-        correctness_rate=sum(correct) / n,
+        correctness_rate=sum(map(_record_correct, records)) / n,
         busy_slot_time=busy,
         makespan=makespan,
         edge_slots=edge_slots,
@@ -446,7 +450,7 @@ def run(config: SimConfig, trial: int = 0) -> MetricsReport:
     seed = config.seed + trial
     spec = replace(config.workload, seed=seed)
     if config.features_file is not None:
-        tasks = _dump_tasks(*config._dump, spec)
+        tasks = _dump_tasks(*config._dump(), spec)
     else:
         tasks = generate(spec)
     store = build_store(config, seed) if config.mode is Mode.EDGE_WITH_REUSE else None

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from reusesim import (
     ReuseStore,
     SimConfig,
     StoreSettings,
+    WorkloadFileError,
     WorkloadSpec,
     completion_cost,
     reuse_gain,
@@ -457,3 +459,15 @@ def test_a_dump_rewritten_after_the_first_trial_changes_no_later_trial(tmp_path)
     dump.write_text("x,1.0,2.0\ny,3.0,4.0\nz,5.0,6.0\n", encoding="utf-8")
     labels += [[r.label for r in run(config, trial).records] for trial in (1, 2)]
     assert labels == [["a", "b"]] * 3
+
+
+def test_a_config_whose_dump_or_dimension_changes_reads_the_dump_again(tmp_path):
+    dump, config = _dump_config(tmp_path, ["a,1.0,2.0", "b,3.0,4.0"])
+    assert [r.label for r in run(config, 0).records] == ["a", "b"]
+    other = tmp_path / "other.csv"
+    other.write_text("x,1.0,2.0,3.0\n", encoding="utf-8")
+    config.features_file = str(other)
+    with pytest.raises(WorkloadFileError, match="expected 2 feature values"):
+        run(config, 1)
+    config.workload = replace(config.workload, dimension=3)
+    assert [r.label for r in run(config, 1).records] == ["x"]
