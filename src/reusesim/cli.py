@@ -15,7 +15,6 @@ byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -67,18 +66,11 @@ class ConfigError(ValueError):
     """A config file or override failed validation; message names the field."""
 
 
-def _parse_finite(s: str) -> float:
-    x = float(s)
-    if not math.isfinite(x):
-        raise ValueError("must be a finite number")
-    return x
-
-
 def _parse_pair(s: str) -> tuple[float, float]:
     parts = [p.strip() for p in s.split(",")]
     if len(parts) != 2:
         raise ValueError("expected 'lo,hi'")
-    return (_parse_finite(parts[0]), _parse_finite(parts[1]))
+    return (float(parts[0]), float(parts[1]))
 
 
 def _parse_mode(s: str) -> Mode:
@@ -94,7 +86,7 @@ def _parse_mode(s: str) -> Mode:
 _PARSERS: dict[object, Callable[[str], object]] = {
     int: int,
     str: str,
-    float: _parse_finite,
+    float: float,
     tuple[float, float]: _parse_pair,
     Mode: _parse_mode,
 }

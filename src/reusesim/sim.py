@@ -38,8 +38,9 @@ import hashlib
 import heapq
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -67,21 +68,25 @@ class Mode(Enum):
     EDGE_WITH_REUSE = "edge_with_reuse"
 
 
-def _check_max_queue_delay(max_queue_delay: Optional[float]) -> None:
-    """Raise ``ValueError`` unless ``max_queue_delay`` is None, or finite and > 0."""
+def _check_run(mode: Mode, edge_slots: int, max_queue_delay: Optional[float]) -> None:
+    """Run rules shared by ``SimConfig`` and ``simulate``; each error names its field."""
+    if not isinstance(mode, Mode):
+        raise ValueError(f"mode must be a Mode, got {mode!r}")
+    if edge_slots < 1:
+        raise ValueError("edge_slots must be >= 1")
     require_finite("max_queue_delay", max_queue_delay)
     if max_queue_delay is not None and max_queue_delay <= 0:
         raise ValueError("max_queue_delay must be > 0 when set")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """One experiment: mode, workload, costs, edge and store, trials and seed.
 
     ``run`` seeds trial *i*'s workload and store from ``seed + i``, whatever
     ``workload.seed`` holds.  ``features_file`` is read once per config, at
-    the first trial that needs it, and read again only after ``features_file``
-    or ``workload.dimension`` is changed.
+    the first trial that needs it.  A config is frozen: ``dataclasses.replace``
+    makes a new one, which reads its own dump.
     """
 
     mode: Mode
@@ -96,21 +101,16 @@ class SimConfig:
     features_file: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _check_max_queue_delay(self.max_queue_delay)
+        _check_run(self.mode, self.edge_slots, self.max_queue_delay)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.edge_slots < 1:
-            raise ValueError("edge_slots must be >= 1")
 
+    @cached_property
     def _dump(self) -> tuple[list[str], np.ndarray]:
         """The labels and feature matrix of ``features_file``."""
-        key = (self.features_file, self.workload.dimension)
-        cached = self.__dict__.get("_dump_cache")
-        if cached is None or cached[0] != key:
-            cached = self._dump_cache = (key, _read_dump(*key))
-        return cached[1]
+        return _read_dump(self.features_file, self.workload.dimension)
 
 
 @frozen_slots
@@ -277,9 +277,7 @@ def simulate(
     max_queue_delay: Optional[float] = None,
 ) -> MetricsReport:
     """Run one trial over a fixed task list and return its metrics."""
-    if edge_slots < 1:
-        raise ValueError("edge_slots must be >= 1")
-    _check_max_queue_delay(max_queue_delay)
+    _check_run(mode, edge_slots, max_queue_delay)
     if mode is Mode.EDGE_WITH_REUSE and store is None:
         raise ValueError("EDGE_WITH_REUSE needs a reuse store")
     if not tasks:
@@ -386,6 +384,8 @@ _record_waiting = attrgetter("waiting_s")
 _record_finish = attrgetter("finish_s")
 _record_outcome = attrgetter("outcome")
 _record_correct = attrgetter("correct")
+# the report's float metrics, in declaration order
+_REPORT_FLOATS = tuple(f.name for f in fields(MetricsReport) if f.type == "float")
 
 
 def _aggregate(
@@ -404,6 +404,8 @@ def _aggregate(
     completion = np.array(completion_s)
     computation = np.fromiter(map(_record_computation, records), np.float64, n)
     waiting = np.fromiter(map(_record_waiting, records), np.float64, n)
+    with np.errstate(all="ignore"):  # an overflowed mean is rejected below
+        means = [float(column.mean()) for column in (completion, computation, waiting)]
     makespan = float(max(map(_record_finish, records)))
     counts = Counter(map(_record_outcome, records))
     n_full = counts[OutcomeKind.FULL_REUSE.value]
@@ -411,13 +413,13 @@ def _aggregate(
     n_edge = counts[OutcomeKind.EDGE_COMPUTE.value]
     n_cloud = counts[OutcomeKind.CLOUD_OFFLOAD.value]
     utilization = 100.0 * busy / (edge_slots * makespan) if makespan > 0 else 0.0
-    return MetricsReport(
+    report = MetricsReport(
         mode=mode,
         records=tuple(records),
-        mean_completion_s=float(completion.mean()),
+        mean_completion_s=means[0],
         p90_completion_s=p90(completion_s),
-        mean_computation_s=float(computation.mean()),
-        mean_waiting_s=float(waiting.mean()),
+        mean_computation_s=means[1],
+        mean_waiting_s=means[2],
         utilization_pct=utilization,
         load_cloud=n_cloud / n,
         load_edge=n_edge / n,
@@ -435,6 +437,13 @@ def _aggregate(
         n_cloud=n_cloud,
         workload_digest=digest,
     )
+    # a record's non-finite time makes its column's mean non-finite, so every
+    # overflow, in a record or in a sum, shows in the report's float metrics
+    for name in _REPORT_FLOATS:
+        value = getattr(report, name)
+        if not math.isfinite(value):
+            raise ValueError(f"simulated times overflowed: {name} is {value!r}")
+    return report
 
 
 def build_store(config: SimConfig, seed: int) -> ReuseStore:
@@ -450,7 +459,7 @@ def run(config: SimConfig, trial: int = 0) -> MetricsReport:
     seed = config.seed + trial
     spec = replace(config.workload, seed=seed)
     if config.features_file is not None:
-        tasks = _dump_tasks(*config._dump(), spec)
+        tasks = _dump_tasks(*config._dump, spec)
     else:
         tasks = generate(spec)
     store = build_store(config, seed) if config.mode is Mode.EDGE_WITH_REUSE else None

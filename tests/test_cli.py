@@ -6,13 +6,13 @@ import sys
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import Optional, get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reusesim import CostParams, TaskRecord, cli, run, simulate
+from reusesim import CostParams, SimConfig, TaskRecord, cli, run, simulate
 from reusesim.cli import (
     CONFIG_SCHEMA,
     SUMMARY_HEADER,
@@ -95,23 +95,46 @@ def test_config_bad_value(tmp_path):
         )
 
 
+def _float_keys() -> list[str]:
+    """Every config key whose field holds a float, an optional float or a pair."""
+    top = get_type_hints(SimConfig)
+    keys = []
+    for key in CONFIG_SCHEMA:
+        section, _, name = key.rpartition(".")
+        hint = get_type_hints(top[section])[name] if section else top[name]
+        if hint in (float, Optional[float], tuple[float, float]):
+            keys.append(key)
+    return keys
+
+
+_FLOAT_KEYS = _float_keys()
+
+
+def test_every_float_key_is_covered():
+    # 12 floats, 2 optional floats (max_queue_delay, store.decay_interval), 3 pairs
+    assert len(_FLOAT_KEYS) == 17
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
-        ("workload.arrival_rate", "nan"),
-        ("cost.cloud_bandwidth", "inf"),
-        ("store.tau_full", "nan"),
-        ("workload.input_size_range", "1,inf"),
-        ("max_queue_delay", "nan"),
+        (key, f"1,{bad}" if key.endswith("_range") else bad)
+        for key in _FLOAT_KEYS
+        for bad in ("nan", "inf")
     ],
 )
 def test_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    # the config's dataclasses own the finiteness rule of every float key
     cfg = write_config(tmp_path)
-    rc = main(["run", "-c", str(cfg), "--set", f"{key}={value}", "-d", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = main(["run", "-c", str(cfg), "--set", f"{key}={value}", "-d", str(out)])
     assert rc == 1
+    section, _, name = key.rpartition(".")
+    where = f"section {section!r}: " if section else ""
+    bad = value.rpartition(",")[2]
     err = capsys.readouterr().err
-    assert f"field {key!r}: must be a finite number" in err
-    assert not (tmp_path / "tasks.csv").exists()
+    assert err == f"config error: {where}{name} must be finite, got {bad}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -506,4 +529,24 @@ def test_a_malformed_dump_leaves_no_output_directory(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["run", "-c", str(cfg), "-d", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode,setting",
+    [
+        # an infinite transfer time, then inf - inf waiting
+        ("edge_no_reuse", "cost.edge_bandwidth=1e-320"),
+        # each service time finite, their sums not
+        ("edge_no_reuse", "cost.edge_capacity_rate=1e-305"),
+        # every task finite, only the mean overflows
+        ("cloud_only", "cost.cloud_capacity_rate=1e-305"),
+    ],
+)
+def test_a_run_whose_simulated_times_overflow_fails(tmp_path, capsys, mode, setting):
+    cfg = write_config(tmp_path, "workload.num_tasks = 20\ntrials = 1\n")
+    out = tmp_path / "out"
+    argv = ["run", "-c", str(cfg), "--set", f"mode={mode}", "--set", setting]
+    assert main([*argv, "-d", str(out)]) == 2
+    assert "error: simulated times overflowed: " in capsys.readouterr().err
     assert not out.exists()

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -332,8 +332,31 @@ def test_reuse_gain_halved_mean():
 @pytest.mark.parametrize("mode", list(Mode))
 def test_simulate_rejects_zero_edge_slots(flat_cost, mode):
     store = ReuseStore(dimension=2, seed=0)
-    with pytest.raises(ValueError, match="^edge_slots must be >= 1"):
+    with pytest.raises(ValueError, match="^edge_slots must be >= 1") as from_simulate:
         simulate([make_task()], mode, flat_cost, edge_slots=0, store=store)
+    # the same rule, with the same message, as the config's
+    with pytest.raises(ValueError) as from_config:
+        SimConfig(mode=mode, edge_slots=0)
+    assert str(from_simulate.value) == str(from_config.value)
+
+
+@pytest.mark.parametrize("mode", ["cloud_only", None])
+def test_a_mode_that_is_not_a_mode_is_rejected_before_any_work(
+    flat_cost, mode, monkeypatch
+):
+    import reusesim.sim as sim
+
+    def no_work(tasks):
+        raise AssertionError("simulate started work before checking its arguments")
+
+    monkeypatch.setattr(sim, "workload_digest", no_work)
+    store = ReuseStore(dimension=2, seed=0)
+    with pytest.raises(ValueError, match="^mode must be a Mode") as from_simulate:
+        simulate([make_task()], mode, flat_cost, store=store)
+    assert store.stats() == {}
+    with pytest.raises(ValueError) as from_config:
+        SimConfig(mode=mode)
+    assert str(from_simulate.value) == str(from_config.value)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -461,13 +484,33 @@ def test_a_dump_rewritten_after_the_first_trial_changes_no_later_trial(tmp_path)
     assert labels == [["a", "b"]] * 3
 
 
-def test_a_config_whose_dump_or_dimension_changes_reads_the_dump_again(tmp_path):
+def test_a_config_is_frozen(tmp_path):
+    dump, config = _dump_config(tmp_path, ["a,1.0,2.0", "b,3.0,4.0"])
+    with pytest.raises(FrozenInstanceError):
+        config.features_file = str(dump)
+    with pytest.raises(FrozenInstanceError):
+        config.workload = replace(config.workload, dimension=3)
+
+
+def test_a_replaced_config_reads_the_dump_again(tmp_path):
     dump, config = _dump_config(tmp_path, ["a,1.0,2.0", "b,3.0,4.0"])
     assert [r.label for r in run(config, 0).records] == ["a", "b"]
     other = tmp_path / "other.csv"
-    other.write_text("x,1.0,2.0,3.0\n", encoding="utf-8")
-    config.features_file = str(other)
-    with pytest.raises(WorkloadFileError, match="expected 2 feature values"):
-        run(config, 1)
-    config.workload = replace(config.workload, dimension=3)
-    assert [r.label for r in run(config, 1).records] == ["x"]
+    other.write_text("x,1.0,2.0\n", encoding="utf-8")
+    moved = replace(config, features_file=str(other))
+    assert [r.label for r in run(moved, 0).records] == ["x"]
+    wider = replace(config, workload=replace(config.workload, dimension=3))
+    with pytest.raises(WorkloadFileError, match="expected 3 feature values"):
+        run(wider, 0)
+    # the original keeps its own parse
+    assert [r.label for r in run(config, 1).records] == ["a", "b"]
+
+
+@pytest.mark.parametrize("mode", [Mode.CLOUD_ONLY, Mode.EDGE_NO_REUSE])
+def test_simulate_rejects_simulated_times_that_overflow(mode):
+    # an input sent over a subnormal bandwidth takes an infinite time
+    cost = CostParams(edge_bandwidth=1e-320, cloud_bandwidth=1e-320)
+    with pytest.raises(
+        ValueError, match="^simulated times overflowed: mean_completion_s is inf$"
+    ):
+        simulate([make_task()], mode, cost)
