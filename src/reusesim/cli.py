@@ -33,7 +33,7 @@ from .sim import (
     reuse_gain,
     run,
 )
-from .workload import BASE_NORM, WorkloadSpec, redundancy_ramp
+from .workload import BASE_NORM, WorkloadSpec, _text_lines, redundancy_ramp
 
 SCENARIOS = ("completion", "computation", "waiting", "utilization", "load", "gain")
 
@@ -125,24 +125,30 @@ def _derive_schema() -> dict[str, tuple[Callable[[str], object], object]]:
 CONFIG_SCHEMA = _derive_schema()
 
 
+def _assignment(text: str, where: str) -> tuple[str, str]:
+    """The key and value of one ``key = value``; errors start with ``where``."""
+    key, eq, value = text.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value'")
+    if key not in CONFIG_SCHEMA:
+        raise ConfigError(f"{where}: unknown field {key!r}")
+    return key, value.strip()
+
+
 def parse_config_file(path) -> dict[str, str]:
     raw: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        for lineno, line in _text_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, value = _assignment(line, f"line {lineno}")
+            if key in raw:
+                raise ConfigError(f"line {lineno}: duplicate field {key!r}")
+            raw[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown field {key!r}")
-        if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate field {key!r}")
-        raw[key] = value
     return raw
 
 
@@ -175,13 +181,10 @@ def build_config(raw: dict[str, str]) -> SimConfig:
 
 
 def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]:
+    """``raw`` with each ``key=value`` applied in order; a later one wins."""
     out = dict(raw)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"override names unknown field {key!r}")
+        key, value = _assignment(item, f"override {item!r}")
         out[key] = value
     return out
 
@@ -276,14 +279,22 @@ def cmd_run(config_path, overrides, outdir) -> int:
         if trial == 0:  # tasks.csv holds trial 0's records
             tasks_text = tasks_csv_text(report)
         del report  # one trial's records at a time
-    # written only once every trial has run, so a failed trial leaves no CSV
-    # and no directory
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "tasks.csv").write_text(tasks_text, encoding="utf-8")
-    (outdir / "summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    summary_text = "\n".join(rows) + "\n"
+    _write_csvs(outdir, {"tasks.csv": tasks_text, "summary.csv": summary_text})
     print(rows[1])
     return 0
+
+
+def _write_csvs(outdir, texts: dict[str, str]) -> None:
+    """Create ``outdir`` and write each text into the file it is named by.
+
+    A command calls this once all its runs have returned, so a failed run
+    leaves no CSV and no directory.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (outdir / name).write_text(text, encoding="utf-8")
 
 
 def _p90_row(
@@ -314,27 +325,25 @@ def cmd_sweep(scenario: str, outdir, seed: int, trials: int) -> int:
         ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"sweep_{scenario}.csv"
     # the no-reuse runs come before the reuse runs whose gains pair with them
     plain: dict[tuple[int, int], MetricsReport] = {}
-    with path.open("w", encoding="utf-8") as out:
-        out.write(SUMMARY_HEADER + "\n")
-        for config in grid:
-            n, redundancy = config.workload.num_tasks, config.workload.redundancy_rate
-            runs = []
-            for trial in range(config.trials):
-                report = run(config, trial)
-                gain = None
-                if config.mode is Mode.EDGE_NO_REUSE:
-                    plain[n, trial] = report
-                elif config.mode is Mode.EDGE_WITH_REUSE:
-                    gain = reuse_gain(report, plain.pop((n, trial)))
-                out.write(summary_row(report, n, redundancy, trial, gain) + "\n")
-                runs.append(_metrics(report, gain))
-            out.write(_p90_row(config.mode, n, redundancy, runs) + "\n")
-    print(f"wrote {path}")
+    rows = [SUMMARY_HEADER]
+    for config in grid:
+        n, redundancy = config.workload.num_tasks, config.workload.redundancy_rate
+        runs = []
+        for trial in range(config.trials):
+            report = run(config, trial)
+            gain = None
+            if config.mode is Mode.EDGE_NO_REUSE:
+                plain[n, trial] = report
+            elif config.mode is Mode.EDGE_WITH_REUSE:
+                gain = reuse_gain(report, plain.pop((n, trial)))
+            rows.append(summary_row(report, n, redundancy, trial, gain))
+            runs.append(_metrics(report, gain))
+        rows.append(_p90_row(config.mode, n, redundancy, runs))
+    name = f"sweep_{scenario}.csv"
+    _write_csvs(outdir, {name: "\n".join(rows) + "\n"})
+    print(f"wrote {Path(outdir) / name}")
     return 0
 
 

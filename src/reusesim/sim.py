@@ -331,6 +331,13 @@ def simulate(
             sum_time_in_system += now - recv
             continue
         now, _, kind, payload = heappop(heap)
+        if not now < math.inf and store is not None:
+            # the store would refuse this clock without naming the task; with
+            # no store nothing reads it, and _aggregate names what overflowed
+            task = payload if kind == _RECV else payload[0]
+            raise ValueError(
+                f"simulated times overflowed: task {task.id} has an event at {now!r}"
+            )
         area += (len(queue) + running) * (now - last_event)
         last_event = now
         if kind == _RECV:

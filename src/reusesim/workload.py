@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -158,11 +158,26 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
     line is the header when it has feature fields and none of them parses
     as a float, and a record otherwise.  A header must name ``dimension``
     features.  A record's label must not hold a double quote, which would
-    corrupt ``tasks.csv``.  Labels and features come from the file; arrival
-    times, sizes, and complexities are the ones ``generate`` draws for the
-    spec with the file's record count.
+    corrupt ``tasks.csv``.  A leading byte-order mark is ignored.  Labels
+    and features come from the file; arrival times, sizes, and complexities
+    are the ones ``generate`` draws for the spec with the file's record
+    count.
     """
     return _dump_tasks(*_read_dump(path, spec.dimension), spec)
+
+
+def _text_lines(path) -> Iterator[tuple[int, str]]:
+    """The numbered, stripped, non-blank lines of a UTF-8 text file.
+
+    A leading byte-order mark is dropped.  A line ends at ``\\n``, ``\\r\\n``
+    or ``\\r``.  A caller that leaves its loop early, say at a malformed
+    line, drops the generator, and that closes the file.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line:
+                yield lineno, line
 
 
 def _read_dump(path, dimension: int) -> tuple[list[str], np.ndarray]:
@@ -170,39 +185,33 @@ def _read_dump(path, dimension: int) -> tuple[list[str], np.ndarray]:
     labels: list[str] = []
     rows: list[tuple[float, ...]] = []
     first = True
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            may_be_header, first = first, False
-            label, *fields = line.split(",")
-            try:
-                values = tuple(map(float, fields))
-            except ValueError:
-                if not may_be_header or any(map(_parses, fields)):
-                    raise WorkloadFileError(
-                        f"line {lineno}: non-numeric feature value"
-                    ) from None
-                if len(fields) != dimension:
-                    raise WorkloadFileError(
-                        f"line {lineno}: header names {len(fields)} features, "
-                        f"expected {dimension}"
-                    ) from None
-                continue  # header row
-            if len(values) != dimension:
+    for lineno, line in _text_lines(path):
+        may_be_header, first = first, False
+        label, *fields = line.split(",")
+        try:
+            values = tuple(map(float, fields))
+        except ValueError:
+            if not may_be_header or any(map(_parses, fields)):
                 raise WorkloadFileError(
-                    f"line {lineno}: expected {dimension} feature values, "
-                    f"got {len(values)}"
-                )
-            if not all(map(math.isfinite, values)):
-                raise WorkloadFileError(f"line {lineno}: non-finite feature value")
-            if not CSV_UNSAFE.isdisjoint(label):
+                    f"line {lineno}: non-numeric feature value"
+                ) from None
+            if len(fields) != dimension:
                 raise WorkloadFileError(
-                    f'line {lineno}: label must not hold , " CR or LF'
-                )
-            labels.append(label)
-            rows.append(values)
+                    f"line {lineno}: header names {len(fields)} features, "
+                    f"expected {dimension}"
+                ) from None
+            continue  # header row
+        if len(values) != dimension:
+            raise WorkloadFileError(
+                f"line {lineno}: expected {dimension} feature values, "
+                f"got {len(values)}"
+            )
+        if not all(map(math.isfinite, values)):
+            raise WorkloadFileError(f"line {lineno}: non-finite feature value")
+        if not CSV_UNSAFE.isdisjoint(label):
+            raise WorkloadFileError(f'line {lineno}: label must not hold , " CR or LF')
+        labels.append(label)
+        rows.append(values)
     # a matrix that owns its data, so the read-only flag tasks_from_columns
     # sets covers it (a reshape view would leave its owner writable)
     if rows:

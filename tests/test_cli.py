@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -12,7 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reusesim import CostParams, SimConfig, TaskRecord, cli, run, simulate
+from reusesim import (
+    CostParams,
+    SimConfig,
+    TaskRecord,
+    WorkloadFileError,
+    WorkloadSpec,
+    cli,
+    ingest,
+    run,
+    simulate,
+)
 from reusesim.cli import (
     CONFIG_SCHEMA,
     SUMMARY_HEADER,
@@ -79,6 +91,32 @@ def test_config_duplicate_field_names_its_line(tmp_path):
     text = "mode = cloud_only\nseed = 1\n\nseed = 2\n"
     with pytest.raises(ConfigError, match="^line 4: duplicate field 'seed'$"):
         parse_config_file(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "assignment,problem",
+    [
+        ("nope = 1", "unknown field 'nope'"),
+        ("= 1", "unknown field ''"),
+        ("seed", "expected 'key = value'"),
+        ("seed 1", "expected 'key = value'"),
+    ],
+)
+def test_a_bad_assignment_reads_alike_in_a_file_and_in_set(tmp_path, assignment, problem):
+    cfg = write_config(tmp_path, f"mode = cloud_only\n{assignment}\n")
+    with pytest.raises(ConfigError) as in_file:
+        parse_config_file(cfg)
+    with pytest.raises(ConfigError) as in_set:
+        apply_overrides({}, [assignment])
+    assert str(in_file.value) == f"line 2: {problem}"
+    assert str(in_set.value) == f"override {assignment!r}: {problem}"
+
+
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    plain = parse_config_file(write_config(tmp_path, MINIMAL))
+    marked = tmp_path / "marked.conf"
+    marked.write_text("\ufeff" + MINIMAL, encoding="utf-8")
+    assert parse_config_file(marked) == plain
 
 
 def test_set_overrides_a_field_of_the_file(tmp_path):
@@ -290,6 +328,57 @@ def test_run_ingests_feature_dump(tmp_path):
     assert [r[2] for r in rows] == ["a", "b", "a"]
 
 
+def test_a_feature_dump_may_start_with_a_byte_order_mark(tmp_path):
+    # without the mark dropped, the first label is '\ufeffobj-1', another
+    # object, so 29 of 30 results would be wrong
+    outs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        dump = tmp_path / f"{encoding}.csv"
+        dump.write_text("obj-1,1.0,2.0\n" * 30, encoding=encoding)
+        cfg = write_config(
+            tmp_path,
+            "mode = edge_with_reuse\n"
+            f"features_file = {dump}\n"
+            "workload.dimension = 2\n"
+            "workload.arrival_rate = 0.5\n"
+            "trials = 1\n",
+        )
+        outs.append(tmp_path / encoding)
+        assert main(["run", "-c", str(cfg), "-d", str(outs[-1])]) == 0
+    header, rows = parse_csv(outs[1] / "summary.csv")
+    assert rows[0][header.index("correctness")] == "1"
+    for name in ("tasks.csv", "summary.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "read,text,error",
+    [
+        (
+            lambda path: ingest(path, WorkloadSpec(dimension=2)),
+            "a,1.0,2.0\nb,x,2.0\nc,1.0,2.0\n",
+            WorkloadFileError,
+        ),
+        (parse_config_file, "mode = cloud_only\nnope = 1\nseed = 2\n", ConfigError),
+    ],
+    ids=["feature dump", "config file"],
+)
+def test_a_reader_stopped_at_a_malformed_line_closes_its_file(
+    tmp_path, monkeypatch, read, text, error
+):
+    # an unclosed file would warn only when collected, through sys.unraisablehook
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="^line 2: "):
+            read(path)
+        gc.collect()
+    assert unraisable == []
+
+
 def test_sweep_row_counts(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "completion", "-d", str(out), "--trials", "2"]) == 0
@@ -499,6 +588,22 @@ def test_a_failed_trial_leaves_no_csv(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_a_failed_sweep_run_leaves_no_csv(tmp_path, monkeypatch):
+    calls = []
+
+    def run_failing_call_25(config, trial=0):
+        calls.append(trial)
+        if len(calls) == 25:
+            raise ValueError("run 25 failed")
+        return run(config, trial)
+
+    monkeypatch.setattr(cli, "run", run_failing_call_25)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "completion", "-d", str(out), "--trials", "2"]) == 2
+    assert len(calls) == 25
+    assert not out.exists()
+
+
 def test_run_holds_one_trial_report_at_a_time(tmp_path, monkeypatch):
     alive = []
 
@@ -541,6 +646,10 @@ def test_a_malformed_dump_leaves_no_output_directory(tmp_path):
         ("edge_no_reuse", "cost.edge_capacity_rate=1e-305"),
         # every task finite, only the mean overflows
         ("cloud_only", "cost.cloud_capacity_rate=1e-305"),
+        # an infinite reception time, then an infinite finish time, each
+        # rejected before the store sees it
+        ("edge_with_reuse", "cost.edge_bandwidth=1e-320"),
+        ("edge_with_reuse", "cost.edge_capacity_rate=1e-307"),
     ],
 )
 def test_a_run_whose_simulated_times_overflow_fails(tmp_path, capsys, mode, setting):
