@@ -139,7 +139,7 @@ def _assignment(text: str, where: str) -> tuple[str, str]:
 def parse_config_file(path) -> dict[str, str]:
     raw: dict[str, str] = {}
     try:
-        for lineno, line in _text_lines(path):
+        for lineno, line in _text_lines(path, ConfigError):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

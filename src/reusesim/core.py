@@ -76,16 +76,24 @@ class DimensionMismatch(ValueError):
 def require_finite(name: str, *values: Optional[float]) -> None:
     """Raise ``ValueError`` naming ``name`` if a value is NaN or infinite.
 
-    ``None`` (an unset optional field) passes.
+    ``None`` (an unset optional field) passes.  An int too large for a float
+    is not finite.
     """
-    for value in values:
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    try:
+        for value in values:
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int too large for a float") from None
 
 
 def _require_finite_fields(names: Iterable[str], values: Collection[float]) -> None:
     """``require_finite`` on each named value, in one C-level pass when all are finite."""
-    if not all(map(math.isfinite, values)):
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        finite = False
+    if not finite:
         for name, value in zip(names, values):
             require_finite(name, value)
 

@@ -22,16 +22,22 @@ derived, idempotent cache on a value type; they may still run concurrently,
 since two reads of one vector write the same keys.  ``insert``/``remove``
 need exclusive access.
 
-Each bucket maps the ids it holds to their rows of the index's matrix, so
-a query gathers its candidates' rows from one dict.  It reads their ids only
-when the smallest distance is tied; otherwise the winner's id is the key at
-its row's position in that dict.
+Each bucket packs the rows of the index's matrix that hold its entries as
+native int64s: a bucket of one row is that row's 8 bytes, and a larger one
+an ``array.array("q")``.  A query joins the addressed buckets' bytes and
+gathers its candidates' rows with one copy, building no union.  A row held
+by several addressed buckets is listed once for each of them and ranked
+once per listing at the same distance, so the duplicates change neither
+the winner nor its distance.  Ids are read only to name the winner, the
+smallest id among the rows at the smallest distance.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -39,8 +45,12 @@ from .core import FeatureVector, require_dimension
 
 INITIAL_ROWS = 64
 
-# what an unaddressed bucket contributes to a candidate set; never written
-_NO_BUCKET: dict[int, int] = {}
+# what an unaddressed bucket contributes to a candidate set
+_NO_BUCKET = b""
+# the candidate rows of a query that addresses no bucket; read-only, like
+# the arrays ``np.frombuffer`` makes over a join's bytes
+_NO_ROWS = np.empty(0, np.int64)
+_NO_ROWS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -74,13 +84,14 @@ class LshIndex:
         self._proj = planes.reshape(-1, dimension)
         self._bit_weights = 1 << np.arange(bits, dtype=np.int64)
         # Stored vectors are rows of one matrix that doubles when full; rows
-        # freed by ``remove`` are reused.  Each id maps to the per-table keys
-        # computed at insert, and each bucket maps the ids it holds to their
-        # rows.
-        self._tables: list[dict[int, dict[int, int]]] = [{} for _ in range(tables)]
+        # freed by ``remove`` are reused.  Each id maps to its row and the
+        # per-table keys computed at insert, ``_id_of_row`` names the id
+        # each row in use holds, and each bucket lists the rows it holds.
+        self._tables: list[dict[int, bytes | array]] = [{} for _ in range(tables)]
         self._matrix = np.empty((INITIAL_ROWS, dimension))
         self._free_rows: list[int] = []
-        self._keys_of: dict[int, tuple[int, ...]] = {}
+        self._keys_of: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._id_of_row: list[int] = []
 
     def __len__(self) -> int:
         return len(self._keys_of)
@@ -108,43 +119,51 @@ class LshIndex:
         keys = self.signature(v)  # v's shape is checked where its keys are computed
         if self._free_rows:
             row = self._free_rows.pop()
+            self._id_of_row[row] = entry_id
         else:
             row = len(self._keys_of)  # every row below is in use
             if row == len(self._matrix):
                 grown = np.empty((2 * row, self.dimension))
                 grown[:row] = self._matrix
                 self._matrix = grown
+            self._id_of_row.append(entry_id)
         self._matrix[row] = v._array
-        self._keys_of[entry_id] = keys
+        self._keys_of[entry_id] = (row, keys)
+        # a new bucket is the row's bytes, shared by all the tables it opens in,
+        # so it costs no allocation; a second row turns a bucket into an array
+        packed = row.to_bytes(8, sys.byteorder)
         for table, key in zip(self._tables, keys):
             bucket = table.get(key)
             if bucket is None:
-                table[key] = {entry_id: row}
+                table[key] = packed
+            elif type(bucket) is bytes:
+                table[key] = array("q", bucket + packed)
             else:
-                bucket[entry_id] = row
+                bucket.append(row)
 
     def remove(self, entry_id: int) -> None:
-        keys = self._keys_of.pop(entry_id, None)
-        if keys is None:
+        found = self._keys_of.pop(entry_id, None)
+        if found is None:
             raise KeyError(f"unknown entry id {entry_id}")
+        row, keys = found
         for table, key in zip(self._tables, keys):
             bucket = table[key]
-            row = bucket.pop(entry_id)  # the same row in every bucket
-            if not bucket:
+            if type(bucket) is bytes or len(bucket) == 1:
                 del table[key]
+            else:
+                bucket.remove(row)
         self._free_rows.append(row)
 
-    def candidate_ids(self, q: FeatureVector) -> dict[int, int]:
-        """Union of the buckets addressed by the query's signature.
+    def candidate_ids(self, q: FeatureVector) -> np.ndarray:
+        """The rows of ``_matrix`` that the buckets addressed by the query hold.
 
-        A new dict that maps each candidate id to its row of ``_matrix``.
+        A read-only int64 array, in table order, that lists a row once for
+        each addressed bucket holding it.
         """
-        cands: dict[int, int] = {}
-        add = cands.update
-        keys = self.signature(q)
-        for bucket in map(dict.get, self._tables, keys, repeat(_NO_BUCKET)):
-            add(bucket)
-        return cands
+        packed = b"".join(map(dict.get, self._tables, self.signature(q), repeat(_NO_BUCKET)))
+        if not packed:
+            return _NO_ROWS
+        return np.frombuffer(packed, np.int64)
 
     def query(self, q: FeatureVector) -> list[tuple[int, float]]:
         """The nearest candidate from the addressed buckets.
@@ -153,23 +172,20 @@ class LshIndex:
         smallest distance (ties go to the smallest id), or ``[]`` when no
         addressed bucket holds a candidate.
         """
-        cands = self.candidate_ids(q)
-        n = len(cands)
-        if not n:
+        rows = self.candidate_ids(q)
+        if not len(rows):
             return []
         # in place, but the same elementwise steps (hence the same floats) as
         # sqrt(((stacked - q) ** 2).sum(axis=1)): ``ndarray.sum`` is
         # ``np.add.reduce``; ``signature`` checked q's shape
-        diff = self._matrix.take(np.fromiter(cands.values(), np.intp, n), axis=0)
+        diff = self._matrix.take(rows, axis=0)
         diff -= q._array
         diff *= diff
         dists = np.add.reduce(diff, axis=1)
         np.sqrt(dists, out=dists)
         best = dists.argmin()
         dist = dists[best]
-        tied = dists == dist
-        if np.count_nonzero(tied) > 1:
-            best_id = min(compress(cands, tied.tolist()))
-        else:  # the winner's id sits at its row's position among the candidates
-            best_id = next(islice(cands, best, None))
+        # the smallest id among the rows at that distance: usually one row,
+        # listed once for each addressed bucket that holds it
+        best_id = min(map(self._id_of_row.__getitem__, rows[dists == dist].tolist()))
         return [(best_id, float(dist))]

@@ -23,6 +23,7 @@ tasks into repeats.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
@@ -34,6 +35,9 @@ BASE_NORM = 10.0
 
 # what a tasks.csv cell cannot hold: the separator, the quote and line ends
 CSV_UNSAFE = frozenset(',"\r\n')
+# what the ``surrogateescape`` error handler decodes a byte that is not
+# valid UTF-8 to
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 class WorkloadFileError(ValueError):
@@ -166,17 +170,27 @@ def ingest(path, spec: WorkloadSpec) -> list[Task]:
     return _dump_tasks(*_read_dump(path, spec.dimension), spec)
 
 
-def _text_lines(path) -> Iterator[tuple[int, str]]:
+def _text_lines(path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
     """The numbered, stripped, non-blank lines of a UTF-8 text file.
 
     A leading byte-order mark is dropped.  A line ends at ``\\n``, ``\\r\\n``
-    or ``\\r``.  A caller that leaves its loop early, say at a malformed
-    line, drops the generator, and that closes the file.
+    or ``\\r``.  A line that is not valid UTF-8 raises ``error`` naming the
+    line.  A caller that leaves its loop early, say at a malformed line,
+    drops the generator, and that closes the file.
     """
-    with open(path, encoding="utf-8-sig") as fh:
+    # Each byte that is not valid UTF-8 decodes to a lone surrogate, and no
+    # line end is one of those bytes, so the lines split as the bytes do and
+    # a bad byte is reported on its own line, not where the decoder's
+    # read-ahead meets it.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line:
+                if not line.isascii() and (bad := _UNDECODED.search(line)):
+                    raise error(
+                        f"line {lineno}: byte 0x{ord(bad[0]) - 0xDC00:02x} "
+                        "is not valid UTF-8"
+                    )
                 yield lineno, line
 
 
@@ -185,7 +199,7 @@ def _read_dump(path, dimension: int) -> tuple[list[str], np.ndarray]:
     labels: list[str] = []
     rows: list[tuple[float, ...]] = []
     first = True
-    for lineno, line in _text_lines(path):
+    for lineno, line in _text_lines(path, WorkloadFileError):
         may_be_header, first = first, False
         label, *fields = line.split(",")
         try:

@@ -351,6 +351,54 @@ def test_a_feature_dump_may_start_with_a_byte_order_mark(tmp_path):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
+# a line past the first 8 KB, which the decoder reads ahead of the lines
+@pytest.mark.parametrize("bad_line", [1, 300], ids=["line-1", "past-8-KB"])
+def test_a_config_file_that_is_not_utf8_fails_on_its_line(tmp_path, capsys, bad_line):
+    lines = [f"# comment {i:04d}, caf\u00e9 ".encode() + b"x" * 40 for i in range(400)]
+    lines[bad_line - 1] = b"# latin-1 caf\xe9"
+    lines[-1] = MINIMAL.encode()
+    cfg = tmp_path / "exp.conf"
+    cfg.write_bytes(b"\n".join(lines))
+    assert cfg.stat().st_size > 8192 * 2
+    assert main(["run", "-c", str(cfg), "-d", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: line {bad_line}: byte 0xe9 is not valid UTF-8\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad_line", [1, 300], ids=["line-1", "past-8-KB"])
+def test_a_feature_dump_that_is_not_utf8_fails_on_its_line(tmp_path, capsys, bad_line):
+    rows = [f"caf\u00e9-{i % 7},1.0,2.0\r\n" for i in range(600)]
+    rows[bad_line - 1] = "obj-\udcff,1.0,2.0\r\n"  # the lone byte 0xff
+    dump = tmp_path / "dump.csv"
+    dump.write_bytes("".join(rows).encode("utf-8", "surrogateescape"))
+    assert dump.stat().st_size > 8192
+    with pytest.raises(WorkloadFileError, match=f"^line {bad_line}: byte 0xff "):
+        ingest(dump, WorkloadSpec(dimension=2))
+    cfg = write_config(
+        tmp_path,
+        f"mode = edge_with_reuse\nfeatures_file = {dump}\nworkload.dimension = 2\n",
+    )
+    assert main(["run", "-c", str(cfg), "-d", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line {bad_line}: byte 0xff is not valid UTF-8\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["cost.cloud_hops", "cost.edge_hops"])
+def test_an_int_too_large_for_a_float_is_not_finite(tmp_path, capsys, key):
+    cfg = write_config(tmp_path)
+    huge = f"{key}={'1' * 401}"
+    assert main(["run", "-c", str(cfg), "-s", huge, "-d", str(tmp_path / "out")]) == 1
+    name = key.partition(".")[2]
+    assert capsys.readouterr().err == (
+        f"config error: section 'cost': {name} must be finite, "
+        "got an int too large for a float\n"
+    )
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        CostParams(**{name: 10**400})
+
+
 @pytest.mark.parametrize(
     "read,text,error",
     [

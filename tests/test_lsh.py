@@ -98,9 +98,19 @@ def test_collision_rate_monotone_in_angle():
     assert all(r1 >= r2 for r1, r2 in zip(rates, rates[1:]))
 
 
+def _rows_in(bucket):
+    """The matrix rows one bucket holds, in its order."""
+    return np.frombuffer(bucket, np.int64).tolist()
+
+
 def _bucket_refs(idx):
-    """How many ids the index's buckets hold, summed over its tables."""
-    return sum(len(bucket) for table in idx._tables for bucket in table.values())
+    """How many rows the index's buckets hold, summed over its tables."""
+    return sum(len(_rows_in(bucket)) for table in idx._tables for bucket in table.values())
+
+
+def _candidate_ids(idx, q):
+    """The ids whose rows ``candidate_ids`` lists for ``q``."""
+    return {idx._id_of_row[row] for row in idx.candidate_ids(q).tolist()}
 
 
 def _filled_index(n=50, d=16, seed=5):
@@ -129,7 +139,7 @@ def test_identical_vectors_share_buckets():
     v = FeatureVector(np.arange(8, dtype=float))
     idx.insert(1, v)
     idx.insert(2, FeatureVector(v.values))
-    assert idx.candidate_ids(v).keys() == frozenset({1, 2})
+    assert _candidate_ids(idx, v) == {1, 2}
 
 
 def test_insert_duplicate_id_rejected():
@@ -178,7 +188,7 @@ def test_remove():
     idx, vectors = _filled_index(n=10)
     idx.remove(3)
     assert len(idx) == 9
-    assert all(3 not in idx.candidate_ids(vectors[k]) for k in range(10))
+    assert all(3 not in _candidate_ids(idx, vectors[k]) for k in range(10))
     for i in range(10):
         if i != 3:
             idx.remove(i)
@@ -194,7 +204,8 @@ def test_remove_unknown_id():
 
 def test_candidate_set_is_exact_bucket_union():
     # exhaustive recall oracle on <= 500 entries: every entry sharing at
-    # least one per-table key with the query is a candidate, nothing else.
+    # least one per-table key with the query is a candidate, nothing else,
+    # listed once per shared key.
     d = 12
     idx = LshIndex(LshSettings(num_tables=5, bits_per_table=4), d, 77)
     rng = np.random.default_rng(77)
@@ -204,12 +215,12 @@ def test_candidate_set_is_exact_bucket_union():
     for qi in range(0, 500, 50):
         q = vectors[qi]
         kq = idx.signature(q)
-        expected = {
-            i
+        shared = {
+            i: sum(a == b for a, b in zip(idx.signature(vectors[i]), kq))
             for i in range(500)
-            if any(a == b for a, b in zip(idx.signature(vectors[i]), kq))
         }
-        assert idx.candidate_ids(q).keys() == expected
+        assert _candidate_ids(idx, q) == {i for i, n in shared.items() if n}
+        assert len(idx.candidate_ids(q)) == sum(shared.values())
 
 
 def test_candidate_scan_scaling_reported():
@@ -238,12 +249,14 @@ def test_candidate_scan_scaling_reported():
 
 
 def _row(idx, entry_id):
-    """The row of ``idx``'s matrix that holds ``entry_id``, read from its buckets.
+    """The row of ``idx``'s matrix that holds ``entry_id``.
 
-    Every bucket that holds the id must give the same row.
+    The row must name the id, and every bucket the id's keys address must
+    hold the row once.
     """
-    keys = idx._keys_of[entry_id]
-    (row,) = {table[key][entry_id] for table, key in zip(idx._tables, keys)}
+    row, keys = idx._keys_of[entry_id]
+    assert idx._id_of_row[row] == entry_id
+    assert all(_rows_in(table[key]).count(row) == 1 for table, key in zip(idx._tables, keys))
     return row
 
 
@@ -282,7 +295,7 @@ def test_query_distances_match_stacked_brute_force():
     rng = np.random.default_rng(9)
     randoms = [FeatureVector(row) for row in rng.standard_normal((20, 16))]
     for q in vectors[::7] + randoms:
-        ids = sorted(idx.candidate_ids(q))
+        ids = sorted(_candidate_ids(idx, q))
         stacked = np.stack([np.asarray(stored[i].values) for i in ids])
         dists = np.sqrt(((stacked - np.asarray(q.values)) ** 2).sum(axis=1)).tolist()
         expected = min(zip(ids, dists), key=lambda p: (p[1], p[0]))
@@ -547,7 +560,59 @@ def test_read_path_matches_reference(scenario):
         else:
             q = pool[args[0]]
             assert idx.signature(q) == ref.signature(q)
-            cands = idx.candidate_ids(q)
-            assert cands.keys() == ref.candidate_ids(q)
-            assert cands == {i: _row(idx, i) for i in cands}
+            assert _candidate_ids(idx, q) == ref.candidate_ids(q)
+            # each candidate's row, once per addressed bucket that holds it
+            memberships = [
+                _row(idx, i)
+                for table, key in zip(ref.tables, ref.signature(q))
+                for i in table.get(key, ())
+            ]
+            assert sorted(idx.candidate_ids(q).tolist()) == sorted(memberships)
             assert idx.query(q) == ref.query(q)[:1]
+
+
+def test_a_smaller_id_wins_a_tie_with_an_entry_in_every_addressed_bucket():
+    # ``far`` shares every key with the query and is inserted first, so its
+    # row leads the candidate rows and is listed once per table; ``near``
+    # lies at the same distance (exactly 1) under a smaller id and is
+    # listed in some of the addressed buckets but not the first
+    q, far, near = (FeatureVector(v) for v in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]))
+    lsh = LshSettings(num_tables=4, bits_per_table=1)
+    for seed in range(1000):
+        idx = LshIndex(lsh, 2, seed)
+        shared = [a == b for a, b in zip(idx.signature(near), idx.signature(q))]
+        if idx.signature(far) == idx.signature(q) and any(shared) and not shared[0]:
+            break
+    else:
+        pytest.fail("no seed puts the entries in the buckets this test needs")
+    idx.insert(9, far)
+    idx.insert(2, near)
+    rows = idx.candidate_ids(q).tolist()
+    assert rows[0] == _row(idx, 9) and rows.count(_row(idx, 9)) == 4
+    assert 0 < rows.count(_row(idx, 2)) < 4
+    assert idx.query(q) == [(2, 1.0)]
+
+
+def test_a_freed_row_leaves_every_bucket_and_is_reused():
+    idx, vectors = _filled_index(n=30)
+    ref = ReferenceLsh(idx)
+    for i, v in enumerate(vectors):
+        ref.insert(i, v)
+    freed = _row(idx, 3)
+    idx.remove(3)
+    ref.remove(3)
+    assert all(
+        freed not in _rows_in(bucket) for table in idx._tables for bucket in table.values()
+    )
+    moved = FeatureVector(np.negative(vectors[3].values))  # other keys than id 3's
+    assert idx.signature(moved) != idx.signature(vectors[3])
+    idx.insert(100, moved)
+    ref.insert(100, moved)
+    assert _row(idx, 100) == freed
+    holders = [
+        key for table in idx._tables for key, bucket in table.items() if freed in _rows_in(bucket)
+    ]
+    assert holders == list(idx.signature(moved))
+    for q in [*vectors, moved]:
+        assert _candidate_ids(idx, q) == ref.candidate_ids(q)
+        assert idx.query(q) == ref.query(q)[:1]
