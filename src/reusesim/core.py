@@ -1,13 +1,14 @@
 """Shared value types: feature vectors, tasks, cost parameters, outcomes.
 
 Everything here is an immutable value type after construction and safe to
-share between threads.  The one exception is a derived cache: an
-``LshIndex`` that hashes a ``FeatureVector`` writes the bucket keys it
-computed into the vector, so a read may write that cache.  The write is
-idempotent (the same index always computes the same keys) and the cache
-takes no part in equality, hashing, ``repr`` or pickling.
-``tasks_from_columns`` builds many tasks at once from checked columns, each
-task's feature vector a read-only row of one feature matrix.
+share between threads.  The one exception is a derived cache: each
+``FeatureVector`` is a row of a feature block, and an ``LshIndex`` that
+hashes a row writes the bucket keys of its whole chunk into the block, so a
+read may write that cache.  The writes are idempotent (the same index always
+computes the same keys) and the cache takes no part in equality, hashing,
+``repr`` or pickling.  ``tasks_from_columns`` builds many tasks at once from
+checked columns, each task's feature vector a read-only row of one feature
+matrix, which is one block.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from enum import Enum
 from itertools import count
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -98,6 +100,24 @@ def _require_finite_fields(names: Iterable[str], values: Collection[float]) -> N
             require_finite(name, value)
 
 
+class _FeatureBlock:
+    """Feature rows that an ``LshIndex`` hashes together.
+
+    ``matrix`` is a read-only float64 matrix; each vector of the block is a
+    view of one of its rows.  ``keys`` maps each live ``LshIndex`` that
+    hashed rows of the block to a list with one entry per row: that row's
+    keys, or None until the index hashes the row's chunk.  It holds the
+    indexes weakly, so the tasks of a run keep no store's index alive.
+    """
+
+    __slots__ = ("matrix", "keys")
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+        self.keys: WeakKeyDictionary[object, list[Optional[tuple[int, ...]]]]
+        self.keys = WeakKeyDictionary()
+
+
 class FeatureVector:
     """Fixed-dimension real-valued feature vector (pre-extracted upstream).
 
@@ -108,14 +128,20 @@ class FeatureVector:
     floats, built at each read.  Equality, hashing, ``repr`` and pickling
     go by ``values``.
 
-    ``_lsh_keys`` is ``(index, keys)`` for the last ``LshIndex`` that hashed
-    the vector, written by ``LshIndex.signature``; None until then.
+    ``_array`` is row ``_row`` of the matrix of ``_block``, the
+    ``_FeatureBlock`` that holds the bucket keys ``LshIndex`` computes.
+    ``tasks_from_columns`` makes one block of its feature matrix.  A vector
+    built by the constructor, copied or unpickled has no block (None, row
+    0) until its first hash makes it a block of one row.
     """
 
-    __slots__ = ("_array", "_lsh_keys")
+    __slots__ = ("_array", "_block", "_row")
 
     def __init__(self, values: Iterable[float]) -> None:
-        vals = tuple(map(float, values))
+        try:
+            vals = tuple(map(float, values))
+        except OverflowError:  # an int too large for a float
+            raise ValueError("feature vector values must be finite") from None
         if not vals:
             raise ValueError("feature vector needs dimension >= 1")
         if not all(map(math.isfinite, vals)):
@@ -123,15 +149,16 @@ class FeatureVector:
         array = np.array(vals)
         array.setflags(write=False)
         _set_field(self, "_array", array)
-        _set_field(self, "_lsh_keys", None)
+        _set_field(self, "_block", None)
+        _set_field(self, "_row", 0)
 
     __setattr__ = _refuse_assignment
     __delattr__ = _refuse_deletion
 
     def __reduce__(self):
         # rebuilt from its values alone: a copy or an unpickled vector owns
-        # its array, and starts without the cached keys, which name an index
-        # of this process
+        # its array, and starts without a block, whose cached keys name
+        # indexes of this process
         return FeatureVector, (self.values,)
 
     @property
@@ -227,7 +254,8 @@ def tasks_from_columns(
 
     The feature matrix, as a C-contiguous float64 array (``features`` itself
     when it is one), is made read-only, and task ``i``'s vector is a view of
-    its row ``i``.
+    its row ``i``.  The matrix is one feature block, which an ``LshIndex``
+    hashes a chunk of rows at a time.
     """
     n = len(features)
     for name, column in (
@@ -266,8 +294,9 @@ def tasks_from_columns(
         )
     # the rows that pass are built as the constructors build them, minus the
     # checks made above for the whole column
+    block = _FeatureBlock(features)
     return [
-        _build_task(i, service, label, _build_vector(row, None), up, down, work, at)
+        _build_task(i, service, label, _build_vector(row, block, i), up, down, work, at)
         for i, label, row, up, down, work, at in zip(
             count(),
             labels,

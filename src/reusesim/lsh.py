@@ -14,13 +14,50 @@ always build the same index.
 
 Every vector the index takes is a ``FeatureVector``, whose values are
 already checked finite and held as a read-only float64 array; the index
-checks only its shape and converts nothing.  The vector remembers the
-bucket keys the last index to hash it computed, so each vector is projected
-once per index: the place that follows a lookup reuses the lookup's keys.
-Reads (``signature``, ``query``, ``candidate_ids``) therefore write that
-derived, idempotent cache on a value type; they may still run concurrently,
-since two reads of one vector write the same keys.  ``insert``/``remove``
+checks only its shape and converts nothing.
+
+Vectors are hashed by feature block, not one at a time.  Each vector is a
+row of a block (``core._FeatureBlock``): ``tasks_from_columns`` makes its
+whole feature matrix one block, and any other vector becomes a block of one
+row at its first hash.  The block keeps, for each live index that hashed
+it, one entry per row; it holds the index weakly, so the entries go with
+the index.  The first ``signature`` of a row by an index hashes the
+row's whole chunk and writes the keys of every row of it into the block;
+every later call of that index for a row of the chunk reads them back, so
+the place that follows a lookup reuses the lookup's keys.  Chunks are
+hashed lazily: a run over ten tasks of a large block hashes only the chunks
+those ten lie in.  Reads (``signature``, ``query``, ``candidate_ids``)
+therefore write that derived cache on a value type.  They may still run
+concurrently: two readers may fill one chunk, and they write the same keys
+into the same entries (``setdefault`` gives them one list per index and
+block); two readers that each make a one-row block for one vector leave
+one of the two, whose row a later call may hash again.  ``insert``/``remove``
 need exclusive access.
+
+A chunk is as many rows as keep its product to ``_CHUNK_MULADDS`` (2^17)
+multiply-adds, 64 rows at the default 8x8 planes and dimension 32, and at
+least one.  OpenBLAS runs a dgemm of at most 65536x4 multiply-adds on the
+calling thread; a product over a whole block of thousands of rows wakes its
+worker threads and is slower.  A chunk of one row is hashed by
+``_project``, one matrix-vector product.
+
+A chunk's matrix product rounds differently from ``_project``'s
+matrix-vector product, so a row takes its keys from the chunk only where
+the two must agree in sign.  Each computed inner product of a plane ``a``
+and a row ``x`` of dimension ``d`` lies within ``gamma_d * |a|.|x|`` of the
+exact one, in any summation order, with or without fused multiply-adds,
+where ``gamma_d = d*u / (1 - d*u)`` and ``u = 2^-53`` (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., 2002, section 3.1), and
+``|a|.|x| <= ||a|| ||x|| = ||x||`` for a unit plane.  The two products
+therefore differ by at most ``2 gamma_d ||x||``, and where every product of
+the chunk exceeds that in magnitude, each has the sign of the matching
+``_project`` product, which is non-zero.  The margin carries a relative
+slack of 2^-10 that covers the rounding of ``||x||``, of the planes' unit
+norms and of the margin itself, and the absolute error of products that
+underflow: the row's squared norm must lie in [2^-1000, 2^1000], so no
+partial sum overflows and the margin dwarfs ``d * 2^-1074``.  Every other
+row, with a product inside the margin or a norm outside that range, is
+hashed by ``_project``.  So a key never depends on the chunk a row lies in.
 
 Each bucket packs the rows of the index's matrix that hold its entries as
 native int64s: a bucket of one row is that row's 8 bytes, and a larger one
@@ -34,6 +71,7 @@ smallest id among the rows at the smallest distance.
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -41,9 +79,15 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import FeatureVector, require_dimension
+from .core import FeatureVector, _FeatureBlock, require_dimension
 
 INITIAL_ROWS = 64
+# the most multiply-adds one chunk product may take (see the module docstring)
+_CHUNK_MULADDS = 2**17
+
+# the relative slack of the sign guard, and the squared norms it accepts
+_GUARD_SLACK = 2.0**-10
+_GUARD_NORM2 = (2.0**-1000, 2.0**1000)
 
 # what an unaddressed bucket contributes to a candidate set
 _NO_BUCKET = b""
@@ -83,6 +127,11 @@ class LshIndex:
         self._key_shape = (tables, bits)
         self._proj = planes.reshape(-1, dimension)
         self._bit_weights = 1 << np.arange(bits, dtype=np.int64)
+        self._chunk_rows = max(1, _CHUNK_MULADDS // self._proj.size)
+        # a chunk product within 2 gamma_d ||x|| of zero may differ in sign
+        # from _project's; past 2^-20 the slack no longer covers d*u terms
+        du = dimension * 2.0**-53
+        self._margin = 2 * du / (1 - du) * (1 + _GUARD_SLACK) if du < 2.0**-20 else math.inf
         # Stored vectors are rows of one matrix that doubles when full; rows
         # freed by ``remove`` are reused.  Each id maps to its row and the
         # per-table keys computed at insert, ``_id_of_row`` names the id
@@ -100,18 +149,52 @@ class LshIndex:
         bits = (self._proj @ arr) >= 0.0
         return tuple((bits.reshape(self._key_shape) @ self._bit_weights).tolist())
 
+    def _hash_chunk(self, rows: np.ndarray) -> list[tuple[int, ...]]:
+        """The keys ``_project`` gives each of two or more rows, from one product.
+
+        A row whose products do not all clear the sign guard, or whose
+        squared norm lies outside the guarded range, is hashed by
+        ``_project``.
+        """
+        products = rows @ self._proj.T
+        norm2 = np.einsum("ij,ij->i", rows, rows)
+        low, high = _GUARD_NORM2
+        exact = (norm2 >= low) & (norm2 <= high)
+        exact &= np.abs(products).min(axis=1) > np.sqrt(norm2) * self._margin
+        bits = (products >= 0.0).reshape(len(rows), *self._key_shape)
+        keys = list(map(tuple, (bits @ self._bit_weights).tolist()))
+        for i in np.flatnonzero(~exact).tolist():
+            keys[i] = self._project(rows[i])
+        return keys
+
     def signature(self, v: FeatureVector) -> tuple[int, ...]:
         """Per-table bucket keys of one vector; key i addresses table i.
 
-        The vector keeps the keys with a reference to this index, and a
-        later call of this index returns them without projecting.
+        The keys of the vector's chunk of its feature block are computed at
+        the first call of this index for a row of the chunk, and read back
+        from the block after that.  A vector without a block becomes a block
+        of one row.
         """
-        memo = v._lsh_keys
-        if memo is not None and memo[0] is self:
-            return memo[1]
-        keys = self._project(require_dimension(v, self.dimension))
-        object.__setattr__(v, "_lsh_keys", (self, keys))
-        return keys
+        block = v._block
+        if block is None:
+            block = _FeatureBlock(v._array.reshape(1, -1))
+            object.__setattr__(v, "_block", block)
+        keys = block.keys.get(self)
+        if keys is None:
+            require_dimension(v, self.dimension)  # every row of the block has v's shape
+            keys = block.keys.setdefault(self, [None] * len(block.matrix))
+        row = v._row
+        found = keys[row]
+        if found is None:
+            size = self._chunk_rows
+            start = row - row % size
+            rows = block.matrix[start : start + size]
+            if len(rows) == 1:
+                keys[start] = self._project(rows[0])
+            else:
+                keys[start : start + size] = self._hash_chunk(rows)
+            found = keys[row]
+        return found
 
     def insert(self, entry_id: int, v: FeatureVector) -> None:
         if entry_id in self._keys_of:

@@ -79,6 +79,39 @@ def _check_run(mode: Mode, edge_slots: int, max_queue_delay: Optional[float]) ->
         raise ValueError("max_queue_delay must be > 0 when set")
 
 
+# the most float64 elements numpy can shape into one array
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def _check_shapes(config: SimConfig) -> None:
+    """Reject a size whose array numpy cannot shape; the error names its fields.
+
+    A run shapes its feature matrix, ``num_tasks x dimension``, and its size
+    columns, ``num_tasks x 3`` (a dump sets the row count, and its rows are
+    as wide as ``dimension``); a reuse run also shapes its hyperplanes,
+    ``num_tables x bits_per_table x dimension``.
+    """
+    w, lsh = config.workload, config.lsh
+    rows = {} if config.features_file is not None else {"workload.num_tasks": w.num_tasks}
+    arrays = [{**rows, "workload.dimension": w.dimension}]
+    if rows:
+        arrays.append({**rows, "size columns": 3})
+    if config.mode is Mode.EDGE_WITH_REUSE:
+        arrays.append(
+            {
+                "lsh.num_tables": lsh.num_tables,
+                "lsh.bits_per_table": lsh.bits_per_table,
+                "workload.dimension": w.dimension,
+            }
+        )
+    for sizes in arrays:
+        if math.prod(sizes.values()) > _MAX_FLOATS:
+            raise ValueError(
+                f"{' x '.join(sizes)} = {' x '.join(map(str, sizes.values()))} "
+                "floats: more than numpy can shape into one array"
+            )
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One experiment: mode, workload, costs, edge and store, trials and seed.
@@ -106,6 +139,7 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        _check_shapes(self)
 
     @cached_property
     def _dump(self) -> tuple[list[str], np.ndarray]:

@@ -10,6 +10,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -397,6 +398,51 @@ def test_an_int_too_large_for_a_float_is_not_finite(tmp_path, capsys, key):
     )
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         CostParams(**{name: 10**400})
+
+
+HUGE = 10**30
+
+
+@pytest.mark.parametrize(
+    "key,sizes",
+    [
+        ("workload.num_tasks", f"workload.num_tasks x workload.dimension = {HUGE} x 32"),
+        ("workload.dimension", f"workload.num_tasks x workload.dimension = 40 x {HUGE}"),
+        (
+            "lsh.num_tables",
+            f"lsh.num_tables x lsh.bits_per_table x workload.dimension = {HUGE} x 8 x 32",
+        ),
+    ],
+    ids=["num_tasks", "dimension", "num_tables"],
+)
+def test_a_size_numpy_cannot_shape_is_a_config_error(tmp_path, capsys, key, sizes):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg), "-s", f"{key}={HUGE}", "-d", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {sizes} floats: more than numpy can shape into one array\n"
+    )
+    assert not out.exists()
+
+
+def test_the_shape_check_stops_at_numpys_limit_and_skips_arrays_a_run_never_makes():
+    # built configs only: nothing here generates a workload or an index
+    limit = np.iinfo(np.intp).max // 8  # float64 elements in one array
+    reuse = {"mode": "edge_with_reuse", "workload.dimension": "3"}
+    build_config({**reuse, "workload.num_tasks": str(limit // 3)})
+    with pytest.raises(ConfigError, match="^workload.num_tasks x workload.dimension = "):
+        build_config({**reuse, "workload.num_tasks": str(limit // 3 + 1)})
+    # below dimension 3 the three size columns are the wider array
+    with pytest.raises(ConfigError, match="^workload.num_tasks x size columns = "):
+        build_config({**reuse, "workload.dimension": "1", "workload.num_tasks": str(limit // 3 + 1)})
+    build_config({**reuse, "lsh.num_tables": str(limit // 24)})
+    with pytest.raises(ConfigError, match="^lsh.num_tables x lsh.bits_per_table x "):
+        build_config({**reuse, "lsh.num_tables": str(limit // 24 + 1)})
+    # only a reuse run builds hyperplanes, and a dump sets the row count
+    build_config({**reuse, "mode": "cloud_only", "lsh.num_tables": str(HUGE)})
+    build_config({**reuse, "features_file": "dump.csv", "workload.num_tasks": str(HUGE)})
+    with pytest.raises(ConfigError, match=f"^workload.dimension = {HUGE} floats"):
+        build_config({**reuse, "features_file": "dump.csv", "workload.dimension": str(HUGE)})
 
 
 @pytest.mark.parametrize(

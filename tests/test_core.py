@@ -18,6 +18,15 @@ def test_feature_vector_rejects_bad_values(bad):
         FeatureVector(bad)
 
 
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_feature_vector_rejects_an_int_too_large_for_a_float(huge):
+    # the ValueError an infinite value raises, not float()'s OverflowError
+    with pytest.raises(ValueError, match="^feature vector values must be finite$"):
+        FeatureVector([1.0, huge])
+    with pytest.raises(ValueError, match="^feature vector values must be finite$"):
+        FeatureVector([1.0, float("inf")])
+
+
 def test_feature_vector_coerces_to_floats():
     v = FeatureVector([1, 2, 3])
     assert v.values == (1.0, 2.0, 3.0)

@@ -2,13 +2,25 @@ import copy
 import gc
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reusesim import DimensionMismatch, FeatureVector, LshIndex, LshSettings, ReuseStore
+from reusesim import (
+    CostParams,
+    DimensionMismatch,
+    FeatureVector,
+    LshIndex,
+    LshSettings,
+    Mode,
+    ReuseStore,
+    WorkloadSpec,
+    generate,
+    simulate,
+)
 from reusesim.core import tasks_from_columns
 from reusesim.lsh import INITIAL_ROWS
 
@@ -346,15 +358,20 @@ def test_insert_takes_feature_vectors_only(make):
 
 @pytest.fixture
 def projections(monkeypatch):
-    """Records the index of each projection ``LshIndex`` computes."""
+    """Records the index of each hash ``LshIndex`` computes: each chunk
+    product, and each ``_project`` of one row (a chunk of one row, or a row
+    of a larger chunk that the sign guard sends there)."""
     calls = []
-    project = LshIndex._project
 
-    def counting(self, arr):
-        calls.append(self)
-        return project(self, arr)
+    def counting(method):
+        def count(self, rows):
+            calls.append(self)
+            return method(self, rows)
 
-    monkeypatch.setattr(LshIndex, "_project", counting)
+        return count
+
+    for name in ("_project", "_hash_chunk"):
+        monkeypatch.setattr(LshIndex, name, counting(getattr(LshIndex, name)))
     return calls
 
 
@@ -434,18 +451,125 @@ def test_a_copied_or_pickled_vector_is_rehashed(projections, clone):
     assert idx.signature(v) == keys and len(projections) == 2
 
 
+def _columns_block(features):
+    """The tasks ``tasks_from_columns`` builds over one feature matrix."""
+    n, one = len(features), np.ones(len(features))
+    return tasks_from_columns("s", ["o"] * n, features, one, one, one, np.zeros(n))
+
+
+# 128 x 32 planes at dimension 4: 2^17 / 2^14 = 8 rows per chunk
+CHUNK8_LSH = LshSettings(num_tables=128, bits_per_table=32)
+
+
 def test_vectors_from_columns_and_the_constructor_behave_alike(projections):
-    one = np.ones(1)
-    (task,) = tasks_from_columns(
-        "s", ["o"], np.array([[0.3, -1.2, 0.7]]), one, one, one, np.zeros(1)
-    )
-    fast, built = task.features, FeatureVector([0.3, -1.2, 0.7])
-    assert (fast, hash(fast), repr(fast)) == (built, hash(built), repr(built))
-    assert pickle.loads(pickle.dumps(fast)) == built
-    idx = LshIndex(MEMO_LSH, 3, 1)
+    rows = np.random.default_rng(3).standard_normal((20, 4))
+    fast = [task.features for task in _columns_block(rows)]
+    built = [FeatureVector(row) for row in rows.tolist()]
+    for f, b in zip(fast, built):
+        assert (f, hash(f), repr(f)) == (b, hash(b), repr(b))
+        assert pickle.loads(pickle.dumps(f)) == b
+    idx, twin = LshIndex(CHUNK8_LSH, 4, 1), LshIndex(CHUNK8_LSH, 4, 1)
+    assert idx._chunk_rows == 8
+    expected = [twin._project(f._array) for f in fast]
     for _ in range(2):
-        assert idx.signature(fast) == idx.signature(built)
-    assert len(projections) == 2
+        assert [idx.signature(f) for f in fast] == [idx.signature(b) for b in built] == expected
+    # one hash per (index, chunk): rows 0-7, 8-15 and 16-19 of the block, and
+    # each constructed vector, a block of one row
+    assert projections.count(idx) == 3 + 20
+
+
+def test_a_block_shared_by_two_indexes_keeps_each_indexs_keys(projections):
+    rows = np.random.default_rng(4).standard_normal((20, 4))
+    vectors = [task.features for task in _columns_block(rows)]
+    a, b = LshIndex(CHUNK8_LSH, 4, 1), LshIndex(CHUNK8_LSH, 4, 2)
+    expected = {idx: [idx._project(v._array) for v in vectors] for idx in (a, b)}
+    assert expected[a] != expected[b]
+    projections.clear()
+    for idx in (a, b, a, b):
+        assert [idx.signature(v) for v in vectors] == expected[idx]
+    assert projections == [a] * 3 + [b] * 3
+    (block,) = {v._block for v in vectors}
+    assert block.keys == expected
+
+
+def test_a_block_keeps_no_index_alive():
+    rows = np.random.default_rng(5).standard_normal((20, 4))
+    vectors = [task.features for task in _columns_block(rows)]
+    idx = LshIndex(CHUNK8_LSH, 4, 1)
+    for v in vectors:
+        idx.signature(v)
+    (block,) = {v._block for v in vectors}
+    index_alive = weakref.ref(idx)
+    del idx
+    gc.collect()
+    assert index_alive() is None and len(block.keys) == 0
+
+
+def test_a_slice_of_a_block_hashes_only_the_chunks_it_lies_in(projections):
+    tasks = generate(WorkloadSpec(num_tasks=10_000, seed=3))
+    store = ReuseStore(32, seed=3)
+    # 64 rows per chunk at the default planes: tasks 5115-5124 lie in the
+    # chunks of rows 5056-5119 and 5120-5183
+    simulate(tasks[5115:5125], Mode.EDGE_WITH_REUSE, CostParams(), store=store)
+    (index,) = set(projections)
+    assert index._chunk_rows == 64 and len(projections) == 2
+    (keys,) = tasks[0].features._block.keys.values()
+    assert [row for row, k in enumerate(keys) if k is not None] == list(range(5056, 5184))
+
+
+# powers of two around the guard's norm range [2^-500, 2^500] and the ends
+# of the float range; no coordinate of a standard normal draw here reaches
+# 2^5, so even 2^1018 keeps every row finite
+SCALES = (-1074, -1040, -1000, -600, -502, -500, -498, -40, 40, 498, 500, 502, 1000, 1018)
+ROW_KINDS = ("random", "plane", "nudged", "zero", "subnormal")
+
+
+@st.composite
+def guarded_blocks(draw):
+    """An index and a feature matrix whose rows test the chunk's sign guard.
+
+    Rows lie on one of the index's hyperplanes (``x - (a.x) a``), with or
+    without a nudge of a few ulps, or are random; any row may be scaled by a
+    power of two, toward subnormal values or norms near 2^-1000 and 2^1000.
+    Some rows are exactly zero, or entirely subnormal.  Up to 62 x 62 planes
+    at dimension 100 give chunks of one row.  Hypothesis picks the shapes
+    and the kinds and scales in play; a seeded generator picks them per row.
+    """
+    dimension = draw(st.integers(1, 100))
+    tables, bits = draw(st.integers(1, 62)), draw(st.integers(1, 62))
+    lsh = LshSettings(num_tables=tables, bits_per_table=bits)
+    idx = LshIndex(lsh, dimension, draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, unique=True))
+    scales = draw(st.lists(st.sampled_from(SCALES), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((draw(st.integers(1, 200)), dimension))
+    planes = idx._proj
+    for x in rows:
+        kind = kinds[rng.integers(len(kinds))]
+        if kind in ("plane", "nudged"):
+            a = planes[rng.integers(len(planes))]
+            x -= (a @ x) * a
+            if kind == "nudged":
+                j = rng.integers(dimension)
+                toward = np.inf if rng.random() < 0.5 else -np.inf
+                for _ in range(rng.integers(1, 5)):
+                    x[j] = np.nextafter(x[j], toward)
+        elif kind == "zero":
+            x[:] = 0.0
+        elif kind == "subnormal":
+            x[:] = rng.integers(-3, 4, dimension) * 5e-324
+        if scales and rng.random() < 0.5:
+            x *= 2.0 ** scales[rng.integers(len(scales))]
+    return idx, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=guarded_blocks())
+def test_block_keys_equal_each_rows_own_projection(case):
+    idx, rows = case
+    vectors = [task.features for task in _columns_block(rows)]
+    for v in vectors:
+        assert idx.signature(v) == idx._project(v._array)
 
 
 def test_query_breaks_ties_between_ids_outside_int64():

@@ -175,7 +175,8 @@ def test_the_slot_builder_builds_a_feature_vector():
     assert type(built) is FeatureVector
     assert repr(built) == repr(vector)
     assert built == vector
-    assert built._array is vector._array and built._lsh_keys is None
+    assert built._array is vector._array
+    assert built._block is None and built._row == 0
 
 
 def test_the_slot_builder_skips_the_checks():
