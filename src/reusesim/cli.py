@@ -420,6 +420,24 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's allocation failure says what it asked for; a bare one is empty
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory in {_invocation(args)}{detail}", file=sys.stderr)
+        return 2
+
+
+def _invocation(args: argparse.Namespace) -> str:
+    """The command ``main`` ran and the configuration it ran with."""
+    if args.command == "run":
+        overrides = "".join(f" --set {o!r}" for o in args.set)
+        return f"run of config file {args.config!r}{overrides}"
+    if args.command == "sweep":
+        return f"sweep {args.scenario!r} (seed {args.seed}, {args.trials} trials)"
+    return (
+        f"calibrate (dimension {args.dim}, sigma {args.sigma}, "
+        f"{args.samples} samples, seed {args.seed})"
+    )
 
 
 def entrypoint() -> None:

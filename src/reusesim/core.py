@@ -107,10 +107,11 @@ class _FeatureBlock:
     view of one of its rows.  ``keys`` maps each live ``LshIndex`` that
     hashed rows of the block to a list with one entry per row: that row's
     keys, or None until the index hashes the row's chunk.  It holds the
-    indexes weakly, so the tasks of a run keep no store's index alive.
+    indexes weakly, so the tasks of a run keep no store's index alive.  An
+    index in turn holds the last block it read weakly (see ``lsh``).
     """
 
-    __slots__ = ("matrix", "keys")
+    __slots__ = ("matrix", "keys", "__weakref__")
 
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix

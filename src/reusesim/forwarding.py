@@ -8,6 +8,11 @@ edge computation and after the residual of a partial hit, never after a full
 hit, and never for cloud results (the cloud path is a pure fallback and its
 outputs are not cached at the edge).
 
+A hit's ``Outcome`` is built by a slot builder, skipping the checks of
+``Outcome.__post_init__``: the store vouches for what they check, a matched
+entry and a fraction of 1.0 for a full hit or ``partial_fraction``, in
+(0, 1), for a partial one.
+
 The decision never reads a task's ground-truth label.  Each node is a
 single-writer sequence of decide/complete calls; nodes with independent
 stores may run in parallel.
@@ -18,13 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import CLOUD_OFFLOAD, EDGE_COMPUTE, Outcome, OutcomeKind, Task
+from .core import CLOUD_OFFLOAD, EDGE_COMPUTE, Outcome, OutcomeKind, Task, _slot_builder
 from .reuse_store import LookupKind, ReuseStore
 
-_OUTCOME_OF = {
-    LookupKind.FULL: OutcomeKind.FULL_REUSE,
-    LookupKind.PARTIAL: OutcomeKind.PARTIAL_REUSE,
-}
+_build_outcome = _slot_builder(Outcome)
+# the kinds read per task, as module globals: ``Kind.MEMBER`` goes through
+# the Enum metaclass's attribute hook, several times slower than a global
+_MISS, _FULL = LookupKind.MISS, LookupKind.FULL
+_FULL_REUSE, _PARTIAL_REUSE = OutcomeKind.FULL_REUSE, OutcomeKind.PARTIAL_REUSE
+_EDGE_COMPUTE = OutcomeKind.EDGE_COMPUTE
 
 
 @dataclass
@@ -51,12 +58,17 @@ class EdgeNode:
         if self.store is None:
             return EDGE_COMPUTE
         result = self.store.lookup(task.service, task.features, now)
-        if result.kind is LookupKind.MISS:
+        kind = result.kind
+        if kind is _MISS:
             return EDGE_COMPUTE
-        return Outcome(_OUTCOME_OF[result.kind], result.reused_fraction, result.entry)
+        # the store vouches for what Outcome checks: a hit carries its entry
+        # and a fraction of 1.0 (full) or its partial_fraction, in (0, 1)
+        reuse = _FULL_REUSE if kind is _FULL else _PARTIAL_REUSE
+        return _build_outcome(reuse, result.reused_fraction, result.entry)
 
     def complete(self, task: Task, outcome: Outcome, label: str, now: float) -> None:
         """Record a finished task; stores its label when it was computed here."""
-        if outcome.kind in (OutcomeKind.EDGE_COMPUTE, OutcomeKind.PARTIAL_REUSE):
+        kind = outcome.kind
+        if kind is _EDGE_COMPUTE or kind is _PARTIAL_REUSE:
             if self.store is not None:
                 self.store.place(task.service, task.features, label, now)

@@ -34,6 +34,15 @@ block); two readers that each make a one-row block for one vector leave
 one of the two, whose row a later call may hash again.  ``insert``/``remove``
 need exclusive access.
 
+Each index also remembers the last block ``signature`` read, with that
+block's key list, so the lookup and the place of one task, and every later
+row of a run's block, skip the block's ``WeakKeyDictionary`` probe.  The
+memo holds the block weakly: a task list dropped while its store lives
+frees its block, and the key list the memo keeps goes at the index's next
+change of block or with the index.  The memo is one tuple, replaced whole,
+so a concurrent reader sees a block together with its own key list; readers
+that alternate between blocks only miss the memo and probe the block.
+
 A chunk is as many rows as keep its product to ``_CHUNK_MULADDS`` (2^17)
 multiply-adds, 64 rows at the default 8x8 planes and dimension 32, and at
 least one.  OpenBLAS runs a dgemm of at most 65536x4 multiply-adds on the
@@ -76,6 +85,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Callable, Optional
+from weakref import ref
 
 import numpy as np
 
@@ -95,6 +106,10 @@ _NO_BUCKET = b""
 # the arrays ``np.frombuffer`` makes over a join's bytes
 _NO_ROWS = np.empty(0, np.int64)
 _NO_ROWS.setflags(write=False)
+
+
+def _no_block() -> None:
+    """The block of a signature memo that matches no block."""
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,8 @@ class LshIndex:
         self._free_rows: list[int] = []
         self._keys_of: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._id_of_row: list[int] = []
+        # the last block ``signature`` read, held weakly, and its key list
+        self._last: tuple[Callable[[], Optional[_FeatureBlock]], list] = (_no_block, [])
 
     def __len__(self) -> int:
         return len(self._keys_of)
@@ -173,16 +190,21 @@ class LshIndex:
         The keys of the vector's chunk of its feature block are computed at
         the first call of this index for a row of the chunk, and read back
         from the block after that.  A vector without a block becomes a block
-        of one row.
+        of one row.  The block's key list comes from the memo when the block
+        is the one the last call read.
         """
         block = v._block
         if block is None:
             block = _FeatureBlock(v._array.reshape(1, -1))
             object.__setattr__(v, "_block", block)
-        keys = block.keys.get(self)
-        if keys is None:
-            require_dimension(v, self.dimension)  # every row of the block has v's shape
-            keys = block.keys.setdefault(self, [None] * len(block.matrix))
+        last_block, keys = self._last
+        if last_block() is not block:
+            keys = block.keys.get(self)
+            if keys is None:
+                require_dimension(v, self.dimension)  # every row of the block has v's shape
+                keys = block.keys.setdefault(self, [None] * len(block.matrix))
+            # one tuple, so a concurrent reader sees a block with its own keys
+            self._last = (ref(block), keys)
         row = v._row
         found = keys[row]
         if found is None:

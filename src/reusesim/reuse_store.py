@@ -21,6 +21,17 @@ whatever the order of ``now`` values.  The heap is dropped and rebuilt from
 the table when stale keys outnumber live ones or when decay rewrites every
 key.  Frequencies and last-use times change only through the store.
 
+Every ``lookup`` and ``place`` is checked in ``_open``.  One test passes the
+common call: a vector whose array has the store's shape, a non-empty
+service name and a ``now`` that is a ``float`` (not a subclass) with
+``now - now == 0.0``, that is, finite.  Any other call runs the full checks,
+which raise their own errors in their own order, or accept it (an ``int``
+``now``, say).  The values the two methods return are built by slot
+builders that skip the constructors' checks: the store vouches for them, as
+the entry came from its own table and the fraction from its own
+``StoreSettings`` (1.0 for a full hit, ``partial_fraction``, checked in
+(0, 1), for a partial one).
+
 Single-writer, multi-reader: lookups mutate frequency counters, so they need
 the writer role; the structure itself is sendable between threads.
 """
@@ -33,7 +44,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .core import FeatureVector, frozen_slots, require_dimension, require_finite
+from .core import (
+    FeatureVector,
+    _slot_builder,
+    frozen_slots,
+    require_dimension,
+    require_finite,
+)
 from .lsh import LshIndex, LshSettings
 
 
@@ -101,6 +118,10 @@ class LookupResult:
 
 
 MISS = LookupResult(LookupKind.MISS)
+_build_result = _slot_builder(LookupResult)
+# read per hit; a module global is faster than ``LookupKind.FULL``
+_FULL, _PARTIAL = LookupKind.FULL, LookupKind.PARTIAL
+_build_entry = _slot_builder(ReuseEntry)
 
 
 @dataclass(frozen=True)
@@ -138,9 +159,7 @@ class _ServiceTable:
     misses: int = 0
 
     def push_key(self, entry: ReuseEntry) -> None:
-        """Record an entry's new LFU key in the heap, if there is one."""
-        if self.heap is None:
-            return
+        """Record an entry's new LFU key in the heap; the caller checks there is one."""
         if len(self.heap) > 2 * len(self.entries) + 16:
             self.heap = None  # mostly stale: rebuild at the next eviction
         else:
@@ -160,6 +179,7 @@ class ReuseStore:
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
+        self._shape = (dimension,)
         self.settings = settings
         self.lsh = lsh
         self.seed = seed
@@ -185,10 +205,18 @@ class ReuseStore:
         depend on how much simulated time has passed.  The table is made at
         the service's first call.
         """
-        require_dimension(v, self.dimension)
-        if not service:
-            raise ValueError("service name must be non-empty")
-        require_finite("now", now)
+        # the common case in one test: a float ``now`` is finite iff
+        # ``now - now`` is 0.0 (inf - inf and nan - nan are nan)
+        if not (
+            v._array.shape == self._shape
+            and service
+            and now.__class__ is float
+            and now - now == 0.0
+        ):
+            require_dimension(v, self.dimension)
+            if not service:
+                raise ValueError("service name must be non-empty")
+            require_finite("now", now)
         interval = self.settings.decay_interval
         if interval is not None and (k := (now - self._last_decay) // interval) >= 1:
             for table in self._tables.values():
@@ -216,18 +244,20 @@ class ReuseStore:
         """
         table = self._open(service, q, now)
         nearest = table.index.query(q)
-        if not nearest or nearest[0][1] > self.settings.tau_partial:
+        settings = self.settings
+        if not nearest or nearest[0][1] > settings.tau_partial:
             table.misses += 1
             return MISS
         ((best_id, best_dist),) = nearest
         entry = table.entries[best_id]
         entry.frequency += 1
         entry.last_used_at = now
-        table.push_key(entry)
+        if table.heap is not None:
+            table.push_key(entry)
         table.hits += 1
-        if best_dist <= self.settings.tau_full:
-            return LookupResult(LookupKind.FULL, entry, 1.0)
-        return LookupResult(LookupKind.PARTIAL, entry, self.settings.partial_fraction)
+        if best_dist <= settings.tau_full:
+            return _build_result(_FULL, entry, 1.0)
+        return _build_result(_PARTIAL, entry, settings.partial_fraction)
 
     def place(
         self, service: str, features: FeatureVector, output: str, now: float
@@ -241,12 +271,14 @@ class ReuseStore:
         capacity = self.settings.capacity
         if capacity is not None and len(table.entries) >= capacity:
             self.evict_lfu(service)
-        entry = ReuseEntry(self._next_id, features, output, last_used_at=now)
-        table.index.insert(entry.id, features)  # a rejected vector stores nothing
-        table.entries[entry.id] = entry
-        table.push_key(entry)
-        self._next_id += 1
-        return entry.id
+        entry_id = self._next_id
+        entry = _build_entry(entry_id, features, output, 0, now)
+        table.index.insert(entry_id, features)  # a rejected vector stores nothing
+        table.entries[entry_id] = entry
+        if table.heap is not None:
+            table.push_key(entry)
+        self._next_id = entry_id + 1
+        return entry_id
 
     def evict_lfu(self, service: str) -> int:
         """Remove and return the id of the least-frequently-used entry.

@@ -197,7 +197,8 @@ def task_correct(outcome: Outcome, task: Task) -> bool:
     object.  For a partial hit the residual is computed from scratch, but the
     reused fraction still has to match.
     """
-    return not outcome.is_reuse or outcome.matched_entry.output == task.object_label
+    entry = outcome.matched_entry  # set exactly when the outcome is a reuse
+    return entry is None or entry.output == task.object_label
 
 
 _task_id = attrgetter("id")
@@ -262,30 +263,8 @@ def p90(values: Iterable[float]) -> float:
     return a + (b - a) * gamma
 
 
-# each outcome kind's ``outcome`` and ``location`` cells in a record
-_OUTCOME_CELLS = {
-    kind: (kind.value, "cloud" if kind is OutcomeKind.CLOUD_OFFLOAD else "edge")
-    for kind in OutcomeKind
-}
-_CLOUD_CELLS = _OUTCOME_CELLS[OutcomeKind.CLOUD_OFFLOAD]
 _build_record = _slot_builder(TaskRecord)
-
-
-def _record(
-    task: Task,
-    cells: tuple[str, str],
-    start: float,
-    finish: float,
-    waiting: float,
-    computation: float,
-    correct: bool,
-) -> TaskRecord:
-    """Record of a task, given its ``outcome`` and ``location`` cells."""
-    at = task.arrival_time
-    return _build_record(
-        task.id, task.service, task.object_label, cells[0], cells[1], at,
-        start, finish, waiting, computation, finish - at, correct,
-    )
+_CLOUD_OUTCOME = OutcomeKind.CLOUD_OFFLOAD.value
 
 
 def _cloud_record(
@@ -295,8 +274,12 @@ def _cloud_record(
     start = received_at(depart, task, False, cost)
     computation = execution_cost(task, False, cost)
     finish = delivered_at(start + computation, task, False, cost)
+    at = task.arrival_time
     # computed from scratch, so correct by definition
-    return _record(task, _CLOUD_CELLS, start, finish, waiting, computation, True)
+    return _build_record(
+        task.id, task.service, task.object_label, _CLOUD_OUTCOME, "cloud", at,
+        start, finish, waiting, computation, finish - at, True,
+    )
 
 
 _RECV, _FINISH = 0, 1
@@ -384,14 +367,13 @@ def simulate(
             if store is not None:
                 node.complete(task, outcome, task.object_label, now)
             finish = delivered_at(now, task, True, cost)
+            at = task.arrival_time
+            # every service is offloaded, so the task finished at the edge;
+            # ``_value_`` is the kind's value, read without a descriptor call
             records.append(
-                _record(
-                    task,
-                    _OUTCOME_CELLS[outcome.kind],
-                    start,
-                    finish,
-                    start - recv,
-                    duration,
+                _build_record(
+                    task.id, task.service, task.object_label, outcome.kind._value_,
+                    "edge", at, start, finish, start - recv, duration, finish - at,
                     task_correct(outcome, task),
                 )
             )
@@ -400,7 +382,7 @@ def simulate(
         while running < edge_slots and queue:
             _, _, task, recv = queue.popleft()
             outcome = decide(task, now)
-            if outcome.is_reuse:
+            if outcome.matched_entry is not None:  # a reuse outcome
                 duration = reuse_cost(task, outcome.reused_fraction, cost)
             else:
                 duration = execution_cost(task, True, cost)

@@ -698,6 +698,36 @@ def test_a_failed_sweep_run_leaves_no_csv(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 7.45 GiB for an array"])
+@pytest.mark.parametrize("command", ["run", "sweep", "calibrate"])
+def test_running_out_of_memory_exits_2_naming_the_command_and_config(
+    tmp_path, monkeypatch, capsys, command, message
+):
+    # stand-ins raise MemoryError as numpy does when an allocation fails,
+    # without allocating anything
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError
+
+    out = tmp_path / "out"
+    if command == "run":
+        monkeypatch.setattr(cli, "run", out_of_memory)
+        cfg = write_config(tmp_path)
+        argv = ["run", "-c", str(cfg), "--set", "seed=7", "-d", str(out)]
+        named = f"run of config file {str(cfg)!r} --set 'seed=7'"
+    elif command == "sweep":
+        monkeypatch.setattr(cli, "run", out_of_memory)
+        argv = ["sweep", "completion", "--trials", "2", "-d", str(out)]
+        named = "sweep 'completion' (seed 42, 2 trials)"
+    else:
+        monkeypatch.setattr(cli, "cmd_calibrate", out_of_memory)
+        argv = ["calibrate", "--dim", "8", "--samples", "50"]
+        named = "calibrate (dimension 8, sigma 0.05, 50 samples, seed 42)"
+    assert main(argv) == 2
+    detail = f": {message}" if message else ""
+    assert capsys.readouterr().err == f"error: out of memory in {named}{detail}\n"
+    assert not out.exists()
+
+
 def test_run_holds_one_trial_report_at_a_time(tmp_path, monkeypatch):
     alive = []
 

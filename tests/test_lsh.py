@@ -505,6 +505,27 @@ def test_a_block_keeps_no_index_alive():
     assert index_alive() is None and len(block.keys) == 0
 
 
+def test_a_dropped_task_list_frees_its_block_while_the_store_lives():
+    spec = WorkloadSpec(num_tasks=50, seed=3)
+    store = ReuseStore(32, seed=3)
+    simulate(generate(spec), Mode.EDGE_WITH_REUSE, CostParams(), store=store)
+    (index,) = (table.index for table in store._tables.values())
+
+    def lookups(tasks):
+        return [store.lookup(t.service, t.features, 100.0).entry.id for t in tasks]
+
+    # a second list with the same rows: only looked up, so no entry keeps a
+    # row of it, and the index's signature memo last read its block
+    looked_up = generate(spec)
+    block = weakref.ref(looked_up[0].features._block)
+    ids = lookups(looked_up)
+    assert index._last[0]() is block()
+    del looked_up
+    assert block() is None  # by reference counting, with no cycle to collect
+    assert index._last[0]() is None
+    assert lookups(generate(spec)) == ids
+
+
 def test_a_slice_of_a_block_hashes_only_the_chunks_it_lies_in(projections):
     tasks = generate(WorkloadSpec(num_tasks=10_000, seed=3))
     store = ReuseStore(32, seed=3)

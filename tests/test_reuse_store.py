@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,6 +221,71 @@ def test_place_of_wrong_dimension_raises_and_stores_nothing(stored):
     assert [e.id for e in store.entries("svc")] == list(range(stored))
     assert store.eviction_log == []
     assert store.place("other", axis_vector(5), "c", now=2.0) == stored
+
+
+# Calls that the one-test fast check in ``_open`` does not pass, with the
+# exact errors of the checks it falls back to: ``now`` non-finite as a float,
+# a numpy float or an int too large for a float, a wrong dimension, an empty
+# name, and mixes of these, where the dimension comes first, then the name.
+FALLBACK_REFUSALS = [
+    ("new", axis_vector(1), float("inf"), ValueError, "now must be finite, got inf"),
+    ("new", axis_vector(1), -float("inf"), ValueError, "now must be finite, got -inf"),
+    ("new", axis_vector(1), np.float64("nan"), ValueError,
+     f"now must be finite, got {np.float64('nan')!r}"),
+    ("new", axis_vector(1), 10**400, ValueError,
+     "now must be finite, got an int too large for a float"),
+    ("svc", WRONG_DIMENSION, 5.0, DimensionMismatch,
+     "expected a vector of dimension 4, got shape (2,)"),
+    ("", axis_vector(1), 5.0, ValueError, "service name must be non-empty"),
+    ("", axis_vector(1), np.float64("inf"), ValueError, "service name must be non-empty"),
+    ("", WRONG_DIMENSION, 10**400, DimensionMismatch,
+     "expected a vector of dimension 4, got shape (2,)"),
+]
+
+
+@pytest.mark.parametrize("op", ["lookup", "place"])
+@pytest.mark.parametrize(
+    "service,v,now,error,message",
+    FALLBACK_REFUSALS,
+    ids=["inf", "-inf", "np-nan", "int-10**400", "dimension", "name", "name-np-inf",
+         "dimension-name-int"],
+)
+def test_a_call_the_fast_check_refuses_fails_as_the_full_checks_do(
+    op, service, v, now, error, message
+):
+    store = small_store(capacity=1, decay_interval=1.0)
+    store.place("svc", axis_vector(0), "a", now=0.0)
+    store.lookup("svc", axis_vector(0), now=0.5)
+
+    def state():
+        entries = [(e.id, e.frequency, e.last_used_at) for e in store.entries("svc")]
+        return store.stats(), entries, store._last_decay, store._next_id, store.eviction_log[:]
+
+    before = state()
+    with pytest.raises(error) as refused:
+        if op == "lookup":
+            store.lookup(service, v, now)
+        else:
+            store.place(service, v, "b", now)
+    assert type(refused.value) is error and str(refused.value) == message
+    assert state() == before
+
+
+@pytest.mark.parametrize(
+    "now", [5, np.float64(5.0), np.int64(5)], ids=["int", "np-float64", "np-int64"]
+)
+def test_a_finite_now_that_is_not_a_float_runs_as_its_float_does(now):
+    def calls(now):
+        store = small_store(capacity=1, decay_interval=2.0)
+        store.place("svc", axis_vector(0), "a", now=0.0)
+        store.lookup("svc", axis_vector(0), now=1.0)
+        # the decay due by 5 halves the frequency of 1 to 0
+        hit = store.lookup("svc", axis_vector(0), now)
+        placed = store.place("svc", axis_vector(1), "b", now)
+        entries = [(e.id, e.frequency, e.last_used_at) for e in store.entries("svc")]
+        return hit.kind, placed, entries, store.stats(), store.eviction_log
+
+    assert calls(now) == calls(5.0)
 
 
 def _state_fingerprint(store, service):

@@ -14,16 +14,24 @@ from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 import pytest
 
 from reusesim import (
+    EdgeNode,
     FeatureVector,
     LookupKind,
     LookupResult,
+    LshSettings,
+    Mode,
     Outcome,
     OutcomeKind,
     ReuseEntry,
+    ReuseStore,
+    SimConfig,
+    StoreSettings,
     Task,
     TaskRecord,
+    WorkloadSpec,
+    run,
 )
-from reusesim.core import _slot_builder
+from reusesim.core import EDGE_COMPUTE, _slot_builder
 
 from conftest import make_task
 
@@ -183,3 +191,53 @@ def test_the_slot_builder_skips_the_checks():
     # the caller vouches for the values: no __post_init__ refuses them
     task = _slot_builder(Task)(0, "s", "a", FeatureVector((1.0,)), -1.0, 0.0, 0.0, -1.0)
     assert task.complexity == 0.0 and task.arrival_time == -1.0
+
+
+def test_the_reuse_path_builds_what_the_constructors_build():
+    # the store and the edge node build their values with slot builders
+    store = ReuseStore(2, StoreSettings(None, 0.5, 1.0, 0.25), LshSettings(1, 8))
+    node = EdgeNode(frozenset({"s"}), store)
+    # one ray, so every key agrees, at distance 0.75: a partial hit
+    near, far = (1.0, 0.0), (1.75, 0.0)
+    first = make_task(0, values=near)
+    assert node.decide(first, 0.0) is EDGE_COMPUTE
+    node.complete(first, EDGE_COMPUTE, "a", 0.5)
+    (entry,) = store.entries("s")
+    assert type(entry) is ReuseEntry
+    assert entry == ReuseEntry(0, first.features, "a", 0, 0.5)
+    hits = [
+        (near, LookupKind.FULL, OutcomeKind.FULL_REUSE, 1.0),
+        (far, LookupKind.PARTIAL, OutcomeKind.PARTIAL_REUSE, 0.25),
+    ]
+    for now, (values, kind, outcome_kind, fraction) in enumerate(hits, 1):
+        result = store.lookup("s", FeatureVector(values), float(now))
+        assert type(result) is LookupResult
+        assert result == LookupResult(kind, entry, fraction)
+        outcome = node.decide(make_task(now, values=values), now + 0.5)
+        assert type(outcome) is Outcome
+        assert outcome == Outcome(outcome_kind, fraction, entry)
+    assert entry == ReuseEntry(0, first.features, "a", 4, 2.5)
+
+
+def test_the_event_loop_builds_what_the_record_constructor_builds():
+    # one slot and a short patience: every outcome
+    # and both locations turn up
+    config = SimConfig(
+        Mode.EDGE_WITH_REUSE,
+        WorkloadSpec(num_tasks=80, arrival_rate=2.0, noise_sigma=0.12, seed=3),
+        edge_slots=1,
+        max_queue_delay=1.0,
+    )
+    records = run(config).records
+    names = [f.name for f in fields(TaskRecord)]
+    types = [f.type for f in fields(TaskRecord)]  # "int", "str", "float", "bool"
+    for record in records:
+        values = [getattr(record, name) for name in names]
+        assert type(record) is TaskRecord and record == TaskRecord(*values)
+        assert [type(value).__name__ for value in values] == types
+    assert {(r.outcome, r.location) for r in records} == {
+        ("full_reuse", "edge"),
+        ("partial_reuse", "edge"),
+        ("edge_compute", "edge"),
+        ("cloud_offload", "cloud"),
+    }
