@@ -1,14 +1,9 @@
 """Shared value types: feature vectors, tasks, cost parameters, outcomes.
 
 Everything here is an immutable value type after construction and safe to
-share between threads.  The one exception is a derived cache: each
-``FeatureVector`` is a row of a feature block, and an ``LshIndex`` that
-hashes a row writes the bucket keys of its whole chunk into the block, so a
-read may write that cache.  The writes are idempotent (the same index always
-computes the same keys) and the cache takes no part in equality, hashing,
-``repr`` or pickling.  ``tasks_from_columns`` builds many tasks at once from
+share between threads.  ``tasks_from_columns`` builds many tasks at once from
 checked columns, each task's feature vector a read-only row of one feature
-matrix, which is one block.
+matrix, the vectors' block.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ from enum import Enum
 from itertools import count
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -100,25 +94,6 @@ def _require_finite_fields(names: Iterable[str], values: Collection[float]) -> N
             require_finite(name, value)
 
 
-class _FeatureBlock:
-    """Feature rows that an ``LshIndex`` hashes together.
-
-    ``matrix`` is a read-only float64 matrix; each vector of the block is a
-    view of one of its rows.  ``keys`` maps each live ``LshIndex`` that
-    hashed rows of the block to a list with one entry per row: that row's
-    keys, or None until the index hashes the row's chunk.  It holds the
-    indexes weakly, so the tasks of a run keep no store's index alive.  An
-    index in turn holds the last block it read weakly (see ``lsh``).
-    """
-
-    __slots__ = ("matrix", "keys", "__weakref__")
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
-        self.keys: WeakKeyDictionary[object, list[Optional[tuple[int, ...]]]]
-        self.keys = WeakKeyDictionary()
-
-
 class FeatureVector:
     """Fixed-dimension real-valued feature vector (pre-extracted upstream).
 
@@ -129,11 +104,11 @@ class FeatureVector:
     floats, built at each read.  Equality, hashing, ``repr`` and pickling
     go by ``values``.
 
-    ``_array`` is row ``_row`` of the matrix of ``_block``, the
-    ``_FeatureBlock`` that holds the bucket keys ``LshIndex`` computes.
-    ``tasks_from_columns`` makes one block of its feature matrix.  A vector
-    built by the constructor, copied or unpickled has no block (None, row
-    0) until its first hash makes it a block of one row.
+    ``_array`` is row ``_row`` of ``_block``, a read-only float64 matrix
+    whose rows an ``LshIndex`` hashes together.  ``tasks_from_columns``
+    makes its feature matrix the block of every vector it builds; the
+    constructor, and so a copy or an unpickled vector, makes a block of one
+    row.  Nothing is written to a vector after construction.
     """
 
     __slots__ = ("_array", "_block", "_row")
@@ -150,7 +125,7 @@ class FeatureVector:
         array = np.array(vals)
         array.setflags(write=False)
         _set_field(self, "_array", array)
-        _set_field(self, "_block", None)
+        _set_field(self, "_block", array[None])  # a read-only view, 1 x dimension
         _set_field(self, "_row", 0)
 
     __setattr__ = _refuse_assignment
@@ -158,8 +133,7 @@ class FeatureVector:
 
     def __reduce__(self):
         # rebuilt from its values alone: a copy or an unpickled vector owns
-        # its array, and starts without a block, whose cached keys name
-        # indexes of this process
+        # a block of one row, not the whole block of its original
         return FeatureVector, (self.values,)
 
     @property
@@ -255,7 +229,7 @@ def tasks_from_columns(
 
     The feature matrix, as a C-contiguous float64 array (``features`` itself
     when it is one), is made read-only, and task ``i``'s vector is a view of
-    its row ``i``.  The matrix is one feature block, which an ``LshIndex``
+    its row ``i``.  The matrix is the vectors' block, which an ``LshIndex``
     hashes a chunk of rows at a time.
     """
     n = len(features)
@@ -295,9 +269,8 @@ def tasks_from_columns(
         )
     # the rows that pass are built as the constructors build them, minus the
     # checks made above for the whole column
-    block = _FeatureBlock(features)
     return [
-        _build_task(i, service, label, _build_vector(row, block, i), up, down, work, at)
+        _build_task(i, service, label, _build_vector(row, features, i), up, down, work, at)
         for i, label, row, up, down, work, at in zip(
             count(),
             labels,

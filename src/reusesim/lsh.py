@@ -17,31 +17,25 @@ already checked finite and held as a read-only float64 array; the index
 checks only its shape and converts nothing.
 
 Vectors are hashed by feature block, not one at a time.  Each vector is a
-row of a block (``core._FeatureBlock``): ``tasks_from_columns`` makes its
-whole feature matrix one block, and any other vector becomes a block of one
-row at its first hash.  The block keeps, for each live index that hashed
-it, one entry per row; it holds the index weakly, so the entries go with
-the index.  The first ``signature`` of a row by an index hashes the
-row's whole chunk and writes the keys of every row of it into the block;
-every later call of that index for a row of the chunk reads them back, so
-the place that follows a lookup reuses the lookup's keys.  Chunks are
-hashed lazily: a run over ten tasks of a large block hashes only the chunks
-those ten lie in.  Reads (``signature``, ``query``, ``candidate_ids``)
-therefore write that derived cache on a value type.  They may still run
-concurrently: two readers may fill one chunk, and they write the same keys
-into the same entries (``setdefault`` gives them one list per index and
-block); two readers that each make a one-row block for one vector leave
-one of the two, whose row a later call may hash again.  ``insert``/``remove``
-need exclusive access.
+row of a read-only matrix, its block: ``tasks_from_columns`` makes its whole
+feature matrix the block of every vector it builds, and the constructor
+makes a block of one row.  The index keeps one key cache: the last block
+``signature`` read, held weakly, and a list with one entry per row of it,
+that row's keys or None.  The first ``signature`` of a row of that block
+hashes the row's whole chunk and writes the keys of every row of it into
+the list; every later call for a row of the chunk reads them back, so the
+place that follows a lookup reuses the lookup's keys.  Chunks are hashed
+lazily: a run over ten tasks of a large block hashes only the chunks those
+ten lie in.  A call for a row of another block starts a fresh list, so an
+index that alternates between two blocks hashes a chunk again at each
+switch (the sign guard below keeps those keys the same).  A task list
+dropped while its store lives frees its block; the list goes at the
+index's next change of block or with the index.
 
-Each index also remembers the last block ``signature`` read, with that
-block's key list, so the lookup and the place of one task, and every later
-row of a run's block, skip the block's ``WeakKeyDictionary`` probe.  The
-memo holds the block weakly: a task list dropped while its store lives
-frees its block, and the key list the memo keeps goes at the index's next
-change of block or with the index.  The memo is one tuple, replaced whole,
-so a concurrent reader sees a block together with its own key list; readers
-that alternate between blocks only miss the memo and probe the block.
+Reads (``signature``, ``query``, ``candidate_ids``) write only that cache,
+so they may run concurrently: the cache is one tuple, replaced whole, and
+two readers that fill one chunk write the same keys.  ``insert``/``remove``
+need exclusive access.
 
 A chunk is as many rows as keep its product to ``_CHUNK_MULADDS`` (2^17)
 multiply-adds, 64 rows at the default 8x8 planes and dimension 32, and at
@@ -90,7 +84,7 @@ from weakref import ref
 
 import numpy as np
 
-from .core import FeatureVector, _FeatureBlock, require_dimension
+from .core import FeatureVector, require_dimension
 
 INITIAL_ROWS = 64
 # the most multiply-adds one chunk product may take (see the module docstring)
@@ -157,7 +151,7 @@ class LshIndex:
         self._keys_of: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._id_of_row: list[int] = []
         # the last block ``signature`` read, held weakly, and its key list
-        self._last: tuple[Callable[[], Optional[_FeatureBlock]], list] = (_no_block, [])
+        self._last: tuple[Callable[[], Optional[np.ndarray]], list] = (_no_block, [])
 
     def __len__(self) -> int:
         return len(self._keys_of)
@@ -187,22 +181,15 @@ class LshIndex:
     def signature(self, v: FeatureVector) -> tuple[int, ...]:
         """Per-table bucket keys of one vector; key i addresses table i.
 
-        The keys of the vector's chunk of its feature block are computed at
-        the first call of this index for a row of the chunk, and read back
-        from the block after that.  A vector without a block becomes a block
-        of one row.  The block's key list comes from the memo when the block
-        is the one the last call read.
+        The keys of the vector's chunk of its block are computed at the
+        first call for a row of the chunk, and read back from the memo while
+        the block is the one the last call read.
         """
         block = v._block
-        if block is None:
-            block = _FeatureBlock(v._array.reshape(1, -1))
-            object.__setattr__(v, "_block", block)
         last_block, keys = self._last
         if last_block() is not block:
-            keys = block.keys.get(self)
-            if keys is None:
-                require_dimension(v, self.dimension)  # every row of the block has v's shape
-                keys = block.keys.setdefault(self, [None] * len(block.matrix))
+            require_dimension(v, self.dimension)  # every row of the block has v's shape
+            keys = [None] * len(block)
             # one tuple, so a concurrent reader sees a block with its own keys
             self._last = (ref(block), keys)
         row = v._row
@@ -210,7 +197,7 @@ class LshIndex:
         if found is None:
             size = self._chunk_rows
             start = row - row % size
-            rows = block.matrix[start : start + size]
+            rows = block[start : start + size]
             if len(rows) == 1:
                 keys[start] = self._project(rows[0])
             else:

@@ -39,6 +39,7 @@ the writer role; the structure itself is sendable between threads.
 from __future__ import annotations
 
 import heapq
+import math
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -202,8 +203,9 @@ class ReuseStore:
         id is consumed.  An accepted call first applies the decay due by
         ``now``: every frequency is halved once per whole interval since the
         last decay, as one shift of ``k`` halvings, so the cost does not
-        depend on how much simulated time has passed.  The table is made at
-        the service's first call.
+        depend on how much simulated time has passed; a ``k`` too large for
+        a float zeroes every frequency and makes ``now`` the last decay.
+        The table is made at the service's first call.
         """
         # the common case in one test: a float ``now`` is finite iff
         # ``now - now`` is 0.0 (inf - inf and nan - nan are nan)
@@ -224,7 +226,12 @@ class ReuseStore:
                     # halving past f.bit_length() leaves 0 unchanged
                     entry.frequency >>= int(min(k, entry.frequency.bit_length()))
                 table.heap = None
-            self._last_decay += k * interval
+            if k == math.inf:
+                # an overflowed quotient has zeroed every count; adding
+                # k * interval would make every later quotient nan
+                self._last_decay = now
+            else:
+                self._last_decay += k * interval
         table = self._tables.get(service)
         if table is None:
             seed = _service_seed(self.seed, service)

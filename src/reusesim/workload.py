@@ -91,12 +91,14 @@ def _sizes_and_arrivals(
 
     ``sizes`` has columns input size, output size and complexity, each
     ``lo + (hi - lo) * u``; arrivals are the running sum of
-    ``gap / arrival_rate``.
+    ``gap / arrival_rate``.  A value that overflows is left infinite, with
+    no warning, for the column checks of ``tasks_from_columns`` to report.
     """
     ranges = (spec.input_size_range, spec.output_size_range, spec.complexity_range)
     lo = np.array([r[0] for r in ranges])
-    sizes = lo + np.array([r[1] - r[0] for r in ranges]) * rng.random((n, 3))
-    return sizes, np.cumsum(rng.standard_exponential(n) / spec.arrival_rate)
+    with np.errstate(over="ignore"):
+        sizes = lo + np.array([r[1] - r[0] for r in ranges]) * rng.random((n, 3))
+        return sizes, np.cumsum(rng.standard_exponential(n) / spec.arrival_rate)
 
 
 def generate(spec: WorkloadSpec) -> list[Task]:

@@ -277,6 +277,7 @@ def _run_module(*args):
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
+        encoding="utf-8",
     )
 
 
@@ -782,4 +783,23 @@ def test_a_run_whose_simulated_times_overflow_fails(tmp_path, capsys, mode, sett
     argv = ["run", "-c", str(cfg), "--set", f"mode={mode}", "--set", setting]
     assert main([*argv, "-d", str(out)]) == 2
     assert "error: simulated times overflowed: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["generated", "feature dump"])
+def test_arrival_times_that_overflow_fail_without_a_warning(tmp_path, capsys, dump):
+    # each gap / 1e-310 past about 0.018 overflows; the arrival column's
+    # check reports it, and no numpy warning goes out with the error
+    text = MINIMAL
+    if dump:
+        path = tmp_path / "features.csv"
+        path.write_text("a,1.0,2.0\nb,3.0,4.0\nc,5.0,6.0\n", encoding="utf-8")
+        text += f"features_file = {path}\nworkload.dimension = 2\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    argv = ["run", "-c", str(cfg), "--set", "workload.arrival_rate=1e-310", "-d", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "error: arrival_time must be finite, got inf\n"
     assert not out.exists()

@@ -468,14 +468,19 @@ def test_vectors_from_columns_and_the_constructor_behave_alike(projections):
     for f, b in zip(fast, built):
         assert (f, hash(f), repr(f)) == (b, hash(b), repr(b))
         assert pickle.loads(pickle.dumps(f)) == b
+    # the rows of one read-only matrix, and a matrix of one row each
+    assert all(f._block is fast[0]._block and f._array.base is f._block for f in fast)
+    assert all(b._block.shape == (1, 4) and np.shares_memory(b._block, b._array) for b in built)
+    assert not any(v._block.flags.writeable for v in fast + built)
     idx, twin = LshIndex(CHUNK8_LSH, 4, 1), LshIndex(CHUNK8_LSH, 4, 1)
     assert idx._chunk_rows == 8
     expected = [twin._project(f._array) for f in fast]
     for _ in range(2):
         assert [idx.signature(f) for f in fast] == [idx.signature(b) for b in built] == expected
-    # one hash per (index, chunk): rows 0-7, 8-15 and 16-19 of the block, and
-    # each constructed vector, a block of one row
-    assert projections.count(idx) == 3 + 20
+    # one hash per chunk each time the index comes back to a block: rows 0-7,
+    # 8-15 and 16-19 of the task block, and each constructed vector, a block
+    # of one row, in each of the two rounds
+    assert projections.count(idx) == 2 * (3 + 20)
 
 
 def test_a_block_shared_by_two_indexes_keeps_each_indexs_keys(projections):
@@ -487,22 +492,26 @@ def test_a_block_shared_by_two_indexes_keeps_each_indexs_keys(projections):
     projections.clear()
     for idx in (a, b, a, b):
         assert [idx.signature(v) for v in vectors] == expected[idx]
+    # each index keeps its own memo of the block, so neither hashes it again
     assert projections == [a] * 3 + [b] * 3
-    (block,) = {v._block for v in vectors}
-    assert block.keys == expected
+    block = vectors[0]._block
+    assert all(v._block is block for v in vectors)
+    assert {idx: idx._last[1] for idx in (a, b)} == expected
+    assert a._last[0]() is block and b._last[0]() is block
 
 
 def test_a_block_keeps_no_index_alive():
     rows = np.random.default_rng(5).standard_normal((20, 4))
     vectors = [task.features for task in _columns_block(rows)]
     idx = LshIndex(CHUNK8_LSH, 4, 1)
-    for v in vectors:
-        idx.signature(v)
-    (block,) = {v._block for v in vectors}
+    keys = [idx.signature(v) for v in vectors]
+    # the block is a plain array: nothing of the index can hang off it
+    block = vectors[0]._block
+    assert all(v._block is block for v in vectors) and type(block) is np.ndarray
     index_alive = weakref.ref(idx)
     del idx
-    gc.collect()
-    assert index_alive() is None and len(block.keys) == 0
+    assert index_alive() is None  # by reference counting, with no cycle to collect
+    assert [LshIndex(CHUNK8_LSH, 4, 1).signature(v) for v in vectors] == keys
 
 
 def test_a_dropped_task_list_frees_its_block_while_the_store_lives():
@@ -534,7 +543,8 @@ def test_a_slice_of_a_block_hashes_only_the_chunks_it_lies_in(projections):
     simulate(tasks[5115:5125], Mode.EDGE_WITH_REUSE, CostParams(), store=store)
     (index,) = set(projections)
     assert index._chunk_rows == 64 and len(projections) == 2
-    (keys,) = tasks[0].features._block.keys.values()
+    block, keys = index._last
+    assert block() is tasks[0].features._block
     assert [row for row, k in enumerate(keys) if k is not None] == list(range(5056, 5184))
 
 

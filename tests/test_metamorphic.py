@@ -15,6 +15,12 @@ its decay and the edge's ``max_queue_delay`` each on or off:
   sign-of-projection key, so every record, the whole report and the store's
   stats and evictions are equal.
 
+A third relation needs no scaling:
+
+* **no eviction, no difference:** in the reuse mode, a store of unbounded
+  capacity and one whose capacity is at or above the run's number of places
+  give equal records, reports and stats, and neither evicts.
+
 This is metamorphic testing (Chen, Cheung and Yiu, 1998): the relations
 need no oracle for what a run should give, only two runs.
 """
@@ -171,3 +177,19 @@ def test_scaling_features_and_thresholds_by_a_power_of_two_changes_nothing(run, 
     if base_store is not None:
         assert scaled_store.stats() == base_store.stats()
         assert scaled_store.eviction_log == base_store.eviction_log
+
+
+@settings(max_examples=250, deadline=None)
+@given(run=runs(), extra=st.integers(0, 3))
+def test_a_capacity_no_run_fills_changes_nothing(run, extra):
+    run = dict(run, mode=Mode.EDGE_WITH_REUSE)
+    tasks = generate(run["spec"])
+    base, base_store = _simulate(tasks, dict(run, store=replace(run["store"], capacity=None)))
+    # an unbounded store never evicts, so it holds every entry the run placed
+    places = sum(stats.entries for stats in base_store.stats().values())
+    capacity = max(1, places + extra)
+    bounded, store = _simulate(tasks, dict(run, store=replace(run["store"], capacity=capacity)))
+    assert bounded.records == base.records
+    assert bounded == base
+    assert store.stats() == base_store.stats()
+    assert store.eviction_log == base_store.eviction_log == []

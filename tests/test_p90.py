@@ -92,6 +92,7 @@ def test_sweep_does_not_import_numpy_ma(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sweep_completion.csv").exists()

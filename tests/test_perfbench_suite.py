@@ -25,6 +25,7 @@ def test_perfbench_suite_passes():
         env=env,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=600,
     )
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]

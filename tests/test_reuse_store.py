@@ -422,6 +422,17 @@ def test_decay_cost_is_independent_of_elapsed_time():
     assert sum(e.frequency for e in store.entries("svc")) == 1
 
 
+def test_decay_goes_on_after_its_quotient_overflows():
+    # (now - last decay) / 1e-320 overflows to inf: every count is zeroed,
+    # and the next interval is measured from now, not from an infinite time
+    store = small_store(capacity=None, decay_interval=1e-320)
+    store.place("svc", axis_vector(0), "a", now=0.0)
+    for now in (1.0, 2.0, 3.0, 1000.0):
+        res = store.lookup("svc", axis_vector(0), now=now)
+        assert res.entry.frequency == 1
+        assert store._last_decay == now
+
+
 @pytest.mark.parametrize("intervals", [0, 1, 2, 3, 7, 64, 65, 200])
 def test_decay_shift_equals_repeated_halving(intervals):
     freqs = [0, 1, 2, 5, 1000, 2**63 - 1, 2**70 + 3]

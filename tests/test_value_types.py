@@ -11,6 +11,7 @@ import copy
 import pickle
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
+import numpy as np
 import pytest
 
 from reusesim import (
@@ -184,7 +185,11 @@ def test_the_slot_builder_builds_a_feature_vector():
     assert repr(built) == repr(vector)
     assert built == vector
     assert built._array is vector._array
-    assert built._block is None and built._row == 0
+    # the constructor's block: a read-only matrix of one row, whose row 0 is
+    # the vector's array
+    assert built._block is vector._block and built._row == 0
+    assert vector._block.shape == (1, 2) and not vector._block.flags.writeable
+    assert np.shares_memory(vector._block, vector._array)
 
 
 def test_the_slot_builder_skips_the_checks():
