@@ -15,12 +15,11 @@ byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
-
-import numpy as np
 
 from .reuse_store import StoreSettings
 from .sim import (
@@ -33,7 +32,7 @@ from .sim import (
     reuse_gain,
     run,
 )
-from .workload import BASE_NORM, WorkloadSpec, _text_lines, redundancy_ramp
+from .workload import WorkloadSpec, _text_lines, generate, redundancy_ramp
 
 SCENARIOS = ("completion", "computation", "waiting", "utilization", "load", "gain")
 
@@ -347,33 +346,38 @@ def cmd_sweep(scenario: str, outdir, seed: int, trials: int) -> int:
     return 0
 
 
+def _consecutive_distances(spec: WorkloadSpec) -> list[float]:
+    """The distance between the features of each pair of consecutive tasks."""
+    rows = [task.features.values for task in generate(spec)]
+    return list(map(math.dist, rows, rows[1:]))
+
+
 def cmd_calibrate(dimension: int, sigma: float, samples: int, seed: int) -> int:
-    """Sample same-object vs cross-object distances and suggest thresholds."""
-    try:
-        WorkloadSpec(dimension=dimension, noise_sigma=sigma, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """Measure same-object vs cross-object distances and suggest thresholds.
+
+    Each distance is between consecutive tasks of the ``samples + 1`` that
+    ``generate`` draws: at redundancy 1 all observe one object, at 0 each is new.
+    """
     if samples < 2:
         raise ConfigError("--samples must be >= 2")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((samples, dimension))
-    bases = BASE_NORM * g / np.linalg.norm(g, axis=1, keepdims=True)
-    within = np.linalg.norm(
-        sigma * rng.standard_normal((samples, dimension))
-        - sigma * rng.standard_normal((samples, dimension)),
-        axis=1,
-    )
-    cross = np.linalg.norm(bases - np.roll(bases, 1, axis=0), axis=1)
-    within_hi = float(np.max(within))
-    cross_lo = float(np.min(cross))
+    try:
+        spec = WorkloadSpec(
+            num_tasks=samples + 1, dimension=dimension, noise_sigma=sigma, seed=seed
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    within = _consecutive_distances(replace(spec, redundancy_rate=1.0))
+    cross = _consecutive_distances(replace(spec, redundancy_rate=0.0))
+    within_hi, cross_lo = max(within), min(cross)
+    within_mean, cross_mean = (math.fsum(d) / samples for d in (within, cross))
     tau_full = min(2.5 * within_hi, cross_lo / 4.0)
     try:
         suggested = StoreSettings(tau_full=tau_full, tau_partial=2.0 * tau_full)
     except ValueError as exc:
         raise ConfigError(f"no valid thresholds from these samples: {exc}") from None
     print(f"dimension={dimension} sigma={sigma} samples={samples}")
-    print(f"same-object distance: mean={within.mean():.4f} max={within_hi:.4f}")
-    print(f"cross-object distance: min={cross_lo:.4f} mean={cross.mean():.4f}")
+    print(f"same-object distance: mean={within_mean:.4f} max={within_hi:.4f}")
+    print(f"cross-object distance: min={cross_lo:.4f} mean={cross_mean:.4f}")
     print(f"suggested store.tau_full = {suggested.tau_full:.4f}")
     print(f"suggested store.tau_partial = {suggested.tau_partial:.4f}")
     return 0

@@ -41,8 +41,8 @@ A chunk is as many rows as keep its product to ``_CHUNK_MULADDS`` (2^17)
 multiply-adds, 64 rows at the default 8x8 planes and dimension 32, and at
 least one.  OpenBLAS runs a dgemm of at most 65536x4 multiply-adds on the
 calling thread; a product over a whole block of thousands of rows wakes its
-worker threads and is slower.  A chunk of one row is hashed by
-``_project``, one matrix-vector product.
+worker threads and is slower.  Every chunk, one row or more, is hashed by
+``_hash_chunk``.
 
 A chunk's matrix product rounds differently from ``_project``'s
 matrix-vector product, so a row takes its keys from the chunk only where
@@ -96,10 +96,6 @@ _GUARD_NORM2 = (2.0**-1000, 2.0**1000)
 
 # what an unaddressed bucket contributes to a candidate set
 _NO_BUCKET = b""
-# the candidate rows of a query that addresses no bucket; read-only, like
-# the arrays ``np.frombuffer`` makes over a join's bytes
-_NO_ROWS = np.empty(0, np.int64)
-_NO_ROWS.setflags(write=False)
 
 
 def _no_block() -> None:
@@ -161,7 +157,7 @@ class LshIndex:
         return tuple((bits.reshape(self._key_shape) @ self._bit_weights).tolist())
 
     def _hash_chunk(self, rows: np.ndarray) -> list[tuple[int, ...]]:
-        """The keys ``_project`` gives each of two or more rows, from one product.
+        """The keys ``_project`` gives each of one or more rows, from one product.
 
         A row whose products do not all clear the sign guard, or whose
         squared norm lies outside the guarded range, is hashed by
@@ -197,11 +193,7 @@ class LshIndex:
         if found is None:
             size = self._chunk_rows
             start = row - row % size
-            rows = block[start : start + size]
-            if len(rows) == 1:
-                keys[start] = self._project(rows[0])
-            else:
-                keys[start : start + size] = self._hash_chunk(rows)
+            keys[start : start + size] = self._hash_chunk(block[start : start + size])
             found = keys[row]
         return found
 
@@ -253,8 +245,6 @@ class LshIndex:
         each addressed bucket holding it.
         """
         packed = b"".join(map(dict.get, self._tables, self.signature(q), repeat(_NO_BUCKET)))
-        if not packed:
-            return _NO_ROWS
         return np.frombuffer(packed, np.int64)
 
     def query(self, q: FeatureVector) -> list[tuple[int, float]]:

@@ -122,8 +122,10 @@ def generate(spec: WorkloadSpec) -> list[Task]:
     norms = np.sqrt(bases[:, None, :] @ bases[:, :, None]).reshape(minted, 1)
     bases *= BASE_NORM
     bases /= norms
-    features *= spec.noise_sigma
-    features += bases[objects]
+    # an overflow is left infinite, unwarned, for the feature check to report
+    with np.errstate(over="ignore"):
+        features *= spec.noise_sigma
+        features += bases[objects]
     names = [f"obj-{k:05d}" for k in range(minted)]
     labels = [names[k] for k in objects.tolist()]
     return tasks_from_columns(spec.service, labels, features, *sizes.T, arrival)

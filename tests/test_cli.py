@@ -22,6 +22,7 @@ from reusesim import (
     WorkloadFileError,
     WorkloadSpec,
     cli,
+    generate,
     ingest,
     run,
     simulate,
@@ -524,6 +525,49 @@ def test_sweep_rejects_bad_flags_before_writing(tmp_path, capsys, flags, message
 
 
 @pytest.mark.parametrize(
+    "flags,spec",
+    [
+        ([], WorkloadSpec(num_tasks=2001)),
+        (
+            ["--dim", "8", "--sigma", "0.3", "--samples", "300", "--seed", "5"],
+            WorkloadSpec(num_tasks=301, dimension=8, noise_sigma=0.3, seed=5),
+        ),
+    ],
+    ids=["defaults", "flags"],
+)
+def test_calibrate_measures_the_tasks_generate_draws(capsys, flags, spec):
+    def distances(redundancy_rate, objects):
+        tasks = generate(replace(spec, redundancy_rate=redundancy_rate))
+        assert len({task.object_label for task in tasks}) == objects
+        rows = np.array([task.features.values for task in tasks])
+        return np.linalg.norm(np.diff(rows, axis=0), axis=1)
+
+    # at redundancy 1 every task observes one object, at 0 each is a new one
+    within, cross = distances(1.0, 1), distances(0.0, spec.num_tasks)
+    tau_full = min(2.5 * within.max(), cross.min() / 4.0)
+    assert main(["calibrate", *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"same-object distance: mean={within.mean():.4f} max={within.max():.4f}",
+        f"cross-object distance: min={cross.min():.4f} mean={cross.mean():.4f}",
+        f"suggested store.tau_full = {tau_full:.4f}",
+        f"suggested store.tau_partial = {2.0 * tau_full:.4f}",
+    ]
+
+
+def test_calibrate_takes_a_noise_near_the_float_limit_without_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["calibrate", "--samples", "50", "--sigma", "1e300"]) == 0
+    assert "suggested store.tau_partial = " in capsys.readouterr().out
+
+
+def test_calibrate_checks_samples_before_it_builds_the_workload(capsys):
+    # -5 samples would be -4 tasks, which WorkloadSpec names as num_tasks
+    assert main(["calibrate", "--samples", "-5"]) == 1
+    assert capsys.readouterr().err == "config error: --samples must be >= 2\n"
+
+
+@pytest.mark.parametrize(
     "flags,named",
     [
         (["--sigma", "nan"], "noise_sigma"),
@@ -783,6 +827,28 @@ def test_a_run_whose_simulated_times_overflow_fails(tmp_path, capsys, mode, sett
     argv = ["run", "-c", str(cfg), "--set", f"mode={mode}", "--set", setting]
     assert main([*argv, "-d", str(out)]) == 2
     assert "error: simulated times overflowed: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["cloud_only", "edge_no_reuse", "edge_with_reuse", "calibrate"]
+)
+def test_a_noise_that_overflows_fails_without_a_warning(tmp_path, capsys, command):
+    # the feature column's check reports the overflow, and no numpy warning
+    # goes out with the error; calibrate's workload fails as a run's does
+    out = tmp_path / "out"
+    if command == "calibrate":
+        argv = ["calibrate", "--samples", "50", "--sigma", "1e308"]
+    else:
+        cfg = write_config(tmp_path, f"mode = {command}\nworkload.num_tasks = 20\n")
+        argv = ["run", "-c", str(cfg), "-d", str(out)]
+        argv += ["--set", "workload.noise_sigma=1e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: feature vector values must be finite\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -359,8 +359,8 @@ def test_insert_takes_feature_vectors_only(make):
 @pytest.fixture
 def projections(monkeypatch):
     """Records the index of each hash ``LshIndex`` computes: each chunk
-    product, and each ``_project`` of one row (a chunk of one row, or a row
-    of a larger chunk that the sign guard sends there)."""
+    product, of one row or more, and each ``_project`` of a row that the
+    sign guard sends there."""
     calls = []
 
     def counting(method):

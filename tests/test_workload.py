@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -623,3 +624,16 @@ def test_workload_digest_covers_values_not_types():
     assert workload_digest([_task(input_size=5)]) == workload_digest(
         [_task(input_size=5.0)]
     )
+
+
+@pytest.mark.parametrize("redundancy_rate", [0.0, 0.8, 1.0])
+def test_a_noise_that_overflows_fails_without_a_warning(redundancy_rate):
+    # 1e308 times a draw past about 1.8 overflows; the feature column's check
+    # reports it, and no numpy warning goes out with the error
+    spec = WorkloadSpec(
+        num_tasks=20, redundancy_rate=redundancy_rate, noise_sigma=1e308
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^feature vector values must be finite$"):
+            generate(spec)
