@@ -41,8 +41,9 @@ A chunk is as many rows as keep its product to ``_CHUNK_MULADDS`` (2^17)
 multiply-adds, 64 rows at the default 8x8 planes and dimension 32, and at
 least one.  OpenBLAS runs a dgemm of at most 65536x4 multiply-adds on the
 calling thread; a product over a whole block of thousands of rows wakes its
-worker threads and is slower.  Every chunk, one row or more, is hashed by
-``_hash_chunk``.
+worker threads and is slower.  A chunk of one row (a vector the
+constructor built, or the last row of a block) is hashed by ``_project``,
+one matrix-vector product; a chunk of two or more rows by ``_hash_chunk``.
 
 A chunk's matrix product rounds differently from ``_project``'s
 matrix-vector product, so a row takes its keys from the chunk only where
@@ -62,20 +63,18 @@ partial sum overflows and the margin dwarfs ``d * 2^-1074``.  Every other
 row, with a product inside the margin or a norm outside that range, is
 hashed by ``_project``.  So a key never depends on the chunk a row lies in.
 
-Each bucket packs the rows of the index's matrix that hold its entries as
-native int64s: a bucket of one row is that row's 8 bytes, and a larger one
-an ``array.array("q")``.  A query joins the addressed buckets' bytes and
-gathers its candidates' rows with one copy, building no union.  A row held
-by several addressed buckets is listed once for each of them and ranked
-once per listing at the same distance, so the duplicates change neither
-the winner nor its distance.  Ids are read only to name the winner, the
-smallest id among the rows at the smallest distance.
+Each bucket is an ``array.array("q")`` of the rows of the index's matrix
+that hold its entries, as native int64s.  A query joins the addressed
+buckets' bytes and gathers its candidates' rows with one copy, building no
+union.  A row held by several addressed buckets is listed once for each of
+them and ranked once per listing at the same distance, so the duplicates
+change neither the winner nor its distance.  Ids are read only to name the
+winner, the smallest id among the rows at the smallest distance.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -141,7 +140,7 @@ class LshIndex:
         # freed by ``remove`` are reused.  Each id maps to its row and the
         # per-table keys computed at insert, ``_id_of_row`` names the id
         # each row in use holds, and each bucket lists the rows it holds.
-        self._tables: list[dict[int, bytes | array]] = [{} for _ in range(tables)]
+        self._tables: list[dict[int, array]] = [{} for _ in range(tables)]
         self._matrix = np.empty((INITIAL_ROWS, dimension))
         self._free_rows: list[int] = []
         self._keys_of: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -157,7 +156,7 @@ class LshIndex:
         return tuple((bits.reshape(self._key_shape) @ self._bit_weights).tolist())
 
     def _hash_chunk(self, rows: np.ndarray) -> list[tuple[int, ...]]:
-        """The keys ``_project`` gives each of one or more rows, from one product.
+        """The keys ``_project`` gives each of two or more rows, from one product.
 
         A row whose products do not all clear the sign guard, or whose
         squared norm lies outside the guarded range, is hashed by
@@ -193,7 +192,11 @@ class LshIndex:
         if found is None:
             size = self._chunk_rows
             start = row - row % size
-            keys[start : start + size] = self._hash_chunk(block[start : start + size])
+            rows = block[start : start + size]
+            if len(rows) == 1:
+                keys[start] = self._project(rows[0])
+            else:
+                keys[start : start + size] = self._hash_chunk(rows)
             found = keys[row]
         return found
 
@@ -213,15 +216,10 @@ class LshIndex:
             self._id_of_row.append(entry_id)
         self._matrix[row] = v._array
         self._keys_of[entry_id] = (row, keys)
-        # a new bucket is the row's bytes, shared by all the tables it opens in,
-        # so it costs no allocation; a second row turns a bucket into an array
-        packed = row.to_bytes(8, sys.byteorder)
         for table, key in zip(self._tables, keys):
             bucket = table.get(key)
             if bucket is None:
-                table[key] = packed
-            elif type(bucket) is bytes:
-                table[key] = array("q", bucket + packed)
+                table[key] = array("q", (row,))
             else:
                 bucket.append(row)
 
@@ -232,7 +230,7 @@ class LshIndex:
         row, keys = found
         for table, key in zip(self._tables, keys):
             bucket = table[key]
-            if type(bucket) is bytes or len(bucket) == 1:
+            if len(bucket) == 1:
                 del table[key]
             else:
                 bucket.remove(row)

@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import pickle
+import warnings
 import weakref
 
 import numpy as np
@@ -358,9 +359,9 @@ def test_insert_takes_feature_vectors_only(make):
 
 @pytest.fixture
 def projections(monkeypatch):
-    """Records the index of each hash ``LshIndex`` computes: each chunk
-    product, of one row or more, and each ``_project`` of a row that the
-    sign guard sends there."""
+    """Records the index of each hash ``LshIndex`` computes: each product of
+    a chunk of two or more rows, and each ``_project`` of one row (a chunk of
+    one row, or a row of a larger chunk that the sign guard sends there)."""
     calls = []
 
     def counting(method):
@@ -481,6 +482,25 @@ def test_vectors_from_columns_and_the_constructor_behave_alike(projections):
     # 8-15 and 16-19 of the task block, and each constructed vector, a block
     # of one row, in each of the two rounds
     assert projections.count(idx) == 2 * (3 + 20)
+
+
+def test_a_one_row_chunk_is_hashed_by_project_alone(monkeypatch):
+    # a constructed vector is a block of one row, and the last row of a
+    # 9-row block is a chunk of one row at 8 rows per chunk
+    idx, twin = LshIndex(CHUNK8_LSH, 4, 1), LshIndex(CHUNK8_LSH, 4, 1)
+    rows = np.random.default_rng(6).standard_normal((9, 4))
+    built = FeatureVector(rows[0].tolist())
+    last = _columns_block(rows)[8].features
+    hash_chunk = LshIndex._hash_chunk
+
+    def two_or_more_rows(self, chunk):
+        if len(chunk) < 2:
+            raise AssertionError("a one-row chunk reached _hash_chunk")
+        return hash_chunk(self, chunk)
+
+    monkeypatch.setattr(LshIndex, "_hash_chunk", two_or_more_rows)
+    assert idx.signature(built) == twin._project(built._array)
+    assert idx.signature(last) == twin._project(last._array)
 
 
 def test_a_block_shared_by_two_indexes_keeps_each_indexs_keys(projections):
@@ -746,6 +766,40 @@ def test_a_smaller_id_wins_a_tie_with_an_entry_in_every_addressed_bucket():
     assert rows[0] == _row(idx, 9) and rows.count(_row(idx, 9)) == 4
     assert 0 < rows.count(_row(idx, 2)) < 4
     assert idx.query(q) == [(2, 1.0)]
+
+
+def test_rows_one_ulp_apart_in_squared_distance_tie_at_their_distance():
+    # the squared distances of the two rows from the query differ by one ulp,
+    # yet both square roots round to one float: a tie, which the smaller id
+    # wins although its row lies a little farther in squared distance
+    q = FeatureVector([0.0, 0.0])
+    nearer = [1.0148888202713704, 0.9662060253252891]
+    farther = [nearer[0], math.nextafter(nearer[1], math.inf)]
+    d2 = [np.add.reduce(np.square(row)) for row in (nearer, farther)]
+    assert math.nextafter(d2[0], math.inf) == d2[1]
+    assert math.sqrt(d2[0]) == math.sqrt(d2[1])
+    idx = LshIndex(LshSettings(num_tables=1, bits_per_table=1), 2, 1)
+    idx.insert(2, FeatureVector(nearer))
+    idx.insert(1, FeatureVector(farther))
+    assert _candidate_ids(idx, q) == {1, 2}
+    ref = ReferenceLsh(idx)
+    ref.insert(2, FeatureVector(nearer))
+    ref.insert(1, FeatureVector(farther))
+    assert idx.query(q) == ref.query(q)[:1] == [(1, math.sqrt(d2[0]))]
+
+
+def test_the_largest_finite_squared_distance_ranks_without_a_warning():
+    # the largest float whose square is finite: its squared distance from the
+    # origin lies one ulp below the largest float, and ranking it must not
+    # scale it further
+    far = 1.3407807929942596e154
+    beyond = math.nextafter(far, math.inf)
+    assert math.isfinite(far * far) and math.isinf(beyond * beyond)
+    idx = LshIndex(LshSettings(num_tables=1, bits_per_table=1), 1, 1)
+    idx.insert(1, FeatureVector([far]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert idx.query(FeatureVector([0.0])) == [(1, far)]
 
 
 def test_a_freed_row_leaves_every_bucket_and_is_reused():
