@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .reuse_store import StoreSettings
 from .sim import (
@@ -200,7 +200,7 @@ def _fmt(x) -> str:
 _CONVERSION_OF = {float: "%.10g", int: "%s", str: "%s"}
 
 
-def _task_column(values: list, kind: type) -> tuple[str, list]:
+def _task_column(values: Sequence, kind: type) -> tuple[str, Sequence]:
     """The ``%`` conversion of one ``tasks.csv`` column, and the values it takes.
 
     A column of a float, int or str field that holds only values of exactly
@@ -216,16 +216,15 @@ def _task_column(values: list, kind: type) -> tuple[str, list]:
 def tasks_csv_text(report: MetricsReport) -> str:
     """The ``tasks.csv`` text of a report: ``_fmt`` of every cell.
 
-    Each row is formatted by one ``%`` template, whose conversions
+    The cells come from the report's record rows, so no ``TaskRecord`` is
+    built.  Each row is formatted by one ``%`` template, whose conversions
     ``_task_column`` picks once per column from ``TaskRecord``'s field types.
     """
-    records = report.records
-    conversions, columns = zip(
-        *(
-            _task_column([getattr(r, name) for r in records], kind)
-            for name, kind in zip(_TASK_COLUMNS, _TASK_TYPES)
-        )
-    )
+    rows = report.records.rows
+    # transposing no rows gives no columns, so a report without records
+    # gets one empty column per field
+    columns = tuple(zip(*rows)) or ((),) * len(_TASK_COLUMNS)
+    conversions, columns = zip(*map(_task_column, columns, _TASK_TYPES))
     template = ",".join(conversions)
     return "\n".join((TASKS_HEADER, *map(template.__mod__, zip(*columns)), ""))
 

@@ -38,10 +38,12 @@ import hashlib
 import heapq
 import math
 from collections import Counter, deque
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
+from itertools import starmap
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -59,7 +61,7 @@ from .cost import delivered_at, execution_cost, received_at, reuse_cost
 from .forwarding import EdgeNode
 from .lsh import LshSettings
 from .reuse_store import ReuseStore, StoreSettings
-from .workload import WorkloadSpec, _dump_tasks, _read_dump, generate
+from .workload import WorkloadFileError, WorkloadSpec, _dump_tasks, _read_dump, generate
 
 
 class Mode(Enum):
@@ -118,8 +120,10 @@ class SimConfig:
 
     ``run`` seeds trial *i*'s workload and store from ``seed + i``, whatever
     ``workload.seed`` holds.  ``features_file`` is read once per config, at
-    the first trial that needs it.  A config is frozen: ``dataclasses.replace``
-    makes a new one, which reads its own dump.
+    the first trial that needs it, and its record count replaces
+    ``workload.num_tasks``; without one, ``workload.num_tasks`` must be at
+    least 1.  A config is frozen: ``dataclasses.replace`` makes a new one,
+    which reads its own dump.
     """
 
     mode: Mode
@@ -139,6 +143,8 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.features_file is None and self.workload.num_tasks < 1:
+            raise ValueError("workload.num_tasks must be >= 1 when no features_file is set")
         _check_shapes(self)
 
     @cached_property
@@ -163,10 +169,68 @@ class TaskRecord:
     correct: bool
 
 
+# a record's field values in declaration order: its row
+_RECORD_FIELDS = tuple(f.name for f in fields(TaskRecord))
+_record_row = attrgetter(*_RECORD_FIELDS)
+
+
+class RecordView(SequenceABC):
+    """A read-only sequence of ``TaskRecord``s kept as rows of field values.
+
+    Each row is a tuple of one record's field values in declaration order.
+    A ``TaskRecord`` is built from its row only when it is indexed or
+    iterated, so a run whose records are never read builds none; a slice is
+    a tuple of records.  The view equals a tuple of equal records, compared
+    from either side, and a view of equal rows; it hashes, reprs, pickles and
+    copies as that tuple does.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: tuple[tuple, ...]) -> None:
+        self._rows = rows
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The rows, one per record, in the view's order."""
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(starmap(_build_record, self._rows[index]))
+        return _build_record(*self._rows[index])
+
+    def __iter__(self):
+        return starmap(_build_record, self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, RecordView):
+            return self._rows == other._rows
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class MetricsReport:
+    """One trial's metrics and its records, sorted by task id.
+
+    ``records`` is always a ``RecordView``: any other sequence of records
+    given to the constructor (or to ``dataclasses.replace``) is converted to
+    one, so a report holds its records as rows of field values.
+    """
+
     mode: Mode
-    records: tuple[TaskRecord, ...]
+    records: Sequence[TaskRecord]
     mean_completion_s: float
     p90_completion_s: float
     mean_computation_s: float
@@ -187,6 +251,11 @@ class MetricsReport:
     n_edge_compute: int
     n_cloud: int
     workload_digest: str
+
+    def __post_init__(self) -> None:
+        if type(self.records) is not RecordView:
+            rows = tuple(map(_record_row, self.records))
+            object.__setattr__(self, "records", RecordView(rows))
 
 
 def task_correct(outcome: Outcome, task: Task) -> bool:
@@ -267,16 +336,14 @@ _build_record = _slot_builder(TaskRecord)
 _CLOUD_OUTCOME = OutcomeKind.CLOUD_OFFLOAD.value
 
 
-def _cloud_record(
-    task: Task, depart: float, waiting: float, cost: CostParams
-) -> TaskRecord:
-    """Record for a task served on the cloud path starting at ``depart``."""
+def _cloud_row(task: Task, depart: float, waiting: float, cost: CostParams) -> tuple:
+    """The record row of a task served on the cloud path starting at ``depart``."""
     start = received_at(depart, task, False, cost)
     computation = execution_cost(task, False, cost)
     finish = delivered_at(start + computation, task, False, cost)
     at = task.arrival_time
     # computed from scratch, so correct by definition
-    return _build_record(
+    return (
         task.id, task.service, task.object_label, _CLOUD_OUTCOME, "cloud", at,
         start, finish, waiting, computation, finish - at, True,
     )
@@ -293,7 +360,12 @@ def simulate(
     store: Optional[ReuseStore] = None,
     max_queue_delay: Optional[float] = None,
 ) -> MetricsReport:
-    """Run one trial over a fixed task list and return its metrics."""
+    """Run one trial over a fixed task list and return its metrics.
+
+    The event loop keeps each finished task as a row of ``TaskRecord``'s
+    field values, and the report's ``records`` is a ``RecordView`` over
+    those rows, so no ``TaskRecord`` is built unless a caller reads one.
+    """
     _check_run(mode, edge_slots, max_queue_delay)
     if mode is Mode.EDGE_WITH_REUSE and store is None:
         raise ValueError("EDGE_WITH_REUSE needs a reuse store")
@@ -304,8 +376,8 @@ def simulate(
         raise ValueError(f"task id {repeated} is repeated")
     digest = workload_digest(tasks)
     if mode is Mode.CLOUD_ONLY:
-        records = [_cloud_record(t, t.arrival_time, 0.0, cost) for t in tasks]
-        return _aggregate(mode, records, 0.0, edge_slots, 0, 0.0, 0.0, digest)
+        rows = [_cloud_row(t, t.arrival_time, 0.0, cost) for t in tasks]
+        return _aggregate(mode, rows, 0.0, edge_slots, 0, 0.0, 0.0, digest)
 
     if mode is not Mode.EDGE_WITH_REUSE:
         store = None
@@ -331,7 +403,7 @@ def simulate(
     running = 0
     peak = 0
     busy = 0.0
-    records: list[TaskRecord] = []
+    rows: list[tuple] = []  # one record row per finished task
     area = 0.0
     first_event = last_event = heap[0][0]
     sum_time_in_system = 0.0
@@ -344,7 +416,7 @@ def simulate(
             area += (len(queue) + running) * (now - last_event)
             last_event = now
             queue.popleft()
-            records.append(_cloud_record(task, now, now - recv, cost))
+            rows.append(_cloud_row(task, now, now - recv, cost))
             sum_time_in_system += now - recv
             continue
         now, _, kind, payload = heappop(heap)
@@ -370,8 +442,8 @@ def simulate(
             at = task.arrival_time
             # every service is offloaded, so the task finished at the edge;
             # ``_value_`` is the kind's value, read without a descriptor call
-            records.append(
-                _build_record(
+            rows.append(
+                (
                     task.id, task.service, task.object_label, outcome.kind._value_,
                     "edge", at, start, finish, start - recv, duration, finish - at,
                     task_correct(outcome, task),
@@ -397,23 +469,30 @@ def simulate(
     span = last_event - first_event
     time_avg = area / span if span > 0 else 0.0
     mean_tis = sum_time_in_system / len(tasks)
-    return _aggregate(mode, records, busy, edge_slots, peak, time_avg, mean_tis, digest)
+    return _aggregate(mode, rows, busy, edge_slots, peak, time_avg, mean_tis, digest)
 
 
-_record_id = attrgetter("task_id")
-_record_completion = attrgetter("completion_s")
-_record_computation = attrgetter("computation_s")
-_record_waiting = attrgetter("waiting_s")
-_record_finish = attrgetter("finish_s")
-_record_outcome = attrgetter("outcome")
-_record_correct = attrgetter("correct")
+def _row_getter(name: str) -> itemgetter:
+    """A getter of ``TaskRecord`` field ``name`` from a record row."""
+    return itemgetter(_RECORD_FIELDS.index(name))
+
+
+# _aggregate reads one column at a time, so it holds at most one column's
+# worth of new references beside the rows
+_row_id = _row_getter("task_id")
+_row_completion = _row_getter("completion_s")
+_row_computation = _row_getter("computation_s")
+_row_waiting = _row_getter("waiting_s")
+_row_finish = _row_getter("finish_s")
+_row_outcome = _row_getter("outcome")
+_row_correct = _row_getter("correct")
 # the report's float metrics, in declaration order
 _REPORT_FLOATS = tuple(f.name for f in fields(MetricsReport) if f.type == "float")
 
 
 def _aggregate(
     mode: Mode,
-    records: list[TaskRecord],
+    rows: list[tuple],
     busy: float,
     edge_slots: int,
     peak: int,
@@ -421,16 +500,17 @@ def _aggregate(
     mean_tis: float,
     digest: str,
 ) -> MetricsReport:
-    records = sorted(records, key=_record_id)
-    n = len(records)
-    completion_s = list(map(_record_completion, records))
+    """The report of a run's record rows (see ``RecordView``), in any order."""
+    rows = tuple(sorted(rows, key=_row_id))
+    n = len(rows)
+    completion_s = list(map(_row_completion, rows))
     completion = np.array(completion_s)
-    computation = np.fromiter(map(_record_computation, records), np.float64, n)
-    waiting = np.fromiter(map(_record_waiting, records), np.float64, n)
+    computation = np.fromiter(map(_row_computation, rows), np.float64, n)
+    waiting = np.fromiter(map(_row_waiting, rows), np.float64, n)
     with np.errstate(all="ignore"):  # an overflowed mean is rejected below
         means = [float(column.mean()) for column in (completion, computation, waiting)]
-    makespan = float(max(map(_record_finish, records)))
-    counts = Counter(map(_record_outcome, records))
+    makespan = float(max(map(_row_finish, rows)))
+    counts = Counter(map(_row_outcome, rows))
     n_full = counts[OutcomeKind.FULL_REUSE.value]
     n_partial = counts[OutcomeKind.PARTIAL_REUSE.value]
     n_edge = counts[OutcomeKind.EDGE_COMPUTE.value]
@@ -438,7 +518,7 @@ def _aggregate(
     utilization = 100.0 * busy / (edge_slots * makespan) if makespan > 0 else 0.0
     report = MetricsReport(
         mode=mode,
-        records=tuple(records),
+        records=RecordView(rows),
         mean_completion_s=means[0],
         p90_completion_s=p90(completion_s),
         mean_computation_s=means[1],
@@ -447,7 +527,7 @@ def _aggregate(
         load_cloud=n_cloud / n,
         load_edge=n_edge / n,
         load_reuse=(n_full + n_partial) / n,
-        correctness_rate=sum(map(_record_correct, records)) / n,
+        correctness_rate=sum(map(_row_correct, rows)) / n,
         busy_slot_time=busy,
         makespan=makespan,
         edge_slots=edge_slots,
@@ -477,12 +557,18 @@ def run(config: SimConfig, trial: int = 0) -> MetricsReport:
     """Generate (or ingest) the workload for one trial and simulate it.
 
     Trial ``i`` uses seed ``config.seed + i`` for both the workload and the
-    store's hash functions.
+    store's hash functions.  A ``features_file`` that holds no records is a
+    ``WorkloadFileError`` naming the file.
     """
     seed = config.seed + trial
     spec = replace(config.workload, seed=seed)
     if config.features_file is not None:
-        tasks = _dump_tasks(*config._dump, spec)
+        labels, features = config._dump
+        if not labels:
+            raise WorkloadFileError(
+                f"features_file {config.features_file!r} holds no records"
+            )
+        tasks = _dump_tasks(labels, features, spec)
     else:
         tasks = generate(spec)
     store = build_store(config, seed) if config.mode is Mode.EDGE_WITH_REUSE else None

@@ -706,6 +706,7 @@ def _task_records(draw):
 @settings(max_examples=300, deadline=None)
 @given(records=_task_records())
 @example(records=_edge_case_records())
+@example(records=[])  # no rows to transpose: the header alone
 def test_tasks_csv_rows_equal_fmt_of_every_cell(records, tmp_path_factory):
     report = simulate([make_task()], Mode.CLOUD_ONLY, CostParams())
     report = replace(report, records=tuple(records))
@@ -790,6 +791,25 @@ def test_run_holds_one_trial_report_at_a_time(tmp_path, monkeypatch):
     assert len(alive) == 3
     report = run(build_config(parse_config_file(cfg)), 0)
     assert (out / "tasks.csv").read_bytes() == _fmt_tasks_csv(report.records)
+
+
+def test_a_run_of_no_tasks_says_why(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    argv = ["run", "-c", str(cfg), "-s", "workload.num_tasks=0", "-d", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "config error: workload.num_tasks must be >= 1 when no features_file is set\n"
+    )
+    assert not out.exists()
+    dump = tmp_path / "features.csv"
+    dump.write_text("\n", encoding="utf-8")
+    argv = ["run", "-c", str(cfg), "-s", f"features_file={dump}", "-d", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: features_file {str(dump)!r} holds no records\n"
+    )
+    assert not out.exists()
 
 
 def test_a_malformed_dump_leaves_no_output_directory(tmp_path):

@@ -3,7 +3,8 @@
 ``reference_simulate`` is the event loop as it stood before the per-task
 costs of the queue were cut: a closure that pushes each reception one by
 one, a closure that dispatches, ``complete`` called after every finish, and
-each record built by ``TaskRecord``'s own constructor.  Both loops must give
+each record built by ``TaskRecord``'s own constructor and handed to
+``_aggregate`` as the row of its field values.  Both loops must give
 the same report: every record field equal by ``repr`` and of the same type,
 and every other report field equal by ``repr``.  Times sit on a dyadic grid
 so that equal timestamps, and with them the tie rules, come up often.
@@ -12,7 +13,7 @@ so that equal timestamps, and with them the tie rules, come up often.
 import heapq
 import math
 from collections import Counter, deque
-from dataclasses import fields
+from dataclasses import astuple, fields
 from operator import attrgetter
 
 import numpy as np
@@ -80,7 +81,8 @@ def reference_simulate(tasks, mode, cost, edge_slots, store=None, max_queue_dela
     digest = workload_digest(tasks)
     if mode is Mode.CLOUD_ONLY:
         records = [_cloud_record(t, t.arrival_time, 0.0, cost) for t in tasks]
-        return _aggregate(mode, records, 0.0, edge_slots, 0, 0.0, 0.0, digest)
+        rows = list(map(astuple, records))
+        return _aggregate(mode, rows, 0.0, edge_slots, 0, 0.0, 0.0, digest)
 
     node = EdgeNode(
         offloaded_services=frozenset(t.service for t in tasks),
@@ -148,7 +150,8 @@ def reference_simulate(tasks, mode, cost, edge_slots, store=None, max_queue_dela
     span = last_event - first_event
     time_avg = area / span if span > 0 else 0.0
     mean_tis = sum_time_in_system / len(tasks)
-    return _aggregate(mode, records, busy, edge_slots, peak, time_avg, mean_tis, digest)
+    rows = list(map(astuple, records))
+    return _aggregate(mode, rows, busy, edge_slots, peak, time_avg, mean_tis, digest)
 
 
 # Collinear vectors share every LSH bucket, so the store finds them: 10.3 is

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -17,9 +19,11 @@ from reusesim import (
     run,
     simulate,
 )
+from reusesim import cli, sim
 from reusesim.core import FeatureVector, Outcome
 from reusesim.cost import received_at
 from reusesim.reuse_store import ReuseEntry
+from reusesim.sim import RecordView, TaskRecord
 from reusesim.workload import generate
 
 from conftest import make_task
@@ -418,6 +422,27 @@ def test_config_rejects_non_finite(value):
         )
 
 
+def test_a_generated_run_needs_at_least_one_task(tmp_path):
+    with pytest.raises(ValueError, match="^workload.num_tasks must be >= 1 "):
+        SimConfig(mode=Mode.EDGE_NO_REUSE, workload=WorkloadSpec(num_tasks=0))
+    # a dump sets the task count, so the spec's count is not read
+    dump = tmp_path / "features.csv"
+    dump.write_text("a,1.0,2.0\n", encoding="utf-8")
+    config = SimConfig(
+        mode=Mode.EDGE_NO_REUSE,
+        workload=WorkloadSpec(num_tasks=0, dimension=2),
+        features_file=str(dump),
+    )
+    assert [r.label for r in run(config).records] == ["a"]
+
+
+@pytest.mark.parametrize("lines", [[], ["label,f1,f2"]], ids=["empty", "header only"])
+def test_a_dump_without_records_is_rejected_naming_the_file(tmp_path, lines):
+    dump, config = _dump_config(tmp_path, lines)
+    with pytest.raises(WorkloadFileError, match=f"^features_file {str(dump)!r} holds no"):
+        run(config)
+
+
 def test_negative_seed_is_rejected():
     # numpy would reject it only at the first draw, with no field named
     with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -514,3 +539,67 @@ def test_simulate_rejects_simulated_times_that_overflow(mode):
         ValueError, match="^simulated times overflowed: mean_completion_s is inf$"
     ):
         simulate([make_task()], mode, cost)
+
+
+def _records_run():
+    # one slot and a short patience: edge and cloud records both turn up
+    return run(
+        SimConfig(
+            Mode.EDGE_WITH_REUSE,
+            WorkloadSpec(num_tasks=60, arrival_rate=2.0, noise_sigma=0.12, seed=3),
+            edge_slots=1,
+            max_queue_delay=1.0,
+        )
+    )
+
+
+def test_run_and_tasks_csv_build_no_record(monkeypatch):
+    built = []
+
+    def counting_build(*values):
+        built.append(values[0])
+        return TaskRecord(*values)
+
+    monkeypatch.setattr(sim, "_build_record", counting_build)
+    report = _records_run()
+    cli.tasks_csv_text(report)
+    assert built == []
+    records = list(report.records)
+    assert built == [r.task_id for r in records] == list(range(60))
+
+
+def test_the_record_view_acts_as_the_tuple_of_its_records():
+    report = _records_run()
+    view = report.records
+    assert type(view) is RecordView
+    as_tuple = tuple(view)
+    assert len(view) == len(as_tuple) == 60
+    assert {r.location for r in as_tuple} == {"edge", "cloud"}
+    assert all(type(r) is TaskRecord for r in view)
+    assert view[-1] == as_tuple[-1] and view[0] == as_tuple[0]
+    assert view[5:9] == as_tuple[5:9] and type(view[5:9]) is tuple
+    assert view[::-7] == as_tuple[::-7]
+    with pytest.raises(IndexError):
+        view[60]
+    assert view == as_tuple and as_tuple == view
+    assert not view != as_tuple and not as_tuple != view
+    assert view != as_tuple[:-1] and as_tuple[:-1] != view
+    assert view != list(as_tuple)
+    assert view == RecordView(view.rows)
+    assert hash(view) == hash(as_tuple)
+    assert repr(view) == repr(as_tuple)
+    for copied in (pickle.loads(pickle.dumps(view)), copy.deepcopy(view), copy.copy(view)):
+        assert type(copied) is RecordView
+        assert copied == view and copied.rows == view.rows
+    assert pickle.loads(pickle.dumps(report)) == report
+    assert copy.deepcopy(report) == report
+    assert hash(report) == hash(copy.deepcopy(report))
+
+
+def test_a_report_given_records_holds_them_as_a_view():
+    report = _records_run()
+    rebuilt = replace(report, records=tuple(report.records))
+    assert type(rebuilt.records) is RecordView
+    assert rebuilt == report and rebuilt.records.rows == report.records.rows
+    assert replace(report, records=list(report.records[:3])).records == report.records[:3]
+    assert replace(report, records=()).records == ()
