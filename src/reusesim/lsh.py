@@ -28,9 +28,10 @@ place that follows a lookup reuses the lookup's keys.  Chunks are hashed
 lazily: a run over ten tasks of a large block hashes only the chunks those
 ten lie in.  A call for a row of another block starts a fresh list, so an
 index that alternates between two blocks hashes a chunk again at each
-switch (the sign guard below keeps those keys the same).  A task list
-dropped while its store lives frees its block; the list goes at the
-index's next change of block or with the index.
+switch (the sign guard below keeps those keys the same); a run's tasks are
+one block, so no run does.  A task list dropped while its store lives
+frees its block; the list goes at the index's next change of block or with
+the index.
 
 Reads (``signature``, ``query``, ``candidate_ids``) write only that cache,
 so they may run concurrently: the cache is one tuple, replaced whole, and
@@ -63,13 +64,17 @@ partial sum overflows and the margin dwarfs ``d * 2^-1074``.  Every other
 row, with a product inside the margin or a norm outside that range, is
 hashed by ``_project``.  So a key never depends on the chunk a row lies in.
 
-Each bucket is an ``array.array("q")`` of the rows of the index's matrix
-that hold its entries, as native int64s.  A query joins the addressed
-buckets' bytes and gathers its candidates' rows with one copy, building no
-union.  A row held by several addressed buckets is listed once for each of
-them and ranked once per listing at the same distance, so the duplicates
-change neither the winner nor its distance.  Ids are read only to name the
-winner, the smallest id among the rows at the smallest distance.
+Stored vectors are copied into rows of one matrix that doubles when full,
+and rows freed by ``remove`` are reused.  Each entry's row and keys are kept
+from its insert, so a removal hashes nothing.  Each bucket is an
+``array.array("q")`` of the rows that hold its entries, as native int64s;
+as buckets hold rows, not ids, an entry id may be a Python int of any
+size.  A query joins the addressed buckets' bytes and gathers its
+candidates' rows with one copy, building no union.  A row held by several
+addressed buckets is listed once for each of them and ranked once per
+listing at the same distance, so the duplicates change neither the winner
+nor its distance.  Ids are read only to name the winner, the smallest id
+among the rows at the smallest distance.
 """
 
 from __future__ import annotations
@@ -136,10 +141,8 @@ class LshIndex:
         # from _project's; past 2^-20 the slack no longer covers d*u terms
         du = dimension * 2.0**-53
         self._margin = 2 * du / (1 - du) * (1 + _GUARD_SLACK) if du < 2.0**-20 else math.inf
-        # Stored vectors are rows of one matrix that doubles when full; rows
-        # freed by ``remove`` are reused.  Each id maps to its row and the
-        # per-table keys computed at insert, ``_id_of_row`` names the id
-        # each row in use holds, and each bucket lists the rows it holds.
+        # each id maps to its row and keys, and ``_id_of_row`` names the id
+        # each row in use holds (see the module docstring)
         self._tables: list[dict[int, array]] = [{} for _ in range(tables)]
         self._matrix = np.empty((INITIAL_ROWS, dimension))
         self._free_rows: list[int] = []

@@ -177,9 +177,10 @@ _record_row = attrgetter(*_RECORD_FIELDS)
 class RecordView(SequenceABC):
     """A read-only sequence of ``TaskRecord``s kept as rows of field values.
 
-    Each row is a tuple of one record's field values in declaration order.
-    A ``TaskRecord`` is built from its row only when it is indexed or
-    iterated, so a run whose records are never read builds none; a slice is
+    Each row is a tuple of one record's field values in declaration order,
+    made once, when its task finishes or reneges.  A ``TaskRecord`` is built
+    from its row, by a slot builder, only when it is indexed or iterated, so
+    a run whose records are never read (a sweep's) builds none; a slice is
     a tuple of records.  The view equals a tuple of equal records, compared
     from either side, and a view of equal rows; it hashes, reprs, pickles and
     copies as that tuple does.

@@ -1,5 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+The criteria: the cost model against hand-computed values and the
+reassembly identity, the collision law at four angles over 10^5 trials, LFU
+eviction against a brute-force model over 10^4 operation sequences, the
+forwarding policy against an independent reference interpreter, the
+completion-time, utilization, load-split, correctness and reuse-gain
+trends, byte-identical CLI reruns, and Little's law on a long
+low-utilization run (``tests/test_sim.py`` checks its sample-path form,
+area under the number in system = sum of times in system, exactly).
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute.  Tolerances and runtime budgets are pinned here; nothing is
 deferred to later calibration.

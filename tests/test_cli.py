@@ -1,3 +1,10 @@
+"""The command line: configuration, the CSV writers, exit codes and golden outputs.
+
+``tasks.csv`` is compared with a reference writer that applies the cell
+rule (``_fmt``) to every cell, over Hypothesis records whose columns mix
+types.
+"""
+
 import gc
 import hashlib
 import math
@@ -112,6 +119,16 @@ def test_a_bad_assignment_reads_alike_in_a_file_and_in_set(tmp_path, assignment,
         apply_overrides({}, [assignment])
     assert str(in_file.value) == f"line 2: {problem}"
     assert str(in_set.value) == f"override {assignment!r}: {problem}"
+
+
+@pytest.mark.parametrize("value", ["4", "4,5,6"])
+def test_a_range_needs_two_values(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, "mode = cloud_only\n")
+    args = ["--set", f"workload.input_size_range={value}", "-d", str(tmp_path / "out")]
+    assert main(["run", "-c", str(cfg), *args]) == 1
+    assert capsys.readouterr().err == (
+        "config error: field 'workload.input_size_range': expected 'lo,hi'\n"
+    )
 
 
 def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):

@@ -27,6 +27,12 @@ def test_feature_vector_rejects_an_int_too_large_for_a_float(huge):
         FeatureVector([1.0, float("inf")])
 
 
+def test_a_feature_vector_is_unequal_to_the_tuple_of_its_values():
+    v = FeatureVector((1.0, 2.0))
+    assert v.__eq__(v.values) is NotImplemented
+    assert v != v.values and v.values != v
+
+
 def test_feature_vector_coerces_to_floats():
     v = FeatureVector([1, 2, 3])
     assert v.values == (1.0, 2.0, 3.0)
@@ -61,6 +67,11 @@ def test_cost_params_validation():
         CostParams(edge_hops=3, cloud_hops=2)
     with pytest.raises(ValueError):
         CostParams(lookup_cost=-0.1)
+    for rates in ({"edge_capacity_rate": 0.0}, {"cloud_capacity_rate": -1.0}):
+        with pytest.raises(ValueError, match="^capacity rates must be > 0$"):
+            CostParams(**rates)
+    with pytest.raises(ValueError, match="^per-hop latency must be >= 0$"):
+        CostParams(per_hop_latency=-0.001)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -4,7 +4,8 @@
 cannot share one pytest session.  Running the benchmark's suite here makes a
 program change that breaks what it relies on (``simulate``'s defaults,
 ``generate(spec)``, ``ReuseStore.eviction_log``) fail with the rest of the
-suite.
+suite.  The child runs with every warning an error, but without
+``PYTHONWARNDEFAULTENCODING``: the benchmark's text I/O names no encoding.
 """
 
 import os
@@ -17,10 +18,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_perfbench_suite_passes():
     paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNDEFAULTENCODING"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    command = [sys.executable, "-W", "error", "-m", "pytest"]
     result = subprocess.run(
-        [*command, "perfbench/tests"],
+        [*command, "-q", "-p", "no:cacheprovider", "perfbench/tests"],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -32,6 +32,11 @@ def small_store(capacity=3, seed=0, **kwargs):
     return ReuseStore(4, StoreSettings(capacity=capacity, **kwargs), SMALL_LSH, seed)
 
 
+@pytest.mark.parametrize("capacity", [None, 1, 500])
+def test_capacity_is_the_settings_capacity(capacity):
+    assert small_store(capacity).capacity == capacity
+
+
 def test_lookup_on_empty_store_is_miss():
     store = small_store()
     res = store.lookup("svc", axis_vector(0), now=1.0)
@@ -223,10 +228,10 @@ def test_place_of_wrong_dimension_raises_and_stores_nothing(stored):
     assert store.place("other", axis_vector(5), "c", now=2.0) == stored
 
 
-# Calls that the one-test fast check in ``_open`` does not pass, with the
-# exact errors of the checks it falls back to: ``now`` non-finite as a float,
-# a numpy float or an int too large for a float, a wrong dimension, an empty
-# name, and mixes of these, where the dimension comes first, then the name.
+# Calls that fail a quick comparison in ``_open``, with the exact errors of
+# the full checks they then run: ``now`` non-finite as a float, a numpy
+# float or an int too large for a float, a wrong dimension, an empty name,
+# and mixes of these, where the dimension comes first, then the name.
 FALLBACK_REFUSALS = [
     ("new", axis_vector(1), float("inf"), ValueError, "now must be finite, got inf"),
     ("new", axis_vector(1), -float("inf"), ValueError, "now must be finite, got -inf"),

@@ -312,6 +312,11 @@ def test_reuse_gain_zero_redundancy_and_mismatch_errors():
     )
     with pytest.raises(ValueError):
         reuse_gain(rp, rr)  # swapped modes
+    with pytest.raises(ValueError, match="^second report must be an EDGE_NO_REUSE run$"):
+        reuse_gain(rr, rr)
+    for field in ("mean_completion_s", "utilization_pct"):
+        with pytest.raises(ValueError, match="^baseline report has degenerate metrics$"):
+            reuse_gain(rr, replace(rp, **{field: 0.0}))
     other = run(
         SimConfig(
             mode=Mode.EDGE_NO_REUSE,

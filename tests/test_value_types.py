@@ -4,7 +4,9 @@
 are made once or more per task, so they hold their fields in slots rather
 than an instance ``__dict__``.  Slots must change nothing
 else: the field order, ``==`` and ``hash``, ``dataclasses.replace``, pickling
-and deep copies behave as for a plain dataclass.
+and deep copies behave as for a plain dataclass.  A slot builder that
+``core._slot_builder`` generates makes what the constructor makes, by type,
+``repr`` and ``==``.
 """
 
 import copy

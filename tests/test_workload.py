@@ -1,3 +1,15 @@
+"""Workload generation and ingestion.
+
+A scalar model of the block draw order (one ``Generator`` call per value, a
+per-row norm and a running-sum clock) must return the tasks that
+``generate`` and ``ingest`` return, over Hypothesis specs; the ``ingest``
+round trip of a ``repr`` dump and the paired draws are checked too.  The
+earlier workload digest, one ``repr`` line per task, is kept as the oracle
+of the generated workloads.  Both digests are pinned for the benchmark's
+workloads, and the byte layout of ``sim.workload_digest`` is rebuilt with
+``struct.pack`` for hand-made task lists.
+"""
+
 import hashlib
 import math
 import struct
@@ -127,6 +139,10 @@ def test_spec_validation():
         WorkloadSpec(input_size_range=(5.0, 1.0))
     with pytest.raises(ValueError):
         WorkloadSpec(complexity_range=(0.0, 10.0))
+    with pytest.raises(ValueError, match="^num_tasks must be >= 0$"):
+        WorkloadSpec(num_tasks=-1)
+    with pytest.raises(ValueError, match="^noise_sigma must be >= 0$"):
+        WorkloadSpec(noise_sigma=-0.01)
 
 
 @pytest.mark.parametrize(
