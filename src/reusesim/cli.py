@@ -28,6 +28,7 @@ from .sim import (
     ReuseGain,
     SimConfig,
     TaskRecord,
+    _RECORD_FIELDS,
     p90,
     reuse_gain,
     run,
@@ -37,9 +38,8 @@ from .workload import WorkloadSpec, _text_lines, generate, redundancy_ramp
 SCENARIOS = ("completion", "computation", "waiting", "utilization", "load", "gain")
 
 # tasks.csv has one column per TaskRecord field, in declaration order
-_TASK_COLUMNS = tuple(f.name for f in fields(TaskRecord))
-_TASK_TYPES = tuple(get_type_hints(TaskRecord)[name] for name in _TASK_COLUMNS)
-TASKS_HEADER = ",".join(_TASK_COLUMNS)
+_TASK_TYPES = tuple(get_type_hints(TaskRecord)[name] for name in _RECORD_FIELDS)
+TASKS_HEADER = ",".join(_RECORD_FIELDS)
 # (column, value of one run) for every metric column of summary.csv and the
 # sweep files; a gain is None, a blank cell, when the run has no baseline.
 _RunValue = Callable[[MetricsReport, Optional[ReuseGain]], Optional[float]]
@@ -223,7 +223,7 @@ def tasks_csv_text(report: MetricsReport) -> str:
     rows = report.records.rows
     # transposing no rows gives no columns, so a report without records
     # gets one empty column per field
-    columns = tuple(zip(*rows)) or ((),) * len(_TASK_COLUMNS)
+    columns = tuple(zip(*rows)) or ((),) * len(_RECORD_FIELDS)
     conversions, columns = zip(*map(_task_column, columns, _TASK_TYPES))
     template = ",".join(conversions)
     return "\n".join((TASKS_HEADER, *map(template.__mod__, zip(*columns)), ""))

@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from itertools import count
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -69,29 +69,28 @@ class DimensionMismatch(ValueError):
     """Raised when two feature vectors live in incompatible feature spaces."""
 
 
-def require_finite(name: str, *values: Optional[float]) -> None:
-    """Raise ``ValueError`` naming ``name`` if a value is NaN or infinite.
+def require_finite(values: Mapping[str, float]) -> None:
+    """Raise ``ValueError`` naming the first field of ``values`` that is not finite.
 
-    ``None`` (an unset optional field) passes.  An int too large for a float
-    is not finite.
+    ``values`` maps each field's name to its value.  NaN, an infinity,
+    ``None`` and an int too large for a float are not finite, so a caller
+    checks an optional field that ``None`` leaves unset only when it is set.
+    One C-level pass checks every value; only a call that fails it looks
+    for the field to name.
     """
     try:
-        for value in values:
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got an int too large for a float") from None
-
-
-def _require_finite_fields(names: Iterable[str], values: Collection[float]) -> None:
-    """``require_finite`` on each named value, in one C-level pass when all are finite."""
-    try:
-        finite = all(map(math.isfinite, values))
-    except OverflowError:
-        finite = False
-    if not finite:
-        for name, value in zip(names, values):
-            require_finite(name, value)
+        if all(map(math.isfinite, values.values())):
+            return
+    except (OverflowError, TypeError):  # an int too large for a float, or None
+        pass
+    for name, value in values.items():
+        try:
+            if value is not None and math.isfinite(value):
+                continue
+            got = repr(value)
+        except OverflowError:
+            got = "an int too large for a float"
+        raise ValueError(f"{name} must be finite, got {got}")
 
 
 class FeatureVector:
@@ -197,7 +196,7 @@ class Task:
 
     def __post_init__(self) -> None:
         size_in, size_out, work, at = floats = _task_floats(self)
-        _require_finite_fields(_TASK_FLOATS, floats)
+        require_finite(dict(zip(_TASK_FLOATS, floats)))
         if size_in < 0 or size_out < 0:
             raise ValueError("task data sizes must be >= 0")
         if work <= 0:
@@ -303,8 +302,7 @@ class CostParams:
     per_hop_latency: float = 0.005
 
     def __post_init__(self) -> None:
-        fields = vars(self)
-        _require_finite_fields(fields, fields.values())
+        require_finite(vars(self))
         if self.edge_bandwidth <= 0 or self.cloud_bandwidth <= 0:
             raise ValueError("bandwidths must be > 0")
         if self.edge_capacity_rate <= 0 or self.cloud_capacity_rate <= 0:

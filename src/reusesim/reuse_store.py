@@ -63,10 +63,10 @@ class StoreSettings:
     decay_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
-        require_finite("tau_full", self.tau_full)
-        require_finite("tau_partial", self.tau_partial)
-        require_finite("partial_fraction", self.partial_fraction)
-        require_finite("decay_interval", self.decay_interval)
+        for name in ("tau_full", "tau_partial", "partial_fraction"):
+            require_finite({name: getattr(self, name)})
+        if self.decay_interval is not None:
+            require_finite({"decay_interval": self.decay_interval})
         if self.capacity is not None and self.capacity < 1:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         if self.tau_full < 0 or self.tau_partial <= self.tau_full:
@@ -194,11 +194,12 @@ class ReuseStore:
 
         The checks run in this order: ``v`` must have the store's dimension
         (``DimensionMismatch``), the service name must be non-empty and
-        ``now`` finite (``ValueError``).  The dimension and ``now`` checks
-        run in full only when a quick comparison fails: the array's shape
-        against the store's, and ``now - now == 0.0`` for a ``float`` (not a
-        subclass), which holds iff it is finite; any other ``now`` (an
-        ``int``, say) goes to ``require_finite``.  A refused call changes
+        ``now`` a finite number, not ``None`` (``ValueError``).  The
+        dimension and ``now`` checks run in full only when a quick comparison
+        fails: the array's shape against the store's, and ``now - now ==
+        0.0`` for a ``float`` (not a subclass), which holds iff it is finite;
+        any other ``now`` (an ``int`` or ``None``, say) goes to
+        ``require_finite``.  A refused call changes
         nothing: no decay is applied, no service is recorded, nothing is
         evicted and no id is consumed.  An accepted call first applies the
         decay due by ``now``: every frequency is halved once per whole
@@ -213,7 +214,7 @@ class ReuseStore:
             raise ValueError("service name must be non-empty")
         # inf - inf and nan - nan are nan
         if now.__class__ is not float or now - now != 0.0:
-            require_finite("now", now)
+            require_finite({"now": now})
         interval = self.settings.decay_interval
         if interval is not None and (k := (now - self._last_decay) // interval) >= 1:
             for table in self._tables.values():

@@ -53,6 +53,7 @@ from .core import (
     Outcome,
     OutcomeKind,
     Task,
+    _TASK_FLOATS,
     _slot_builder,
     frozen_slots,
     require_finite,
@@ -76,9 +77,10 @@ def _check_run(mode: Mode, edge_slots: int, max_queue_delay: Optional[float]) ->
         raise ValueError(f"mode must be a Mode, got {mode!r}")
     if edge_slots < 1:
         raise ValueError("edge_slots must be >= 1")
-    require_finite("max_queue_delay", max_queue_delay)
-    if max_queue_delay is not None and max_queue_delay <= 0:
-        raise ValueError("max_queue_delay must be > 0 when set")
+    if max_queue_delay is not None:
+        require_finite({"max_queue_delay": max_queue_delay})
+        if max_queue_delay <= 0:
+            raise ValueError("max_queue_delay must be > 0 when set")
 
 
 # the most float64 elements numpy can shape into one array
@@ -274,9 +276,7 @@ def task_correct(outcome: Outcome, task: Task) -> bool:
 _task_id = attrgetter("id")
 _task_label = attrgetter("object_label")
 # the float fields in the order the digest packs them
-_DIGEST_FLOATS = tuple(
-    map(attrgetter, ("input_size", "output_size", "complexity", "arrival_time"))
-)
+_DIGEST_FLOATS = tuple(map(attrgetter, _TASK_FLOATS))
 
 
 def workload_digest(tasks: Sequence[Task]) -> str:
@@ -410,7 +410,9 @@ def simulate(
     sum_time_in_system = 0.0
 
     while heap:
-        if queue and queue[0][:2] < heap[0][:2]:
+        # every seq is unique across the queue and the heap, so (time, seq)
+        # decides this comparison and it never reaches a third element
+        if queue and queue[0] < heap[0]:
             # the head's patience ran out: it leaves for the cloud
             now, _, task, recv = queue[0]
             # the interval up to ``now`` counts whoever leaves at ``now``

@@ -59,9 +59,10 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         for name in ("redundancy_rate", "arrival_rate", "noise_sigma"):
-            require_finite(name, getattr(self, name))
+            require_finite({name: getattr(self, name)})
         for name in ("input_size_range", "output_size_range", "complexity_range"):
-            require_finite(name, *getattr(self, name))
+            for bound in getattr(self, name):
+                require_finite({name: bound})
         if not self.service or not CSV_UNSAFE.isdisjoint(self.service):
             raise ValueError('service must be a non-empty name without , " CR or LF')
         if self.num_tasks < 0:

@@ -74,7 +74,7 @@ def test_cost_params_validation():
         CostParams(per_hop_latency=-0.001)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None])
 @pytest.mark.parametrize(
     "valid,field",
     [

@@ -231,7 +231,8 @@ def test_place_of_wrong_dimension_raises_and_stores_nothing(stored):
 # Calls that fail a quick comparison in ``_open``, with the exact errors of
 # the full checks they then run: ``now`` non-finite as a float, a numpy
 # float or an int too large for a float, a wrong dimension, an empty name,
-# and mixes of these, where the dimension comes first, then the name.
+# mixes of these, where the dimension comes first, then the name, and a
+# ``now`` of None.
 FALLBACK_REFUSALS = [
     ("new", axis_vector(1), float("inf"), ValueError, "now must be finite, got inf"),
     ("new", axis_vector(1), -float("inf"), ValueError, "now must be finite, got -inf"),
@@ -245,6 +246,7 @@ FALLBACK_REFUSALS = [
     ("", axis_vector(1), np.float64("inf"), ValueError, "service name must be non-empty"),
     ("", WRONG_DIMENSION, 10**400, DimensionMismatch,
      "expected a vector of dimension 4, got shape (2,)"),
+    ("new", axis_vector(1), None, ValueError, "now must be finite, got None"),
 ]
 
 
@@ -253,7 +255,7 @@ FALLBACK_REFUSALS = [
     "service,v,now,error,message",
     FALLBACK_REFUSALS,
     ids=["inf", "-inf", "np-nan", "int-10**400", "dimension", "name", "name-np-inf",
-         "dimension-name-int"],
+         "dimension-name-int", "none"],
 )
 def test_a_call_the_fast_check_refuses_fails_as_the_full_checks_do(
     op, service, v, now, error, message
@@ -405,12 +407,19 @@ def test_store_dimension_must_be_positive():
 
 
 @pytest.mark.parametrize(
-    "field", ["tau_full", "tau_partial", "partial_fraction", "decay_interval"]
+    "value,field",
+    [
+        (value, field)
+        for field in ("tau_full", "tau_partial", "partial_fraction", "decay_interval")
+        for value in (float("nan"), float("inf"))
+    ]
+    + [(None, field) for field in ("tau_full", "tau_partial", "partial_fraction")],
 )
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_constructor_rejects_non_finite(field, value):
+def test_constructor_rejects_non_finite(value, field):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         StoreSettings(**{field: value})
+    # None leaves only the optional decay interval unset
+    assert StoreSettings(decay_interval=None).decay_interval is None
 
 
 def test_decay_cost_is_independent_of_elapsed_time():

@@ -155,6 +155,8 @@ def test_spec_validation():
         ("input_size_range", (float("nan"), 8.0)),
         ("output_size_range", (0.1, float("inf"))),
         ("complexity_range", (50.0, float("inf"))),
+        ("noise_sigma", None),
+        ("input_size_range", (None, 8.0)),
     ],
 )
 def test_spec_rejects_non_finite(field, value):
