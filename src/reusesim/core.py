@@ -12,7 +12,7 @@ import math
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from itertools import count
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -73,24 +73,42 @@ def require_finite(values: Mapping[str, float]) -> None:
     """Raise ``ValueError`` naming the first field of ``values`` that is not finite.
 
     ``values`` maps each field's name to its value.  NaN, an infinity,
-    ``None`` and an int too large for a float are not finite, so a caller
-    checks an optional field that ``None`` leaves unset only when it is set.
-    One C-level pass checks every value; only a call that fails it looks
-    for the field to name.
+    ``None``, an int too large for a float and a value that is not a real
+    number (a ``str``, say) are not finite, so a caller checks an optional
+    field that ``None`` leaves unset only when it is set.  One C-level pass
+    checks every value; only a call that fails it looks for the field to
+    name.
     """
     try:
         if all(map(math.isfinite, values.values())):
             return
-    except (OverflowError, TypeError):  # an int too large for a float, or None
+    except (OverflowError, TypeError):  # an int too large for a float, or no number
         pass
     for name, value in values.items():
         try:
-            if value is not None and math.isfinite(value):
+            if math.isfinite(value):
                 continue
             got = repr(value)
         except OverflowError:
             got = "an int too large for a float"
+        except TypeError:  # None, or not a real number
+            got = repr(value)
         raise ValueError(f"{name} must be finite, got {got}")
+
+
+def require_int(name: str, value: object, minimum: Optional[int] = None) -> None:
+    """Raise ``ValueError`` naming the field ``name`` unless ``value`` is an integer.
+
+    An integer is what ``operator.index`` takes: an ``int`` or a numpy
+    integer, not a float even when it is whole, so a count such as 2.5 never
+    flows into a run.  With a ``minimum``, a smaller integer is refused too.
+    """
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 class FeatureVector:
@@ -303,6 +321,8 @@ class CostParams:
 
     def __post_init__(self) -> None:
         require_finite(vars(self))
+        require_int("edge_hops", self.edge_hops)
+        require_int("cloud_hops", self.cloud_hops)
         if self.edge_bandwidth <= 0 or self.cloud_bandwidth <= 0:
             raise ValueError("bandwidths must be > 0")
         if self.edge_capacity_rate <= 0 or self.cloud_capacity_rate <= 0:

@@ -88,7 +88,7 @@ from weakref import ref
 
 import numpy as np
 
-from .core import FeatureVector, require_dimension
+from .core import FeatureVector, require_dimension, require_int
 
 INITIAL_ROWS = 64
 # the most multiply-adds one chunk product may take (see the module docstring)
@@ -114,8 +114,8 @@ class LshSettings:
     bits_per_table: int = 8
 
     def __post_init__(self) -> None:
-        if self.num_tables < 1:
-            raise ValueError("num_tables must be >= 1")
+        require_int("num_tables", self.num_tables, 1)
+        require_int("bits_per_table", self.bits_per_table)
         if not 1 <= self.bits_per_table <= 62:
             raise ValueError("bits_per_table must be in [1, 62]")
 

@@ -10,16 +10,15 @@ smallest id).
 
 Admission is unconditional: every freshly computed result is stored and LFU
 filters out unpopular inputs over time.  Frequencies count over the entry's
-whole lifetime by default; setting ``decay_interval`` halves all counts every
-interval to approximate windowed popularity.
+whole lifetime.
 
 Eviction is exact and O(log n) amortized: each service that has evicted keeps
 a lazy min-heap of ``(frequency, last_used_at, id)`` keys.  Every change of an
 entry's key pushes the new key; ``evict_lfu`` pops until the top key is still
 the live key of a stored entry, which is the same victim a full scan picks,
 whatever the order of ``now`` values.  The heap is dropped and rebuilt from
-the table when stale keys outnumber live ones or when decay rewrites every
-key.  Frequencies and last-use times change only through the store.
+the table when stale keys outnumber live ones.  Frequencies and last-use
+times change only through the store.
 
 Every ``lookup`` and ``place`` is checked in ``_open``, before it changes
 anything.
@@ -36,7 +35,6 @@ the writer role; the structure itself is sendable between threads.
 from __future__ import annotations
 
 import heapq
-import math
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -48,33 +46,31 @@ from .core import (
     frozen_slots,
     require_dimension,
     require_finite,
+    require_int,
 )
 from .lsh import LshIndex, LshSettings
 
 
 @dataclass(frozen=True)
 class StoreSettings:
-    """Capacity, similarity thresholds and decay (the ``store.`` config section)."""
+    """Capacity and similarity thresholds (the ``store.`` config section)."""
 
     capacity: Optional[int] = 500
     tau_full: float = 1.0
     tau_partial: float = 2.0
     partial_fraction: float = 0.5
-    decay_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
         for name in ("tau_full", "tau_partial", "partial_fraction"):
             require_finite({name: getattr(self, name)})
-        if self.decay_interval is not None:
-            require_finite({"decay_interval": self.decay_interval})
+        if self.capacity is not None:
+            require_int("capacity", self.capacity)
         if self.capacity is not None and self.capacity < 1:
             raise ValueError("capacity must be >= 1 (or None for unbounded)")
         if self.tau_full < 0 or self.tau_partial <= self.tau_full:
             raise ValueError("need 0 <= tau_full < tau_partial")
         if not 0.0 < self.partial_fraction < 1.0:
             raise ValueError("partial_fraction must lie in (0, 1)")
-        if self.decay_interval is not None and self.decay_interval <= 0:
-            raise ValueError("decay_interval must be > 0 when set")
 
 
 def _reduce_to_fields(self):
@@ -182,7 +178,6 @@ class ReuseStore:
         self.seed = seed
         self._tables: dict[str, _ServiceTable] = {}
         self._next_id = 0
-        self._last_decay = 0.0
         self.eviction_log: list[tuple[str, int]] = []
 
     @property
@@ -199,14 +194,9 @@ class ReuseStore:
         fails: the array's shape against the store's, and ``now - now ==
         0.0`` for a ``float`` (not a subclass), which holds iff it is finite;
         any other ``now`` (an ``int`` or ``None``, say) goes to
-        ``require_finite``.  A refused call changes
-        nothing: no decay is applied, no service is recorded, nothing is
-        evicted and no id is consumed.  An accepted call first applies the
-        decay due by ``now``: every frequency is halved once per whole
-        interval since the last decay, as one shift of ``k`` halvings, so the
-        cost does not depend on how much simulated time has passed; a ``k``
-        too large for a float zeroes every frequency and makes ``now`` the
-        last decay.  The table is made at the service's first call.
+        ``require_finite``.  A refused call changes nothing: no service is
+        recorded, nothing is evicted and no id is consumed.  The table is made
+        at the service's first call.
         """
         if v._array.shape != self._shape:
             require_dimension(v, self.dimension)
@@ -215,19 +205,6 @@ class ReuseStore:
         # inf - inf and nan - nan are nan
         if now.__class__ is not float or now - now != 0.0:
             require_finite({"now": now})
-        interval = self.settings.decay_interval
-        if interval is not None and (k := (now - self._last_decay) // interval) >= 1:
-            for table in self._tables.values():
-                for entry in table.entries.values():
-                    # halving past f.bit_length() leaves 0 unchanged
-                    entry.frequency >>= int(min(k, entry.frequency.bit_length()))
-                table.heap = None
-            if k == math.inf:
-                # an overflowed quotient has zeroed every count; adding
-                # k * interval would make every later quotient nan
-                self._last_decay = now
-            else:
-                self._last_decay += k * interval
         table = self._tables.get(service)
         if table is None:
             seed = _service_seed(self.seed, service)
@@ -239,11 +216,10 @@ class ReuseStore:
         """Classify the nearest stored input for ``service`` against the thresholds.
 
         A full or partial hit increments the matched entry's frequency and
-        stamps its last use; a miss changes no entry and counts one miss.  As
-        in every accepted call, ``_open`` first applies the decay due and
-        records a service it has not seen: a miss for a new service builds
-        its table and index, so ``stats()`` lists it with 0 entries, 0 hits
-        and 1 miss.
+        stamps its last use; a miss changes no entry and counts one miss.
+        ``_open`` records a service it has not seen: a miss for a new service
+        builds its table and index, so ``stats()`` lists it with 0 entries,
+        0 hits and 1 miss.
         """
         table = self._open(service, q, now)
         nearest = table.index.query(q)

@@ -57,6 +57,7 @@ from .core import (
     _slot_builder,
     frozen_slots,
     require_finite,
+    require_int,
 )
 from .cost import delivered_at, execution_cost, received_at, reuse_cost
 from .forwarding import EdgeNode
@@ -75,8 +76,7 @@ def _check_run(mode: Mode, edge_slots: int, max_queue_delay: Optional[float]) ->
     """Run rules shared by ``SimConfig`` and ``simulate``; each error names its field."""
     if not isinstance(mode, Mode):
         raise ValueError(f"mode must be a Mode, got {mode!r}")
-    if edge_slots < 1:
-        raise ValueError("edge_slots must be >= 1")
+    require_int("edge_slots", edge_slots, 1)
     if max_queue_delay is not None:
         require_finite({"max_queue_delay": max_queue_delay})
         if max_queue_delay <= 0:
@@ -141,10 +141,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         _check_run(self.mode, self.edge_slots, self.max_queue_delay)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        require_int("trials", self.trials, 1)
+        require_int("seed", self.seed, 0)
         if self.features_file is None and self.workload.num_tasks < 1:
             raise ValueError("workload.num_tasks must be >= 1 when no features_file is set")
         _check_shapes(self)

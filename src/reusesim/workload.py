@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Task, require_finite, tasks_from_columns
+from .core import Task, require_finite, require_int, tasks_from_columns
 
 BASE_NORM = 10.0
 
@@ -61,12 +61,16 @@ class WorkloadSpec:
         for name in ("redundancy_rate", "arrival_rate", "noise_sigma"):
             require_finite({name: getattr(self, name)})
         for name in ("input_size_range", "output_size_range", "complexity_range"):
-            for bound in getattr(self, name):
-                require_finite({name: bound})
+            pair = getattr(self, name)
+            try:
+                lo, hi = pair
+            except (TypeError, ValueError):  # not iterable, or not two values
+                raise ValueError(f"{name} must be a (lo, hi) pair, got {pair!r}") from None
+            require_finite({name: lo})
+            require_finite({name: hi})
         if not self.service or not CSV_UNSAFE.isdisjoint(self.service):
             raise ValueError('service must be a non-empty name without , " CR or LF')
-        if self.num_tasks < 0:
-            raise ValueError("num_tasks must be >= 0")
+        require_int("num_tasks", self.num_tasks, 0)
         if not 0.0 <= self.redundancy_rate <= 1.0:
             raise ValueError("redundancy_rate must lie in [0, 1]")
         if self.arrival_rate <= 0:
@@ -77,12 +81,10 @@ class WorkloadSpec:
                 raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
         if self.complexity_range[0] <= 0:
             raise ValueError("complexity must be strictly positive")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        require_int("dimension", self.dimension, 1)
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        require_int("seed", self.seed, 0)
 
 
 def _sizes_and_arrivals(

@@ -107,6 +107,7 @@ def test_config_duplicate_field_names_its_line(tmp_path):
     [
         ("nope = 1", "unknown field 'nope'"),
         ("= 1", "unknown field ''"),
+        ("store.decay_interval = 1", "unknown field 'store.decay_interval'"),
         ("seed", "expected 'key = value'"),
         ("seed 1", "expected 'key = value'"),
     ],
@@ -168,8 +169,8 @@ _FLOAT_KEYS = _float_keys()
 
 
 def test_every_float_key_is_covered():
-    # 12 floats, 2 optional floats (max_queue_delay, store.decay_interval), 3 pairs
-    assert len(_FLOAT_KEYS) == 17
+    # 12 floats, 1 optional float (max_queue_delay), 3 pairs
+    assert len(_FLOAT_KEYS) == 16
 
 
 @pytest.mark.parametrize(
@@ -199,7 +200,6 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     [
         ("store.tau_full", "3", "tau_full"),
         ("store.capacity", "0", "capacity"),
-        ("store.decay_interval", "-1", "decay_interval"),
         ("store.partial_fraction", "1.5", "partial_fraction"),
         ("lsh.num_tables", "0", "num_tables"),
         ("lsh.bits_per_table", "70", "bits_per_table"),
@@ -286,13 +286,16 @@ def test_run_unwritable_outdir(tmp_path, capsys):
     assert rc == 2
 
 
-def _run_module(*args):
-    """``python -m reusesim.cli ARGS`` in a fresh process, importing ``src/``."""
+def _run_module(*args, **env):
+    """``python -m reusesim.cli ARGS`` in a fresh process, importing ``src/``.
+
+    ``env`` holds environment variables to set in that process.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "reusesim.cli", *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
         encoding="utf-8",
@@ -323,6 +326,22 @@ def test_run_deterministic_bytes(tmp_path):
     assert main(["run", "-c", str(cfg), "-d", str(out2)]) == 0
     for name in ("tasks.csv", "summary.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_run_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes are salted per process; each service's store seed comes
+    # from crc32 so that no output byte depends on the salt.  One table of
+    # 16 bits misses many near neighbours, so the hyperplanes that seed
+    # draws show in the records.
+    lsh = "lsh.num_tables = 1\nlsh.bits_per_table = 16\nworkload.noise_sigma = 0.12\n"
+    cfg = write_config(tmp_path, MINIMAL + "trials = 2\n" + lsh)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        proc = _run_module("run", "-c", str(cfg), "-d", str(out), PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("tasks.csv", "summary.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_run_with_overrides_changes_output(tmp_path):

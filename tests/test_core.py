@@ -72,9 +72,12 @@ def test_cost_params_validation():
             CostParams(**rates)
     with pytest.raises(ValueError, match="^per-hop latency must be >= 0$"):
         CostParams(per_hop_latency=-0.001)
+    for field in ("edge_hops", "cloud_hops"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 1.0$"):
+            CostParams(**{field: 1.0})
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), None, "1"])
 @pytest.mark.parametrize(
     "valid,field",
     [

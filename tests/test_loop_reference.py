@@ -214,7 +214,6 @@ def scenarios(draw):
         tau_full=0.5,
         tau_partial=2.0,
         partial_fraction=0.5,
-        decay_interval=draw(st.sampled_from((None, 1.0, 2.5))),
     )
     return (
         tasks,

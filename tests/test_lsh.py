@@ -70,6 +70,11 @@ def test_params_validation():
         LshSettings(num_tables=0)
     with pytest.raises(ValueError):
         LshSettings(bits_per_table=63)
+    for field in ("num_tables", "bits_per_table"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.5$"):
+            LshSettings(**{field: 2.5})
+    # a numpy integer is an integer
+    assert LshSettings(np.int64(2), np.int64(8)) == LshSettings(2, 8)
     with pytest.raises(ValueError, match="^dimension must be >= 1"):
         LshIndex(LshSettings(), 0, 0)
 

@@ -2,14 +2,14 @@
 
 Scaling a float by a power of two is exact away from overflow and
 subnormals, and IEEE rounding commutes with it.  So two relations hold with
-``==``, not within a tolerance, in every mode, with the store's capacity,
-its decay and the edge's ``max_queue_delay`` each on or off:
+``==``, not within a tolerance, in every mode, with the store's capacity
+and the edge's ``max_queue_delay`` each on or off:
 
 * **time scaling by k = 2^j:** dividing the arrival rate, both bandwidths
   and both capacity rates by k, and multiplying the lookup cost, the per-hop
-  latency, ``max_queue_delay`` and ``decay_interval`` by k, multiplies every
-  time of every record and of the report by k and leaves everything else
-  equal: kinds, locations, correctness, counts, utilization, load split;
+  latency and ``max_queue_delay`` by k, multiplies every time of every
+  record and of the report by k and leaves everything else equal: kinds,
+  locations, correctness, counts, utilization, load split;
 * **feature scaling by 2^j:** multiplying every feature row and both store
   thresholds by 2^j scales every distance exactly and changes no
   sign-of-projection key, so every record, the whole report and the store's
@@ -61,7 +61,6 @@ EXPONENTS = st.sampled_from([j for j in range(-6, 7) if j])
 def runs(draw):
     """A run's mode, workload, edge and store settings."""
     capacity = draw(st.one_of(st.none(), st.integers(2, 20)))
-    decay = draw(st.one_of(st.none(), st.sampled_from([0.5, 1.0, 2.5])))
     return dict(
         # the reuse mode, which the most settings act on, half the time
         mode=draw(st.sampled_from([*Mode, Mode.EDGE_WITH_REUSE, Mode.EDGE_WITH_REUSE])),
@@ -76,7 +75,7 @@ def runs(draw):
         ),
         cost=CostParams(),
         slots=draw(st.integers(1, 4)),
-        store=StoreSettings(capacity=capacity, decay_interval=decay),
+        store=StoreSettings(capacity=capacity),
         # one table of 16 bits misses many near neighbours, so which inputs
         # share a bucket shows in the records
         lsh=LshSettings(draw(st.sampled_from([1, 8])), draw(st.sampled_from([8, 16]))),
@@ -104,7 +103,7 @@ def _simulate(tasks, run):
 
 def _times(k, run):
     """``run`` with its time scaled by ``k``."""
-    cost, store, delay = run["cost"], run["store"], run["max_queue_delay"]
+    cost, delay = run["cost"], run["max_queue_delay"]
     return dict(
         run,
         spec=replace(run["spec"], arrival_rate=run["spec"].arrival_rate / k),
@@ -116,10 +115,6 @@ def _times(k, run):
             cloud_capacity_rate=cost.cloud_capacity_rate / k,
             lookup_cost=cost.lookup_cost * k,
             per_hop_latency=cost.per_hop_latency * k,
-        ),
-        store=replace(
-            store,
-            decay_interval=None if store.decay_interval is None else store.decay_interval * k,
         ),
         max_queue_delay=None if delay is None else delay * k,
     )

@@ -1,5 +1,4 @@
 import random
-import time
 
 import numpy as np
 import pytest
@@ -157,8 +156,8 @@ def test_lookup_of_wrong_dimension_raises_and_counts_no_miss(stored):
 
 
 @pytest.mark.parametrize("op", ["lookup", "place"])
-def test_call_of_wrong_dimension_applies_no_decay(op):
-    store = small_store(decay_interval=1.0)
+def test_call_of_wrong_dimension_changes_no_frequency(op):
+    store = small_store()
     store.place("svc", axis_vector(0), "a", now=0.0)
     store.lookup("svc", axis_vector(0), now=0.5)
     wrong = FeatureVector((1.0, 2.0))
@@ -167,7 +166,6 @@ def test_call_of_wrong_dimension_applies_no_decay(op):
             store.lookup("svc", wrong, now=5.0)
         else:
             store.place("svc", wrong, "b", now=5.0)
-    # the decay due by 5.0 would have halved the frequency to 0
     assert [e.frequency for e in store.entries("svc")] == [1]
 
 
@@ -192,14 +190,14 @@ REFUSED_CALLS = [
 @pytest.mark.parametrize("op", ["lookup", "place"])
 def test_call_of_empty_service_name_changes_nothing(op):
     # at capacity, so a place that got past its checks would evict
-    store = small_store(capacity=1, decay_interval=1.0)
+    store = small_store(capacity=1)
     store.place("svc", axis_vector(0), "a", now=0.0)
     for now in (0.25, 0.5):
         store.lookup("svc", axis_vector(0), now)
 
     def state():
         frequencies = [e.frequency for e in store.entries("svc")]
-        return store.stats(), frequencies, store._last_decay, store.eviction_log[:]
+        return store.stats(), frequencies, store.eviction_log[:]
 
     before = state()
     for service, v, now, error, message in REFUSED_CALLS:
@@ -208,7 +206,6 @@ def test_call_of_empty_service_name_changes_nothing(op):
                 store.lookup(service, v, now)
             else:
                 store.place(service, v, "b", now)
-        # the decay due by 5.0 would have halved the frequency of 2 to 0
         assert state() == before
     # and no refused place consumed an id
     assert store.place("other", axis_vector(2), "c", now=0.75) == 1
@@ -260,13 +257,13 @@ FALLBACK_REFUSALS = [
 def test_a_call_the_fast_check_refuses_fails_as_the_full_checks_do(
     op, service, v, now, error, message
 ):
-    store = small_store(capacity=1, decay_interval=1.0)
+    store = small_store(capacity=1)
     store.place("svc", axis_vector(0), "a", now=0.0)
     store.lookup("svc", axis_vector(0), now=0.5)
 
     def state():
         entries = [(e.id, e.frequency, e.last_used_at) for e in store.entries("svc")]
-        return store.stats(), entries, store._last_decay, store._next_id, store.eviction_log[:]
+        return store.stats(), entries, store._next_id, store.eviction_log[:]
 
     before = state()
     with pytest.raises(error) as refused:
@@ -283,16 +280,20 @@ def test_a_call_the_fast_check_refuses_fails_as_the_full_checks_do(
 )
 def test_a_finite_now_that_is_not_a_float_runs_as_its_float_does(now):
     def calls(now):
-        store = small_store(capacity=1, decay_interval=2.0)
+        store = small_store(capacity=2)
         store.place("svc", axis_vector(0), "a", now=0.0)
-        store.lookup("svc", axis_vector(0), now=1.0)
-        # the decay due by 5 halves the frequency of 1 to 0
+        store.place("svc", axis_vector(1), "b", now=1.0)
+        store.lookup("svc", axis_vector(1), now=4.0)
+        # a and b tie on frequency 1 after this hit, and b's last use, 4.0,
+        # comes before now, so the place at now evicts b
         hit = store.lookup("svc", axis_vector(0), now)
-        placed = store.place("svc", axis_vector(1), "b", now)
+        placed = store.place("svc", axis_vector(2), "c", now)
         entries = [(e.id, e.frequency, e.last_used_at) for e in store.entries("svc")]
         return hit.kind, placed, entries, store.stats(), store.eviction_log
 
-    assert calls(now) == calls(5.0)
+    want = calls(5.0)
+    assert calls(now) == want
+    assert want[-1] == [("svc", 1)]
 
 
 def _state_fingerprint(store, service):
@@ -378,20 +379,6 @@ def test_frequency_conservation_on_live_entries():
     assert sum(e.frequency for e in live) == sum(bumps[e.id] for e in live)
 
 
-def test_frequency_decay_halves_counts():
-    store = small_store(capacity=10, decay_interval=100.0)
-    store.place("svc", axis_vector(0), "a", now=0.0)
-    store.place("svc", axis_vector(1), "b", now=0.0)
-    for k in range(4):
-        store.lookup("svc", axis_vector(0), now=1.0 + k)
-    store.lookup("svc", axis_vector(1), now=6.0)
-    # crossing the interval halves 4 -> 2 and 1 -> 0 before the op applies
-    res = store.lookup("svc", axis_vector(1), now=150.0)
-    freqs = {e.output: e.frequency for e in store.entries("svc")}
-    assert freqs["a"] == 2
-    assert freqs["b"] == 1  # halved to 0, then bumped by this hit
-
-
 def test_constructor_validation():
     with pytest.raises(ValueError):
         StoreSettings(tau_full=2.0, tau_partial=1.0)
@@ -399,6 +386,8 @@ def test_constructor_validation():
         StoreSettings(partial_fraction=1.0)
     with pytest.raises(ValueError):
         StoreSettings(capacity=0)
+    with pytest.raises(ValueError, match="^capacity must be an integer, got 2.5$"):
+        StoreSettings(capacity=2.5)
 
 
 def test_store_dimension_must_be_positive():
@@ -410,63 +399,13 @@ def test_store_dimension_must_be_positive():
     "value,field",
     [
         (value, field)
-        for field in ("tau_full", "tau_partial", "partial_fraction", "decay_interval")
-        for value in (float("nan"), float("inf"))
-    ]
-    + [(None, field) for field in ("tau_full", "tau_partial", "partial_fraction")],
+        for field in ("tau_full", "tau_partial", "partial_fraction")
+        for value in (float("nan"), float("inf"), None)
+    ],
 )
 def test_constructor_rejects_non_finite(value, field):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         StoreSettings(**{field: value})
-    # None leaves only the optional decay interval unset
-    assert StoreSettings(decay_interval=None).decay_interval is None
-
-
-def test_decay_cost_is_independent_of_elapsed_time():
-    store = small_store(capacity=None, decay_interval=1.0)
-    for i in range(200):
-        store.place("svc", axis_vector(i), f"o{i}", now=0.0)
-    for k in range(3):
-        store.lookup("svc", axis_vector(0), now=0.5)
-    start = time.perf_counter()
-    res = store.lookup("svc", axis_vector(0), now=1e12)
-    assert time.perf_counter() - start < 1.0
-    # 10**12 halvings zero every count; the hit then bumps its entry to 1
-    assert res.entry.frequency == 1
-    assert sum(e.frequency for e in store.entries("svc")) == 1
-
-
-def test_decay_goes_on_after_its_quotient_overflows():
-    # (now - last decay) / 1e-320 overflows to inf: every count is zeroed,
-    # and the next interval is measured from now, not from an infinite time
-    store = small_store(capacity=None, decay_interval=1e-320)
-    store.place("svc", axis_vector(0), "a", now=0.0)
-    for now in (1.0, 2.0, 3.0, 1000.0):
-        res = store.lookup("svc", axis_vector(0), now=now)
-        assert res.entry.frequency == 1
-        assert store._last_decay == now
-
-
-@pytest.mark.parametrize("intervals", [0, 1, 2, 3, 7, 64, 65, 200])
-def test_decay_shift_equals_repeated_halving(intervals):
-    freqs = [0, 1, 2, 5, 1000, 2**63 - 1, 2**70 + 3]
-    store = ReuseStore(2, StoreSettings(decay_interval=2.0), seed=3)
-    for i in range(len(freqs)):
-        vector = FeatureVector((10.0 * (i + 1), 0.0))
-        store.place("svc", vector, f"o{i}", now=0.0)
-    # no entry has been evicted, so there is no LFU heap whose keys a direct
-    # write of the counts could leave stale
-    for entry in store.entries("svc"):
-        entry.frequency = freqs[entry.id]
-    # a miss far from every entry: decay runs, no frequency is bumped
-    res = store.lookup("svc", FeatureVector((-500.0, 0.0)), now=2.0 * intervals + 1.0)
-    assert res.kind is LookupKind.MISS
-    expected = []
-    for f in freqs:
-        for _ in range(intervals):
-            f //= 2
-        expected.append(f)
-    assert [e.frequency for e in sorted(store.entries("svc"), key=lambda e: e.id)] == expected
 
 
 _times = st.integers(0, 24).map(lambda t: t / 2.0)
@@ -484,35 +423,20 @@ _operations = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(
     capacity=st.one_of(st.none(), st.integers(1, 5)),
-    decay_interval=st.one_of(st.none(), st.sampled_from([1.0, 2.5, 4.0])),
     operations=_operations,
 )
-def test_heap_eviction_matches_full_scan_oracle(capacity, decay_interval, operations):
+def test_heap_eviction_matches_full_scan_oracle(capacity, operations):
     """Replays random operations against a model that evicts by full scan.
 
     Times repeat and run backwards; lookups of a stored vector are exact full
     hits and every other pair of vectors is far apart, so the model knows
     which lookups hit without asking the store.
     """
-    store_settings = StoreSettings(capacity=capacity, decay_interval=decay_interval)
-    store = ReuseStore(4, store_settings, SMALL_LSH, 5)
+    store = ReuseStore(4, StoreSettings(capacity=capacity), SMALL_LSH, 5)
     model = {}  # entry id -> [frequency, last_used_at, id]
     live_vector = {}  # vector index -> entry id
-    last_decay = 0.0
     expected = []
     placed = 0
-
-    def model_decay(now):
-        nonlocal last_decay
-        if decay_interval is None:
-            return
-        k = (now - last_decay) // decay_interval
-        if k < 1:
-            return
-        for key in model.values():
-            for _ in range(min(int(k), 64)):
-                key[0] //= 2
-        last_decay += k * decay_interval
 
     def model_evict():
         victim = min(model.values(), key=tuple)
@@ -522,7 +446,6 @@ def test_heap_eviction_matches_full_scan_oracle(capacity, decay_interval, operat
 
     for op, now, *arg in operations:
         if op == "place":
-            model_decay(now)
             if capacity is not None and len(model) >= capacity:
                 model_evict()
             entry_id = store.place("svc", axis_vector(placed), "x", now)
@@ -530,7 +453,6 @@ def test_heap_eviction_matches_full_scan_oracle(capacity, decay_interval, operat
             live_vector[placed] = entry_id
             placed += 1
         elif op == "lookup":
-            model_decay(now)
             target = placed - arg[0]
             res = store.lookup("svc", axis_vector(target), now)
             hit_id = live_vector.get(target)
@@ -561,22 +483,6 @@ def test_lfu_heap_stays_bounded_under_many_hits():
     live = store.entries("svc")
     victim = min(live, key=lambda e: (e.frequency, e.last_used_at, e.id))
     assert store.evict_lfu("svc") == victim.id
-
-
-def test_decay_reorders_lfu_victims():
-    store = small_store(capacity=None, decay_interval=100.0)
-    id_a = store.place("svc", axis_vector(0), "a", now=0.0)
-    id_b = store.place("svc", axis_vector(1), "b", now=0.0)
-    for k in range(4):
-        store.lookup("svc", axis_vector(0), now=1.0 + k)
-    for k in range(2):
-        store.lookup("svc", axis_vector(1), now=5.0 + k)
-    id_c = store.place("svc", axis_vector(2), "c", now=7.0)
-    assert store.evict_lfu("svc") == id_c  # builds the LFU heap
-    # decay halves a 4 -> 2 and b 2 -> 1 before this hit bumps a to 3
-    store.lookup("svc", axis_vector(0), now=150.0)
-    assert store.evict_lfu("svc") == id_b
-    assert store.evict_lfu("svc") == id_a
 
 
 def test_place_of_a_rejected_vector_stores_nothing():

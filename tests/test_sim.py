@@ -411,6 +411,10 @@ def test_config_validation():
         SimConfig(mode=Mode.CLOUD_ONLY, edge_slots=0)
     with pytest.raises(ValueError):
         SimConfig(mode=Mode.CLOUD_ONLY, max_queue_delay=0.0)
+    # a fractional slot count would run with silently wrong results
+    for field in ("edge_slots", "trials", "seed"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.5$"):
+            SimConfig(mode=Mode.EDGE_NO_REUSE, **{field: 2.5})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -143,6 +143,12 @@ def test_spec_validation():
         WorkloadSpec(num_tasks=-1)
     with pytest.raises(ValueError, match="^noise_sigma must be >= 0$"):
         WorkloadSpec(noise_sigma=-0.01)
+    for field in ("num_tasks", "dimension", "seed"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.5$"):
+            WorkloadSpec(**{field: 2.5})
+    for bad in ((1.0,), (1.0, 2.0, 3.0), 3.0):
+        with pytest.raises(ValueError, match=r"^input_size_range must be a \(lo, hi\) pair"):
+            WorkloadSpec(input_size_range=bad)
 
 
 @pytest.mark.parametrize(
