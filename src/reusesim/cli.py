@@ -333,7 +333,8 @@ def cmd_sweep(scenario: str, outdir, seed: int, trials: int) -> int:
             report = run(config, trial)
             gain = None
             if config.mode is Mode.EDGE_NO_REUSE:
-                plain[n, trial] = report
+                # held without its records: reuse_gain reads only the metrics
+                plain[n, trial] = replace(report, records=())
             elif config.mode is Mode.EDGE_WITH_REUSE:
                 gain = reuse_gain(report, plain.pop((n, trial)))
             rows.append(summary_row(report, n, redundancy, trial, gain))

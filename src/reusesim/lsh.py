@@ -124,8 +124,7 @@ class LshIndex:
     """In-memory LSH index mapping entry ids to feature vectors."""
 
     def __init__(self, settings: LshSettings, dimension: int, seed: int):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        require_int("dimension", dimension, 1)
         tables, bits = settings.num_tables, settings.bits_per_table
         rng = np.random.default_rng(seed)
         planes = rng.standard_normal((tables, bits, dimension))

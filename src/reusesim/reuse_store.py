@@ -169,8 +169,7 @@ class ReuseStore:
         lsh: LshSettings = LshSettings(),
         seed: int = 0,
     ):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        require_int("dimension", dimension, 1)
         self.dimension = dimension
         self._shape = (dimension,)
         self.settings = settings

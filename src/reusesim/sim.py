@@ -30,6 +30,12 @@ slot frees at the instant the head's ``max_queue_delay`` runs out, the one
 scheduled first wins: the head's deadline is scheduled at its reception, a
 slot's freeing at the dispatch that filled it.  Independent trials may run in
 parallel and merge afterwards.
+
+The event heap holds only what can fire next: the next reception and the
+finish of each running task, so at most ``edge_slots + 1`` events, and each
+push or pop costs O(log edge_slots) whatever the run's length.  The
+receptions are sorted once, in the order the heap pops them, and each enters
+the heap when the one before it leaves; the queue's deadlines never enter it.
 """
 
 from __future__ import annotations
@@ -387,14 +393,20 @@ def simulate(
     heappush, heappop = heapq.heappush, heapq.heappop
     patience = math.inf if max_queue_delay is None else max_queue_delay
     # (when, seq, kind, payload): receptions and finishes.  The seqs of the
-    # receptions follow (arrival, id), and every (when, seq) is unique, so
-    # heapifying them pops them in the order pushing them one by one would.
-    heap: list[tuple[float, int, int, object]] = [
-        (received_at(t.arrival_time, t, True, cost), seq, _RECV, t)
-        for seq, t in enumerate(sorted(tasks, key=attrgetter("arrival_time", "id")))
-    ]
-    heapq.heapify(heap)
-    seq = len(heap)
+    # receptions follow (arrival, id), and every (when, seq) is unique, so the
+    # receptions, sorted once, come due in the order the heap pops them.  The
+    # heap holds only the next of them; ``pending`` holds the rest, last due
+    # first, and pops each into the heap when the one before it pops out.
+    pending: list[tuple[float, int, int, Task]] = sorted(
+        (
+            (received_at(t.arrival_time, t, True, cost), seq, _RECV, t)
+            for seq, t in enumerate(sorted(tasks, key=attrgetter("arrival_time", "id")))
+        ),
+        reverse=True,
+    )
+    next_reception = pending.pop
+    heap: list[tuple[float, int, int, object]] = [next_reception()]
+    seq = len(tasks)
     # (deadline, seq at reception, task, receive time) in reception order:
     # every task has the same patience, so the keys grow along the queue and
     # only the head can renege next
@@ -431,6 +443,8 @@ def simulate(
         area += (len(queue) + running) * (now - last_event)
         last_event = now
         if kind == _RECV:
+            if pending:
+                heappush(heap, next_reception())
             queue.append((now + patience, seq, payload, now))
             seq += 1
         else:

@@ -32,6 +32,8 @@ import numpy as np
 from .core import Task, require_finite, require_int, tasks_from_columns
 
 BASE_NORM = 10.0
+# the most feature rows ``generate`` adds their objects' bases to at once
+_GATHER_ROWS = 4096
 
 # what a tasks.csv cell cannot hold: the separator, the quote and line ends
 CSV_UNSAFE = frozenset(',"\r\n')
@@ -125,10 +127,14 @@ def generate(spec: WorkloadSpec) -> list[Task]:
     norms = np.sqrt(bases[:, None, :] @ bases[:, :, None]).reshape(minted, 1)
     bases *= BASE_NORM
     bases /= norms
-    # an overflow is left infinite, unwarned, for the feature check to report
+    # an overflow is left infinite, unwarned, for the feature check to report;
+    # the bases are gathered a block of rows at a time, so no n x d copy of
+    # them is built, and each element's sum is the one a whole gather gives
     with np.errstate(over="ignore"):
         features *= spec.noise_sigma
-        features += bases[objects]
+        for start in range(0, n, _GATHER_ROWS):
+            block = slice(start, start + _GATHER_ROWS)
+            features[block] += bases[objects[block]]
     names = [f"obj-{k:05d}" for k in range(minted)]
     labels = [names[k] for k in objects.tolist()]
     return tasks_from_columns(spec.service, labels, features, *sizes.T, arrival)

@@ -79,6 +79,12 @@ def test_params_validation():
         LshIndex(LshSettings(), 0, 0)
 
 
+@pytest.mark.parametrize("dimension", [2.5, 2.0, "4", None])
+def test_index_dimension_must_be_an_integer(dimension):
+    with pytest.raises(ValueError, match="^dimension must be an integer, got "):
+        LshIndex(LshSettings(), dimension, 0)
+
+
 def test_signature_deterministic():
     idx = LshIndex(LshSettings(num_tables=3, bits_per_table=5), 8, 7)
     rng = np.random.default_rng(0)

@@ -395,6 +395,13 @@ def test_store_dimension_must_be_positive():
         ReuseStore(0)
 
 
+@pytest.mark.parametrize("dimension", [2.5, 2.0, "4", None])
+def test_store_dimension_must_be_an_integer(dimension):
+    # refused at construction, naming the argument, not at the first place
+    with pytest.raises(ValueError, match="^dimension must be an integer, got "):
+        ReuseStore(dimension)
+
+
 @pytest.mark.parametrize(
     "value,field",
     [

@@ -1,4 +1,5 @@
 import copy
+import heapq
 import math
 import pickle
 from dataclasses import FrozenInstanceError, replace
@@ -297,6 +298,58 @@ def test_patience_never_reached_changes_nothing(mode):
     assert patient.n_cloud == 0
     assert max(r.waiting_s for r in plain.records) > 0
     assert patient == plain
+
+
+class _SizingHeapq:
+    """Stands in for ``heapq`` on ``reusesim.sim``: counts pops, keeps the largest heap."""
+
+    def __init__(self):
+        self.pops = 0
+        self.largest = 0
+
+    def heappush(self, heap, item):
+        heapq.heappush(heap, item)
+        self.largest = max(self.largest, len(heap))
+
+    def heappop(self, heap):
+        self.largest = max(self.largest, len(heap))
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+@pytest.mark.parametrize("mode", [Mode.EDGE_NO_REUSE, Mode.EDGE_WITH_REUSE])
+@pytest.mark.parametrize("max_queue_delay", [None, 1.0])
+@pytest.mark.parametrize("edge_slots", [1, 3])
+def test_the_heap_holds_at_most_one_event_per_slot_and_the_next_reception(
+    flat_cost, monkeypatch, mode, max_queue_delay, edge_slots
+):
+    # four tasks received at each half second, 2 s of service each: the
+    # slots stay full, the queue grows and, with a patience, its head reneges
+    tasks = [
+        make_task(
+            task_id=i,
+            label=f"obj-{i % 5}",
+            values=(float(i % 5), 0.0),
+            input_size=0.0,
+            output_size=0.0,
+            arrival=(i // 4) * 0.5,
+        )
+        for i in reversed(range(40))
+    ]
+
+    def simulate_with(heap_module):
+        monkeypatch.setattr(sim, "heapq", heap_module)
+        store = ReuseStore(2) if mode is Mode.EDGE_WITH_REUSE else None
+        return simulate(tasks, mode, flat_cost, edge_slots, store, max_queue_delay)
+
+    sizing = _SizingHeapq()
+    report = simulate_with(sizing)
+    assert sizing.largest == edge_slots + 1
+    # a reception and a finish per task served at the edge, a reception alone
+    # per task that reneged
+    assert sizing.pops == len(tasks) + len(tasks) - report.n_cloud
+    assert (report.n_cloud > 0) == (max_queue_delay is not None)
+    assert report == simulate_with(heapq)
 
 
 def test_reuse_gain_zero_redundancy_and_mismatch_errors():

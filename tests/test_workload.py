@@ -33,6 +33,7 @@ from reusesim import (
     redundancy_ramp,
 )
 from reusesim.sim import workload_digest
+from reusesim import workload
 from reusesim.workload import BASE_NORM
 
 from conftest import assert_rows_of_one_matrix
@@ -386,6 +387,20 @@ def test_generate_matches_the_per_task_reference(spec):
     tasks, expected = generate(spec), reference_generate(spec)
     assert tasks == expected
     assert workload_digest(tasks) == workload_digest(expected)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 59, 60])
+def test_generate_adds_the_bases_in_blocks_bit_for_bit(monkeypatch, rows):
+    # blocks smaller than the run, and one that does not divide it, give the
+    # per-task reference's feature bytes
+    spec = WorkloadSpec(num_tasks=59, redundancy_rate=0.7, dimension=5, seed=11)
+    expected = reference_generate(spec)
+    monkeypatch.setattr(workload, "_GATHER_ROWS", rows)
+    tasks = generate(spec)
+    assert tasks == expected
+    assert np.array([t.features.values for t in tasks]).tobytes() == np.array(
+        [t.features.values for t in expected]
+    ).tobytes()
 
 
 def _repr_dump(tmp_path_factory, spec, tasks):
