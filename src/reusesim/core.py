@@ -226,6 +226,12 @@ class Task:
 _build_task = _slot_builder(Task)
 
 
+# the least value ``Task`` accepts in each float column, in the order
+# input size, output size, complexity (> 0: the least positive float) and
+# arrival, as a column to compare against the stacked columns
+_COLUMN_FLOORS = np.array([[0.0], [0.0], [math.ulp(0.0)], [0.0]])
+
+
 def tasks_from_columns(
     service: str,
     labels: Sequence[str],
@@ -261,19 +267,14 @@ def tasks_from_columns(
             raise ValueError(f"{name} has {len(column)} entries for {n} feature rows")
     features = np.ascontiguousarray(features, dtype=np.float64)
     features.setflags(write=False)
-    ok = (
-        np.isfinite(features).all(axis=1)
-        & (features.shape[1] >= 1)
-        & np.isfinite(input_size)
-        & np.isfinite(output_size)
-        & np.isfinite(complexity)
-        & np.isfinite(arrival)
-        & (input_size >= 0)
-        & (output_size >= 0)
-        & (complexity > 0)
-        & (arrival >= 0)
-    )
-    for i in np.flatnonzero(~ok).tolist():
+    # a row of the four float columns passes when each value lies in
+    # [floor, inf): NaN fails both comparisons
+    floats = np.array((input_size, output_size, complexity, arrival))
+    ok = np.logical_and.reduce((floats >= _COLUMN_FLOORS) & (floats < math.inf))
+    ok &= np.logical_and.reduce(np.isfinite(features), axis=1)
+    if features.shape[1] < 1:
+        ok[:] = False
+    for i in (~ok).nonzero()[0].tolist():
         Task(
             i,
             service,

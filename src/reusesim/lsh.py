@@ -98,6 +98,10 @@ _CHUNK_MULADDS = 2**17
 _GUARD_SLACK = 2.0**-10
 _GUARD_NORM2 = (2.0**-1000, 2.0**1000)
 
+# bit j of a bucket key weighs 2^j; a table's key has at most 62 bits
+_BIT_WEIGHTS = 1 << np.arange(62, dtype=np.int64)
+_BIT_WEIGHTS.setflags(write=False)
+
 # what an unaddressed bucket contributes to a candidate set
 _NO_BUCKET = b""
 
@@ -128,13 +132,15 @@ class LshIndex:
         tables, bits = settings.num_tables, settings.bits_per_table
         rng = np.random.default_rng(seed)
         planes = rng.standard_normal((tables, bits, dimension))
-        planes /= np.linalg.norm(planes, axis=2, keepdims=True)
+        # each plane's norm as ``np.linalg.norm(planes, axis=2,
+        # keepdims=True)`` computes it for real input, minus its Python layer
+        planes /= np.sqrt(np.add.reduce(planes * planes, axis=2, keepdims=True))
         self.settings = settings
         self.dimension = dimension
         self.hyperplanes = planes
         self._key_shape = (tables, bits)
         self._proj = planes.reshape(-1, dimension)
-        self._bit_weights = 1 << np.arange(bits, dtype=np.int64)
+        self._bit_weights = _BIT_WEIGHTS[:bits]
         self._chunk_rows = max(1, _CHUNK_MULADDS // self._proj.size)
         # a chunk product within 2 gamma_d ||x|| of zero may differ in sign
         # from _project's; past 2^-20 the slack no longer covers d*u terms

@@ -170,6 +170,7 @@ class ReuseStore:
         seed: int = 0,
     ):
         require_int("dimension", dimension, 1)
+        require_int("seed", seed, 0)
         self.dimension = dimension
         self._shape = (dimension,)
         self.settings = settings

@@ -45,7 +45,7 @@ import heapq
 import math
 from collections import Counter, deque
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from itertools import starmap
@@ -279,6 +279,8 @@ def task_correct(outcome: Outcome, task: Task) -> bool:
 
 _task_id = attrgetter("id")
 _task_label = attrgetter("object_label")
+_task_service = attrgetter("service")
+_by_arrival = attrgetter("arrival_time", "id")
 # the float fields in the order the digest packs them
 _DIGEST_FLOATS = tuple(map(attrgetter, _TASK_FLOATS))
 
@@ -338,6 +340,9 @@ def p90(values: Iterable[float]) -> float:
 
 
 _build_record = _slot_builder(TaskRecord)
+_FULL_OUTCOME = OutcomeKind.FULL_REUSE.value
+_PARTIAL_OUTCOME = OutcomeKind.PARTIAL_REUSE.value
+_EDGE_OUTCOME = OutcomeKind.EDGE_COMPUTE.value
 _CLOUD_OUTCOME = OutcomeKind.CLOUD_OFFLOAD.value
 
 
@@ -376,7 +381,7 @@ def simulate(
         raise ValueError("EDGE_WITH_REUSE needs a reuse store")
     if not tasks:
         raise ValueError("cannot simulate an empty run")
-    if len({t.id for t in tasks}) != len(tasks):
+    if len(set(map(_task_id, tasks))) != len(tasks):
         repeated = next(i for i, c in Counter(t.id for t in tasks).items() if c > 1)
         raise ValueError(f"task id {repeated} is repeated")
     digest = workload_digest(tasks)
@@ -386,7 +391,7 @@ def simulate(
 
     if mode is not Mode.EDGE_WITH_REUSE:
         store = None
-    node = EdgeNode(offloaded_services=frozenset(t.service for t in tasks), store=store)
+    node = EdgeNode(offloaded_services=frozenset(map(_task_service, tasks)), store=store)
     decide = node.decide
     # bound here, not at import, so that a stand-in for ``heapq`` set on this
     # module (the traced benchmark counts pops through one) sees every call
@@ -400,7 +405,7 @@ def simulate(
     pending: list[tuple[float, int, int, Task]] = sorted(
         (
             (received_at(t.arrival_time, t, True, cost), seq, _RECV, t)
-            for seq, t in enumerate(sorted(tasks, key=attrgetter("arrival_time", "id")))
+            for seq, t in enumerate(sorted(tasks, key=_by_arrival))
         ),
         reverse=True,
     )
@@ -519,48 +524,55 @@ def _aggregate(
     rows = tuple(sorted(rows, key=_row_id))
     n = len(rows)
     completion_s = list(map(_row_completion, rows))
-    completion = np.array(completion_s)
-    computation = np.fromiter(map(_row_computation, rows), np.float64, n)
-    waiting = np.fromiter(map(_row_waiting, rows), np.float64, n)
-    with np.errstate(all="ignore"):  # an overflowed mean is rejected below
-        means = [float(column.mean()) for column in (completion, computation, waiting)]
-    makespan = float(max(map(_row_finish, rows)))
-    counts = Counter(map(_row_outcome, rows))
-    n_full = counts[OutcomeKind.FULL_REUSE.value]
-    n_partial = counts[OutcomeKind.PARTIAL_REUSE.value]
-    n_edge = counts[OutcomeKind.EDGE_COMPUTE.value]
-    n_cloud = counts[OutcomeKind.CLOUD_OFFLOAD.value]
-    utilization = 100.0 * busy / (edge_slots * makespan) if makespan > 0 else 0.0
-    report = MetricsReport(
-        mode=mode,
-        records=RecordView(rows),
-        mean_completion_s=means[0],
-        p90_completion_s=p90(completion_s),
-        mean_computation_s=means[1],
-        mean_waiting_s=means[2],
-        utilization_pct=utilization,
-        load_cloud=n_cloud / n,
-        load_edge=n_edge / n,
-        load_reuse=(n_full + n_partial) / n,
-        correctness_rate=sum(map(_row_correct, rows)) / n,
-        busy_slot_time=busy,
-        makespan=makespan,
-        edge_slots=edge_slots,
-        peak_concurrency=peak,
-        time_avg_in_system=time_avg,
-        mean_time_in_system=mean_tis,
-        n_full_reuse=n_full,
-        n_partial_reuse=n_partial,
-        n_edge_compute=n_edge,
-        n_cloud=n_cloud,
-        workload_digest=digest,
+    columns = (
+        np.array(completion_s),
+        np.fromiter(map(_row_computation, rows), np.float64, n),
+        np.fromiter(map(_row_waiting, rows), np.float64, n),
     )
+    # each mean as ``ndarray.mean`` computes it, minus its Python layer: the
+    # pairwise sum ``np.add.reduce`` over the count
+    with np.errstate(all="ignore"):  # an overflowed mean is rejected below
+        means = [float(np.add.reduce(column) / n) for column in columns]
+    makespan = float(max(map(_row_finish, rows)))
+    outcomes = list(map(_row_outcome, rows))
+    n_full = outcomes.count(_FULL_OUTCOME)
+    n_partial = outcomes.count(_PARTIAL_OUTCOME)
+    n_edge = outcomes.count(_EDGE_OUTCOME)
+    n_cloud = outcomes.count(_CLOUD_OUTCOME)
+    utilization = 100.0 * busy / (edge_slots * makespan) if makespan > 0 else 0.0
+    values = {
+        "mode": mode,
+        "records": RecordView(rows),
+        "mean_completion_s": means[0],
+        "p90_completion_s": p90(completion_s),
+        "mean_computation_s": means[1],
+        "mean_waiting_s": means[2],
+        "utilization_pct": utilization,
+        "load_cloud": n_cloud / n,
+        "load_edge": n_edge / n,
+        "load_reuse": (n_full + n_partial) / n,
+        "correctness_rate": sum(map(_row_correct, rows)) / n,
+        "busy_slot_time": busy,
+        "makespan": makespan,
+        "edge_slots": edge_slots,
+        "peak_concurrency": peak,
+        "time_avg_in_system": time_avg,
+        "mean_time_in_system": mean_tis,
+        "n_full_reuse": n_full,
+        "n_partial_reuse": n_partial,
+        "n_edge_compute": n_edge,
+        "n_cloud": n_cloud,
+        "workload_digest": digest,
+    }
     # a record's non-finite time makes its column's mean non-finite, so every
     # overflow, in a record or in a sum, shows in the report's float metrics
-    for name in _REPORT_FLOATS:
-        value = getattr(report, name)
-        if not math.isfinite(value):
-            raise ValueError(f"simulated times overflowed: {name} is {value!r}")
+    if not all(map(math.isfinite, map(values.__getitem__, _REPORT_FLOATS))):
+        name = next(k for k in _REPORT_FLOATS if not math.isfinite(values[k]))
+        raise ValueError(f"simulated times overflowed: {name} is {values[name]!r}")
+    # built past __init__, which sets the fields one ``object.__setattr__``
+    # at a time and makes ``records`` a RecordView, which it is already
+    report = object.__new__(MetricsReport)
+    vars(report).update(values)
     return report
 
 
@@ -572,11 +584,14 @@ def run(config: SimConfig, trial: int = 0) -> MetricsReport:
     """Generate (or ingest) the workload for one trial and simulate it.
 
     Trial ``i`` uses seed ``config.seed + i`` for both the workload and the
-    store's hash functions.  A ``features_file`` that holds no records is a
+    store's hash functions.  Its workload spec is ``config.workload`` with
+    only ``seed`` replaced, and only the seed is checked, as
+    ``WorkloadSpec`` checks it: the config checked every other field when it
+    was built.  A ``features_file`` that holds no records is a
     ``WorkloadFileError`` naming the file.
     """
     seed = config.seed + trial
-    spec = replace(config.workload, seed=seed)
+    spec = config.workload._reseeded(seed)
     if config.features_file is not None:
         labels, features = config._dump
         if not labels:

@@ -70,7 +70,8 @@ class WorkloadSpec:
                 raise ValueError(f"{name} must be a (lo, hi) pair, got {pair!r}") from None
             require_finite({name: lo})
             require_finite({name: hi})
-        if not self.service or not CSV_UNSAFE.isdisjoint(self.service):
+        service = self.service
+        if not (isinstance(service, str) and service and CSV_UNSAFE.isdisjoint(service)):
             raise ValueError('service must be a non-empty name without , " CR or LF')
         require_int("num_tasks", self.num_tasks, 0)
         if not 0.0 <= self.redundancy_rate <= 1.0:
@@ -88,6 +89,17 @@ class WorkloadSpec:
             raise ValueError("noise_sigma must be >= 0")
         require_int("seed", self.seed, 0)
 
+    def _reseeded(self, seed: int) -> WorkloadSpec:
+        """This spec with ``seed`` replaced, the one field checked again.
+
+        ``dataclasses.replace`` would run every check of ``__post_init__``,
+        whose other fields passed them when this spec was built.
+        """
+        require_int("seed", seed, 0)
+        spec = object.__new__(self.__class__)
+        vars(spec).update(vars(self), seed=seed)
+        return spec
+
 
 def _sizes_and_arrivals(
     spec: WorkloadSpec, rng: np.random.Generator, n: int
@@ -96,45 +108,54 @@ def _sizes_and_arrivals(
 
     ``sizes`` has columns input size, output size and complexity, each
     ``lo + (hi - lo) * u``; arrivals are the running sum of
-    ``gap / arrival_rate``.  A value that overflows is left infinite, with
-    no warning, for the column checks of ``tasks_from_columns`` to report.
+    ``gap / arrival_rate``.  A value that overflows is left infinite for the
+    column checks of ``tasks_from_columns`` to report; the caller runs this
+    under ``np.errstate(over="ignore")``, so it warns of none.
     """
-    ranges = (spec.input_size_range, spec.output_size_range, spec.complexity_range)
-    lo = np.array([r[0] for r in ranges])
-    with np.errstate(over="ignore"):
-        sizes = lo + np.array([r[1] - r[0] for r in ranges]) * rng.random((n, 3))
-        return sizes, np.cumsum(rng.standard_exponential(n) / spec.arrival_rate)
+    (in_lo, in_hi), (out_lo, out_hi), (work_lo, work_hi) = (
+        spec.input_size_range, spec.output_size_range, spec.complexity_range
+    )
+    lo = np.array([in_lo, out_lo, work_lo])
+    span = np.array([in_hi - in_lo, out_hi - out_lo, work_hi - work_lo])
+    sizes = lo + span * rng.random((n, 3))
+    gaps = rng.standard_exponential(n)
+    gaps /= spec.arrival_rate
+    return sizes, gaps.cumsum()
 
 
 def generate(spec: WorkloadSpec) -> list[Task]:
     """Generate the task list for a spec; deterministic given the seed."""
     n = spec.num_tasks
     rng = np.random.default_rng(spec.seed)
-    sizes, arrival = _sizes_and_arrivals(spec, rng, n)
-    # the first task has no seen object to repeat, so it draws no coin
-    new = np.ones(n, dtype=bool)
-    new[1:] = rng.random(max(n - 1, 0)) >= spec.redundancy_rate
-    features = rng.standard_normal((n, spec.dimension))
-    # objects are numbered in order of first appearance: a new task's number
-    # is the count of new tasks before it
-    objects = np.cumsum(new) - 1
-    minted = int(np.count_nonzero(new))
-    bases = rng.standard_normal((minted, spec.dimension))
-    repeats = ~new
-    # each repeat picks among the objects minted before it
-    objects[repeats] = rng.integers(0, objects[repeats] + 1)
-    # each base's norm is sqrt(g @ g): the stacked 1 x d by d x 1 products
-    norms = np.sqrt(bases[:, None, :] @ bases[:, :, None]).reshape(minted, 1)
-    bases *= BASE_NORM
-    bases /= norms
-    # an overflow is left infinite, unwarned, for the feature check to report;
-    # the bases are gathered a block of rows at a time, so no n x d copy of
-    # them is built, and each element's sum is the one a whole gather gives
+    # an overflow, in the sizes, the arrivals or the features, is left
+    # infinite, unwarned, for the column checks to report
     with np.errstate(over="ignore"):
+        sizes, arrival = _sizes_and_arrivals(spec, rng, n)
+        # the first task has no seen object to repeat, so it draws no coin
+        new = np.empty(n, dtype=bool)
+        new[:1] = True
+        new[1:] = rng.random(max(n - 1, 0)) >= spec.redundancy_rate
+        features = rng.standard_normal((n, spec.dimension))
+        # objects are numbered in order of first appearance: a new task's
+        # number is the count of new tasks before it
+        objects = new.cumsum()
+        objects -= 1
+        minted = int(objects[-1]) + 1 if n else 0  # the count of new tasks
+        bases = rng.standard_normal((minted, spec.dimension))
+        repeats = ~new
+        # each repeat picks among the objects minted before it
+        objects[repeats] = rng.integers(0, objects[repeats] + 1)
+        # each base's norm is sqrt(g @ g): the stacked 1 x d by d x 1 products
+        norms = np.sqrt(bases[:, None, :] @ bases[:, :, None]).reshape(minted, 1)
+        bases *= BASE_NORM
+        bases /= norms
+        # the bases are gathered a block of rows at a time, so no n x d copy
+        # of them is built, and each element's sum is the one a whole gather
+        # gives
         features *= spec.noise_sigma
         for start in range(0, n, _GATHER_ROWS):
-            block = slice(start, start + _GATHER_ROWS)
-            features[block] += bases[objects[block]]
+            block = features[start : start + _GATHER_ROWS]
+            block += bases[objects[start : start + _GATHER_ROWS]]
     names = [f"obj-{k:05d}" for k in range(minted)]
     labels = [names[k] for k in objects.tolist()]
     return tasks_from_columns(spec.service, labels, features, *sizes.T, arrival)
@@ -251,5 +272,6 @@ def _dump_tasks(
 ) -> list[Task]:
     """The tasks of a parsed dump, with the sizes and arrivals ``spec`` draws."""
     rng = np.random.default_rng(spec.seed)
-    sizes, arrival = _sizes_and_arrivals(spec, rng, len(labels))
+    with np.errstate(over="ignore"):
+        sizes, arrival = _sizes_and_arrivals(spec, rng, len(labels))
     return tasks_from_columns(spec.service, labels, features, *sizes.T, arrival)

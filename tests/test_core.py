@@ -157,6 +157,25 @@ def test_tasks_from_columns_raise_the_constructors_error(column, value):
         tasks_from_columns("s", ["obj-0", "obj-1", "obj-2"], **columns)
 
 
+@pytest.mark.parametrize("column", ["input_size", "output_size", "complexity", "arrival"])
+@pytest.mark.parametrize(
+    "value", [0.0, -0.0, 5e-324, -5e-324, 1.0, 1e308, float("inf"), float("nan")]
+)
+def test_tasks_from_columns_take_a_row_iff_the_constructors_do(column, value):
+    # the column check compares each value with its least valid value, the
+    # least positive float for complexity, and with infinity
+    columns = _columns()
+    columns[column][1] = value
+    try:
+        expected = _checked_task(1, columns)
+    except ValueError as refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}$"):
+            tasks_from_columns("s", ["obj-0", "obj-1", "obj-2"], **columns)
+    else:
+        tasks = tasks_from_columns("s", ["obj-0", "obj-1", "obj-2"], **columns)
+        assert tasks[1] == expected
+
+
 @pytest.mark.parametrize("length", [1, 4])
 @pytest.mark.parametrize(
     "column", ["labels", "input_size", "output_size", "complexity", "arrival"]

@@ -59,6 +59,20 @@ def test_build_seed_sensitivity():
     assert not np.array_equal(a.hyperplanes, b.hyperplanes)
 
 
+@pytest.mark.parametrize(
+    "tables,bits,dimension,seed",
+    [(1, 1, 1, 0), (1, 1, 2, 0), (8, 8, 32, 42), (3, 62, 5, 7), (16, 4, 300, 2**62)],
+)
+def test_hyperplanes_are_the_draws_over_their_linalg_norms(tables, bits, dimension, seed):
+    # the index normalises with the expression np.linalg.norm evaluates for
+    # real input; a numpy whose norm computes otherwise fails here
+    planes = np.random.default_rng(seed).standard_normal((tables, bits, dimension))
+    expected = planes / np.linalg.norm(planes, axis=2, keepdims=True)
+    idx = LshIndex(LshSettings(tables, bits), dimension, seed)
+    assert idx.hyperplanes.tobytes() == expected.tobytes()
+    assert idx._bit_weights.tolist() == [1 << j for j in range(bits)]
+
+
 def test_build_minimal_shape():
     idx = LshIndex(LshSettings(num_tables=1, bits_per_table=1), 2, 0)
     assert idx.hyperplanes.shape == (1, 1, 2)

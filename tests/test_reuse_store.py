@@ -403,6 +403,21 @@ def test_store_dimension_must_be_an_integer(dimension):
 
 
 @pytest.mark.parametrize(
+    "seed,message",
+    [
+        (2.5, "^seed must be an integer, got 2.5$"),
+        ("1", "^seed must be an integer, got '1'$"),
+        (None, "^seed must be an integer, got None$"),
+        (-1, "^seed must be >= 0$"),
+    ],
+)
+def test_store_seed_is_refused_at_construction_naming_it(seed, message):
+    # refused before any table exists, not at the first place or lookup
+    with pytest.raises(ValueError, match=message):
+        ReuseStore(4, seed=seed)
+
+
+@pytest.mark.parametrize(
     "value,field",
     [
         (value, field)

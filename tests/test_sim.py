@@ -2,12 +2,15 @@ import copy
 import heapq
 import math
 import pickle
-from dataclasses import FrozenInstanceError, replace
+import warnings
+from dataclasses import FrozenInstanceError, fields, replace
 
+import numpy as np
 import pytest
 
 from reusesim import (
     CostParams,
+    MetricsReport,
     Mode,
     OutcomeKind,
     ReuseStore,
@@ -665,3 +668,62 @@ def test_a_report_given_records_holds_them_as_a_view():
     assert rebuilt == report and rebuilt.records.rows == report.records.rows
     assert replace(report, records=list(report.records[:3])).records == report.records[:3]
     assert replace(report, records=()).records == ()
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_run_is_simulate_on_the_spec_replace_makes(mode):
+    config = SimConfig(
+        mode, WorkloadSpec(num_tasks=40, noise_sigma=0.12, seed=5), trials=3, seed=11
+    )
+    for trial in range(3):
+        seed = config.seed + trial
+        spec = replace(config.workload, seed=seed)
+        store = sim.build_store(config, seed) if mode is Mode.EDGE_WITH_REUSE else None
+        expected = simulate(generate(spec), mode, config.cost, config.edge_slots, store)
+        report = run(config, trial)
+        assert report == expected and vars(report) == vars(expected)
+    assert config.workload.seed == 5  # the config's spec is left as it was
+
+
+def test_run_refuses_a_trial_seed_with_the_messages_of_the_spec():
+    config = SimConfig(Mode.CLOUD_ONLY, WorkloadSpec(num_tasks=3), seed=5)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        run(config, -config.seed - 1)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 5.5$"):
+        run(config, 0.5)
+
+
+def _rows(completion, computation, waiting):
+    """Record rows, out of id order, holding the given time columns."""
+    rows = [
+        (i, "s", "obj", OutcomeKind.EDGE_COMPUTE.value, "edge", 0.0, 0.0, c, w, x, c, True)
+        for i, (c, x, w) in enumerate(zip(completion, computation, waiting))
+    ]
+    return rows[::-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 100, 129, 1000, 5000])
+def test_aggregate_means_are_the_ndarray_means_bit_for_bit(n):
+    # magnitudes that span nine decades, so that another summation order
+    # would round differently
+    rng = np.random.default_rng(n)
+    columns = [
+        rng.standard_exponential(n) * 10.0 ** rng.integers(-3, 6, n) for _ in range(3)
+    ]
+    rows = _rows(*(column.tolist() for column in columns))
+    report = sim._aggregate(Mode.EDGE_NO_REUSE, rows, 1.0, 15, 1, 0.0, 0.0, "d")
+    means = (report.mean_completion_s, report.mean_computation_s, report.mean_waiting_s)
+    assert [m.hex() for m in means] == [float(c.mean()).hex() for c in columns]
+    # the report is the one its constructor builds from the same values
+    rebuilt = MetricsReport(**{f.name: getattr(report, f.name) for f in fields(report)})
+    assert rebuilt == report and vars(rebuilt) == vars(report)
+
+
+def test_aggregate_refuses_a_column_sum_that_overflows_without_a_warning():
+    rows = _rows([1e308, 1e308], [1.0, 1.0], [0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ValueError, match="^simulated times overflowed: mean_completion_s is inf$"
+        ):
+            sim._aggregate(Mode.EDGE_NO_REUSE, rows, 1.0, 15, 1, 0.0, 0.0, "d")

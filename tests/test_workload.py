@@ -153,6 +153,16 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
+    "service", [5, None, b"detect", ["detect"], "", "a,b", 'a"b', "a\nb"]
+)
+def test_spec_refuses_a_service_that_is_not_a_clean_name(service):
+    # a service that is not a str is refused naming the field, not with the
+    # TypeError of iterating it
+    with pytest.raises(ValueError, match="^service must be a non-empty name without"):
+        WorkloadSpec(service=service)
+
+
+@pytest.mark.parametrize(
     "field,value",
     [
         ("redundancy_rate", float("nan")),
